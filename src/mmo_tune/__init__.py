@@ -35,6 +35,7 @@ from .models import (
     NormalizationBounds,
     dominance,
     dominates,
+    fast_nondominated_sort,
     meta_objectives,
     pareto_front,
     pmo_objectives,
@@ -45,7 +46,6 @@ from .optimizers import (
     RunTrace,
     boundary_mutation,
     crowding_distance,
-    fast_nondominated_sort,
     run_nsga2,
     run_rs,
     run_sa,

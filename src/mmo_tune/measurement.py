@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 from dataclasses import dataclass
 from typing import Literal, Protocol
@@ -235,36 +236,53 @@ class CommandOracle:
         )
 
     def _run_once(self, env: dict[str, str]) -> tuple[float, float]:
-        try:
-            proc = subprocess.run(
-                self.command,
-                shell=True,
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise CommandOracleError(
-                f"command timed out after {self.timeout}s: {self.command}"
-            ) from exc
+        # A session of its own makes the command lead a process group, so a
+        # timeout can kill everything it started, not just the shell.
+        with subprocess.Popen(
+            self.command,
+            shell=True,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=self.timeout)
+            except subprocess.TimeoutExpired as exc:
+                # The unreaped shell keeps its group alive until the wait.
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise CommandOracleError(
+                    f"command timed out after {self.timeout}s: {self.command}"
+                ) from exc
         if proc.returncode != 0:
             raise CommandOracleError(
-                f"command exited {proc.returncode}: {self.command}\n"
-                f"stdout: {proc.stdout!r}\nstderr: {proc.stderr!r}"
+                f"command exited {proc.returncode}: {self.command}"
+                + _transcript(stdout, stderr)
             )
-        lines = [line for line in proc.stdout.splitlines() if line.strip()]
+        lines = [line for line in stdout.splitlines() if line.strip()]
         if not lines:
             raise CommandOracleError(
-                f"command produced no output: {self.command}\nstderr: {proc.stderr!r}"
+                f"command produced no output: {self.command}\nstderr: {stderr!r}"
             )
         try:
             result = json.loads(lines[-1])
-            return float(result["target"]), float(result["auxiliary"])
+            target, auxiliary = float(result["target"]), float(result["auxiliary"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CommandOracleError(
                 f"unparseable result line {lines[-1]!r} from: {self.command}"
             ) from exc
+        if not (math.isfinite(target) and math.isfinite(auxiliary)):
+            raise CommandOracleError(
+                f"non-finite result line {lines[-1]!r} from: {self.command}"
+                + _transcript(stdout, stderr)
+            )
+        return target, auxiliary
+
+
+def _transcript(stdout: str, stderr: str) -> str:
+    return f"\nstdout: {stdout!r}\nstderr: {stderr!r}"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ while configurations with dissimilar auxiliary values become incomparable.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .measurement import MeasurementRecord
@@ -60,11 +61,13 @@ class NormalizationBounds:
     def normalize(self, value: float, objective: int) -> float:
         """Max-min scale into [0, 1]; a degenerate range maps to 0.5.
 
-        The value must already be covered by the bounds (observe first).
+        The value must already be covered by the bounds (observe first);
+        a value outside them raises ValueError.
         """
         lo = self.mins[objective]
         hi = self.maxs[objective]
-        assert lo <= value <= hi, f"value {value} outside bounds [{lo}, {hi}]"
+        if not lo <= value <= hi:
+            raise ValueError(f"value {value} outside bounds [{lo}, {hi}]")
         if lo == hi:
             return 0.5
         return (value - lo) / (hi - lo)
@@ -131,12 +134,105 @@ def dominates(u: ObjectivePoint, v: ObjectivePoint) -> bool:
     return dominance(u, v) == 1
 
 
-def pareto_front(points: list[ObjectivePoint]) -> list[int]:
-    """Indices of the points dominated by no other point in the set."""
+def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
+    """Partition indices into fronts: front 0 is the nondominated set, front k
+    is nondominated once fronts < k are removed.
+
+    Front 0 lists its indices ascending. Front k >= 1 lists them in the order
+    the general counting loop discovers them: by the position in front k-1 of
+    a member's last dominator there, then by index. Crowding ties depend on
+    this order, so the two-objective path reproduces it exactly.
+    """
     if not points:
-        raise ValueError("pareto_front needs at least one point")
-    front: list[int] = []
-    for i, p in enumerate(points):
-        if not any(dominance(q, p) == 1 for j, q in enumerate(points) if j != i):
-            front.append(i)
-    return front
+        raise ValueError("cannot sort an empty point set")
+    if all(len(p) == 2 for p in points):
+        return _sort_two_objectives(points)
+    return _sort_by_domination_counts(points)
+
+
+def _sort_by_domination_counts(points: list[ObjectivePoint]) -> list[list[int]]:
+    """The O(M N^2) sort of Deb et al. 2002 for any number of objectives."""
+    n = len(points)
+    dominated: list[list[int]] = [[] for _ in range(n)]
+    counts = [0] * n
+    for i in range(n):
+        pi = points[i]
+        for j in range(i + 1, n):
+            d = dominance(pi, points[j])
+            if d > 0:
+                dominated[i].append(j)
+                counts[j] += 1
+            elif d < 0:
+                dominated[j].append(i)
+                counts[i] += 1
+    fronts: list[list[int]] = []
+    current = [i for i in range(n) if counts[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt: list[int] = []
+        for i in current:
+            for j in dominated[i]:
+                counts[j] -= 1
+                if counts[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
+def _sort_two_objectives(points: list[ObjectivePoint]) -> list[list[int]]:
+    """O(N log N) bi-objective sort (Jensen 2003; ENS-BS, Zhang et al. 2015).
+
+    Visited in lexicographic order, a point is dominated by an earlier one iff
+    that one has no larger second objective and differs from it. Within a
+    front the second objective falls in lexicographic order, so the front's
+    last member decides, and the first front it does not dominate is found
+    by binary search. Equal points share a front.
+    """
+    lex_fronts: list[list[int]] = []
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        p = points[i]
+        lo, hi = 0, len(lex_fronts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            last = points[lex_fronts[mid][-1]]
+            if last[1] <= p[1] and last != p:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(lex_fronts):
+            lex_fronts.append([i])
+        else:
+            lex_fronts[lo].append(i)
+
+    # The dominators of a front-k member within front k-1 are a contiguous
+    # run of front k-1 in lexicographic order (first objective no larger,
+    # second no larger), and both ends of the run only move forward as the
+    # member advances through front k. A monotone deque then yields the
+    # largest output position in each run: the member's last dominator.
+    fronts = [sorted(lex_fronts[0])]
+    position = [0] * len(points)
+    for above, front in zip(lex_fronts, lex_fronts[1:]):
+        for pos, i in enumerate(fronts[-1]):
+            position[i] = pos
+        window: deque[int] = deque()  # members of `above`, positions falling
+        added = 0
+        keyed: list[tuple[int, int]] = []
+        for i in front:
+            first, second = points[i]
+            while added < len(above) and points[above[added]][0] <= first:
+                q = above[added]
+                while window and position[window[-1]] < position[q]:
+                    window.pop()
+                window.append(q)
+                added += 1
+            while points[window[0]][1] > second:
+                window.popleft()
+            keyed.append((position[window[0]], i))
+        keyed.sort()
+        fronts.append([i for _, i in keyed])
+    return fronts
+
+
+def pareto_front(points: list[ObjectivePoint]) -> list[int]:
+    """Indices of the points dominated by no other point in the set, ascending."""
+    return fast_nondominated_sort(points)[0]

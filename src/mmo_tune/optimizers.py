@@ -27,7 +27,7 @@ from .models import (
     MmoInstance,
     NormalizationBounds,
     ObjectivePoint,
-    dominance,
+    fast_nondominated_sort,
     meta_objectives,
     pmo_objectives,
     to_minimization,
@@ -224,38 +224,6 @@ def uniform_crossover(
 
 # ---------------------------------------------------------------------------
 # NSGA-II kernels
-
-
-def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
-    """Partition indices into fronts: front 0 is the nondominated set, front k
-    is nondominated once fronts < k are removed."""
-    if not points:
-        raise ValueError("cannot sort an empty point set")
-    n = len(points)
-    dominated: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            d = dominance(pi, points[j])
-            if d > 0:
-                dominated[i].append(j)
-                counts[j] += 1
-            elif d < 0:
-                dominated[j].append(i)
-                counts[i] += 1
-    fronts: list[list[int]] = []
-    current = [i for i in range(n) if counts[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = nxt
-    return fronts
 
 
 def crowding_distance(points: list[ObjectivePoint]) -> list[float]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import stat
 import textwrap
+import time
 
 import pytest
 
@@ -212,6 +214,48 @@ class TestCommandOracle:
         oracle = CommandOracle("echo not-json", tiny_space, samples=1)
         with pytest.raises(CommandOracleError, match="unparseable"):
             oracle.measure(tiny_space.config([0]))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_output_carries_transcript(self, tiny_space, value):
+        oracle = CommandOracle(
+            f'echo warming >&2; echo \'{{"target": {value}, "auxiliary": 1}}\'',
+            tiny_space,
+            samples=1,
+        )
+        with pytest.raises(CommandOracleError, match="non-finite") as err:
+            oracle.measure(tiny_space.config([0]))
+        message = str(err.value)
+        assert oracle.command in message
+        assert f'stdout: \'{{"target": {value}, "auxiliary": 1}}\\n\'' in message
+        assert "stderr: 'warming\\n'" in message
+
+    def test_timeout_kills_the_whole_process_group(self, tmp_path, tiny_space):
+        pid_file = tmp_path / "child.pid"
+        oracle = CommandOracle(
+            f"sleep 5 & echo $! > {pid_file}; wait", tiny_space, samples=1, timeout=0.3
+        )
+        started = time.monotonic()
+        with pytest.raises(CommandOracleError, match="timed out"):
+            oracle.measure(tiny_space.config([0]))
+        assert time.monotonic() - started < 4.0
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 3.0
+        while _process_running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _process_running(child)
+
+
+def _process_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no /proc, or the process just went away
+        return True
 
 
 class TestSyntheticOracle:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import mmo_tune
 from mmo_tune.measurement import MeasurementRecord
 from mmo_tune.models import (
     MmoInstance,
@@ -20,6 +24,8 @@ from mmo_tune.models import (
 
 WEIGHTS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 10.0)
 SHAPES = ("linear", "sqrt", "square")
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
 
 
 class TestToMinimization:
@@ -77,8 +83,26 @@ class TestNormalizationBounds:
     def test_out_of_bounds_is_contract_violation(self):
         bounds = NormalizationBounds()
         bounds.observe((0.0, 0.0))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="outside bounds"):
             bounds.normalize(1.0, 0)
+
+    def test_out_of_bounds_raises_under_optimize_flag(self):
+        # `python -O` strips assert statements; the check must survive it.
+        script = (
+            "from mmo_tune.models import NormalizationBounds\n"
+            "b = NormalizationBounds()\n"
+            "b.observe((0.0, 0.0))\n"
+            "b.normalize(1.0, 0)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "ValueError: value 1.0 outside bounds" in proc.stderr
 
     def test_monotone_in_value(self):
         bounds = NormalizationBounds()

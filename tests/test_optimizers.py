@@ -13,7 +13,7 @@ from mmo_tune.measurement import (
     SyntheticOracle,
     TabularOracle,
 )
-from mmo_tune.models import PMO, MmoInstance, dominance
+from mmo_tune.models import PMO, MmoInstance, _sort_by_domination_counts, dominance
 from mmo_tune.optimizers import (
     OptimizerConfig,
     boundary_mutation,
@@ -168,6 +168,28 @@ class TestFastNondominatedSort:
             assert all(
                 dominance(points[j], points[i]) != 1 for j in range(80) if j != i
             )
+
+    def test_two_objective_path_matches_counting_loop_order_exactly(self):
+        # Crowding and truncation ties depend on the order inside each front,
+        # so the fast two-objective path must return the general loop's lists
+        # element for element, not merely the same sets.
+        rng = random.Random(10)
+        for _ in range(2500):
+            size = rng.randint(1, 60)
+            digits = rng.choice((1, 2))
+            points = [
+                (round(rng.random(), digits), round(rng.random(), digits))
+                for _ in range(size)
+            ]
+            for _ in range(rng.randrange(4) if size > 1 else 0):
+                points[rng.randrange(size)] = points[rng.randrange(size)]
+            assert fast_nondominated_sort(points) == _sort_by_domination_counts(points)
+
+    def test_later_fronts_follow_last_dominator_then_index(self):
+        # Front 1 member 3 is dominated only by index 0, members 2 and 4 also
+        # by index 1, which comes later in front 0: 3 leads, then 2 and 4.
+        points = [(0.0, 0.5), (0.5, 0.0), (0.6, 0.6), (0.1, 0.9), (0.6, 0.6)]
+        assert fast_nondominated_sort(points) == [[0, 1], [3, 2, 4]]
 
 
 class TestCrowdingDistance:
