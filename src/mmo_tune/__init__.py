@@ -43,7 +43,6 @@ from .models import (
 )
 from .optimizers import (
     OptimizerConfig,
-    RunTrace,
     boundary_mutation,
     crowding_distance,
     run_nsga2,
@@ -66,5 +65,6 @@ from .stats import (
     utopian,
     wilcoxon_signed_rank,
 )
+from .trace import RunTrace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

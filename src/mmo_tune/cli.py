@@ -18,6 +18,7 @@ from .harness import (
     PRESETS,
     SEED_ENV_VAR,
     ExperimentPlan,
+    best_weight_groups,
     build_oracle,
     canonical_model,
     data_driven_weight_selection,
@@ -61,22 +62,27 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_plan_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser, budget_required: bool) -> None:
+    """Flags of one tuning run: space, oracle, budget, population, seed, directions."""
     parser.add_argument("--space", required=True, help="space definition file")
     _add_oracle_args(parser)
-    parser.add_argument("--budget", type=int)
+    parser.add_argument("--budget", type=int, required=budget_required)
     parser.add_argument("--pop", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--target-direction", choices=("minimize", "maximize"),
+                        default="minimize")
+    parser.add_argument("--auxiliary-direction", choices=("minimize", "maximize"),
+                        default="minimize")
+
+
+def _add_plan_args(parser: argparse.ArgumentParser) -> None:
+    _add_run_args(parser, budget_required=False)
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--models", default=",".join(ALL_MODELS))
     parser.add_argument(
         "--weights", default=",".join(weight_token(w) for w in DEFAULT_WEIGHTS)
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--target-direction", choices=("minimize", "maximize"),
-                        default="minimize")
-    parser.add_argument("--auxiliary-direction", choices=("minimize", "maximize"),
-                        default="minimize")
     parser.add_argument("--jobs", type=int, default=1)
 
 
@@ -202,16 +208,7 @@ def _cmd_sweep_weights(args: argparse.Namespace) -> int:
     report = write_campaign(plan, args.out, jobs=args.jobs)
     sweep_path = os.path.join(args.out, "sweep.csv")
     groups = [g for g in report["groups"] if g["model"].startswith("mmo:")]
-    best: dict[str, dict] = {}
-    for g in groups:
-        key = g["model"]
-        current = best.get(key)
-        if current is None or (g["sk_rank"], g["mean"], g["weight"]) < (
-            current["sk_rank"],
-            current["mean"],
-            current["weight"],
-        ):
-            best[key] = g
+    best = best_weight_groups(report)
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -321,17 +318,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     tune = sub.add_parser("tune", help="one tuning run")
-    tune.add_argument("--space", required=True)
-    _add_oracle_args(tune)
+    _add_run_args(tune, budget_required=True)
     tune.add_argument("--model", required=True)
     tune.add_argument("--weight", type=float)
-    tune.add_argument("--budget", type=int, required=True)
-    tune.add_argument("--pop", type=int, default=20)
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--target-direction", choices=("minimize", "maximize"),
-                      default="minimize")
-    tune.add_argument("--auxiliary-direction", choices=("minimize", "maximize"),
-                      default="minimize")
     tune.add_argument("--out", default="trace.csv")
     tune.set_defaults(func=_cmd_tune)
 

@@ -9,6 +9,7 @@ be recomputed byte-for-byte from disk.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,8 +33,6 @@ from .measurement import (
 from .models import PMO, MmoInstance
 from .optimizers import (
     OptimizerConfig,
-    RunTrace,
-    TraceEntry,
     run_nsga2,
     run_rs,
     run_sa,
@@ -49,6 +48,7 @@ from .stats import (
     scott_knott,
     utopian,
 )
+from .trace import RunTrace, emit_trace, load_trace, trace_filename, weight_token
 
 SEED_ENV_VAR = "MMO_TUNE_SEED"
 
@@ -82,10 +82,6 @@ def canonical_model(name: str) -> str:
     if model not in ALL_MODELS:
         raise ValueError(f"unknown model {name!r}; expected one of {ALL_MODELS}")
     return model
-
-
-def weight_token(weight: float | None) -> str:
-    return "-" if weight is None else repr(float(weight))
 
 
 def derive_seed(master_seed: int, *parts: object) -> int:
@@ -269,9 +265,15 @@ def _campaign_task(
 ) -> tuple[tuple[str, float | None, int], RunTrace]:
     plan, oracle, model, weight, run_index = args
     seed = derive_seed(plan.master_seed, model, weight_token(weight), run_index)
-    trace = execute_run(
-        plan.space, oracle, plan.budget, plan.population_size, model, weight, seed
-    )
+    try:
+        trace = execute_run(
+            plan.space, oracle, plan.budget, plan.population_size, model, weight, seed
+        )
+    except Exception as exc:
+        raise CampaignError(
+            f"run failed: model={model} weight={weight_token(weight)} "
+            f"run={run_index}: {exc}"
+        ) from exc
     return (model, weight, run_index), trace
 
 
@@ -285,28 +287,15 @@ def run_campaign_traces(
         for model, weight in plan.group_keys()
         for run_index in range(plan.repeats)
     ]
-    traces: dict[tuple[str, float | None, int], RunTrace] = {}
-    if jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for key, trace in pool.map(_campaign_task, tasks):
-                    traces[key] = trace
-        except CampaignError:
-            raise
-        except Exception as exc:
-            raise CampaignError(f"campaign run failed: {exc}") from exc
-    else:
-        for task in tasks:
-            _, _, model, weight, run_index = task
-            try:
-                key, trace = _campaign_task(task)
-            except Exception as exc:
-                raise CampaignError(
-                    f"run failed: model={model} weight={weight_token(weight)} "
-                    f"run={run_index}: {exc}"
-                ) from exc
-            traces[key] = trace
-    return traces
+    if jobs <= 1:
+        return dict(map(_campaign_task, tasks))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return dict(pool.map(_campaign_task, tasks))
+    except CampaignError:
+        raise
+    except Exception as exc:  # the pool itself failed, e.g. a worker died
+        raise CampaignError(f"campaign run failed: {exc}") from exc
 
 
 def build_report(
@@ -406,6 +395,19 @@ def build_report(
     }
 
 
+def best_weight_groups(report: dict) -> dict[str, dict]:
+    """Per meta model, its report group with the lowest (Scott-Knott rank,
+    mean, weight); the earlier group wins an exact tie."""
+    meta = [group for group in report["groups"] if group["model"] in MMO_MODELS]
+    return {
+        model: min(
+            (group for group in meta if group["model"] == model),
+            key=lambda group: (group["sk_rank"], group["mean"], group["weight"]),
+        )
+        for model in dict.fromkeys(group["model"] for group in meta)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Weight selection
 
@@ -463,9 +465,11 @@ def data_driven_weight_selection(
     """Choose weights by replaying tuning against pre-measured data only.
 
     ``mode="preliminary"`` reuses the preliminary-selection computation path
-    (identical choice for equal seeds). ``mode="full"`` replays the full-scale
-    grid with campaign seeds and selects per instance by Scott-Knott rank
-    first, mean second. Returns the chosen weights and the elapsed seconds.
+    (identical choice for equal seeds). ``mode="full"`` runs the campaign of
+    each meta instance alone over all weights (campaign seeds) and picks the
+    weight of ``best_weight_groups`` in its report, where Scott-Knott ranks
+    that instance's weights only. Returns the chosen weights and the elapsed
+    seconds.
     """
     if mode not in ("preliminary", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -475,86 +479,14 @@ def data_driven_weight_selection(
         return chosen, time.perf_counter() - start
     chosen = {}
     for model in plan.mmo_models():
-        groups: dict[str, list[float]] = {}
-        means: dict[str, float] = {}
-        by_token: dict[str, float] = {}
-        for weight in sorted(plan.weights):
-            token = weight_token(weight)
-            results = []
-            for run_index in range(plan.repeats):
-                seed = derive_seed(plan.master_seed, model, token, run_index)
-                trace = execute_run(
-                    plan.space,
-                    table,
-                    plan.budget,
-                    plan.population_size,
-                    model,
-                    weight,
-                    seed,
-                )
-                results.append(trace.best_target())
-            groups[token] = results
-            means[token] = fmean(results)
-            by_token[token] = weight
-        ranks = scott_knott(groups)
-        best = min(groups, key=lambda t: (ranks[t], means[t], by_token[t]))
-        chosen[model] = by_token[best]
+        sub_plan = dataclasses.replace(plan, models=(model,))
+        report = build_report(sub_plan, run_campaign_traces(sub_plan, oracle=table))
+        chosen[model] = best_weight_groups(report)[model]["weight"]
     return chosen, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
-# Trace and campaign files
-
-
-def emit_trace(trace: RunTrace, path: str) -> None:
-    """Write a trace as CSV: step, option values, raw values, budget, best-so-far."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["step", *trace.space.names, "target", "auxiliary", "consumed", "best_so_far"]
-        )
-        for entry in trace.entries:
-            writer.writerow(
-                [
-                    entry.step,
-                    *entry.config.values,
-                    repr(entry.target_raw),
-                    repr(entry.auxiliary_raw),
-                    entry.consumed_after,
-                    repr(entry.best_so_far),
-                ]
-            )
-
-
-def load_trace(path: str, space: OptionSpace) -> RunTrace:
-    """Read a trace CSV back; lossless against emit_trace."""
-    expected = ["step", *space.names, "target", "auxiliary", "consumed", "best_so_far"]
-    trace = RunTrace(space)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected:
-            raise ValueError(f"{path}: unexpected trace header {header}")
-        n = len(space.names)
-        for cells in reader:
-            config = space.config(int(v) for v in cells[1 : 1 + n])
-            trace.entries.append(
-                TraceEntry(
-                    step=int(cells[0]),
-                    config=config,
-                    target_raw=float(cells[1 + n]),
-                    auxiliary_raw=float(cells[2 + n]),
-                    consumed_after=int(cells[3 + n]),
-                    best_so_far=float(cells[4 + n]),
-                )
-            )
-    return trace
-
-
-def trace_filename(model: str, weight: float | None, run_index: int) -> str:
-    slug = model.replace(":", "_").replace("-", "_")
-    suffix = "" if weight is None else f"__w{weight_token(weight)}"
-    return f"{slug}{suffix}__run{run_index:03d}.csv"
+# Campaign files
 
 
 def _report_json(report: dict) -> str:

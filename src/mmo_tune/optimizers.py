@@ -2,17 +2,20 @@
 
 Four single-objective baselines (random search with a wide neighborhood,
 stochastic hill climbing with restarts, simulated annealing, a generational
-GA) plus an NSGA-II loop that drives the plain and meta bi-objective models.
-Every run owns its generator, ledger, and trace; equal seeds give bit-identical
-traces.
+GA) plus NSGA-II, which drives the plain and meta bi-objective models. They
+share two drivers: a local search that differs per optimizer only in its
+radius, acceptance rule and restarts, and a generational loop that differs
+only in how individuals are ranked and which ones survive. Every run owns its
+generator, ledger, and trace; equal seeds give bit-identical traces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .measurement import (
@@ -33,6 +36,7 @@ from .models import (
     to_minimization,
 )
 from .space import Configuration, OptionSpace
+from .trace import RunTrace
 
 # Consecutive proposals (or generations, for the population methods) without a
 # new distinct measurement before falling back to uniform resampling of the
@@ -80,71 +84,17 @@ class OptimizerConfig:
             raise ValueError("shc_restart_stall must be >= 1")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One distinct measurement: raw values plus budget and best-so-far state."""
-
-    step: int
-    config: Configuration
-    target_raw: float
-    auxiliary_raw: float
-    consumed_after: int
-    best_so_far: float
-
-
-@dataclass
-class RunTrace:
-    """Ordered log of every distinct measurement in one tuning run."""
-
-    space: OptionSpace
-    entries: list[TraceEntry] = field(default_factory=list)
-    restarts: int = 0
-
-    def record(
-        self, config: Configuration, measurement: MeasurementRecord, consumed: int
-    ) -> None:
-        converted, _ = to_minimization(measurement)
-        best = converted
-        if self.entries:
-            if consumed < self.entries[-1].consumed_after:
-                raise ValueError("budget consumption must be nondecreasing")
-            best = min(best, self.entries[-1].best_so_far)
-        self.entries.append(
-            TraceEntry(
-                step=len(self.entries) + 1,
-                config=config,
-                target_raw=measurement.target_raw,
-                auxiliary_raw=measurement.auxiliary_raw,
-                consumed_after=consumed,
-                best_so_far=best,
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def best_target(self) -> float:
-        """Minimum direction-converted target over all measurements."""
-        if not self.entries:
-            raise ValueError("empty trace has no best target")
-        return self.entries[-1].best_so_far
-
-    def measurements_to_best(self) -> int:
-        """Budget consumed when the final best value was first reached."""
-        best = self.best_target()
-        for entry in self.entries:
-            if entry.best_so_far == best:
-                return entry.consumed_after
-        raise AssertionError("unreachable: best_so_far must appear in entries")
-
-
 class _Run:
-    """Per-run plumbing: cached measurement, trace recording, progress checks."""
+    """Per-run plumbing: generator, cached measurement, trace recording,
+    progress checks."""
 
-    def __init__(self, space: OptionSpace, ledger: BudgetLedger, oracle: Oracle):
+    def __init__(
+        self, space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, seed: int
+    ):
         self.space = space
         self.ledger = ledger
         self.oracle = oracle
+        self.rng = random.Random(seed)
         self.trace = RunTrace(space)
         self._space_size = space.size()
 
@@ -155,12 +105,21 @@ class _Run:
             self.trace.record(config, record, self.ledger.consumed)
         return record
 
+    def target(self, config: Configuration) -> float:
+        """Measure and return the minimization-oriented target."""
+        return to_minimization(self.measure(config))[0]
+
+    def random_start(self) -> tuple[Configuration, float]:
+        config = self.space.random_config(self.rng)
+        return config, self.target(config)
+
     def finished(self) -> bool:
         """No further distinct measurement is possible: budget or space is spent."""
         return self.ledger.consumed >= min(self.ledger.limit, self._space_size)
 
-    def fresh_uniform(self, rng: random.Random) -> Configuration | None:
+    def fresh_uniform(self) -> Configuration | None:
         """A uniform draw over the not-yet-measured configurations, if any remain."""
+        rng = self.rng
         if self.ledger.consumed >= self._space_size:
             return None
         for _ in range(64):
@@ -176,17 +135,6 @@ class _Run:
             config = self.space.random_config(rng)
             if config not in self.ledger.cache:
                 return config
-
-    def target_of(self, record: MeasurementRecord) -> float:
-        return to_minimization(record)[0]
-
-
-def _finish(run: _Run, loop: Callable[[], None]) -> RunTrace:
-    try:
-        loop()
-    except BudgetExhausted:
-        pass
-    return run.trace
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +226,51 @@ def environmental_selection(
 
 
 # ---------------------------------------------------------------------------
-# Single-objective optimizers
+# Local search
+
+
+def _improves(value: float, current_value: float, spent: int) -> bool:
+    return value < current_value
+
+
+def _local_search(
+    run: _Run,
+    radius: int,
+    accept: Callable[[float, float, int], bool],
+    start: Callable[[], tuple[Configuration, float]] | None = None,
+    restart_after: int | None = None,
+) -> RunTrace:
+    """Walk from ``start`` (default: one uniform configuration): propose a
+    neighbor within ``radius``, or a uniform draw over the unmeasured space
+    after a stall, measure it, and move there when ``accept(value,
+    current_value, spent)`` holds, where ``spent`` counts the distinct
+    measurements made since the start before this one. ``restart_after``
+    rejections in a row restart the walk from a uniform configuration."""
+    rng, ledger = run.rng, run.ledger
+    with contextlib.suppress(BudgetExhausted):
+        current, current_value = (start or run.random_start)()
+        start_consumed = ledger.consumed
+        stalled = rejected = 0
+        while not run.finished():
+            if stalled >= STALL_PROPOSALS:
+                candidate = run.fresh_uniform()
+                if candidate is None:
+                    break
+            else:
+                candidate = run.space.neighbors(current, radius, rng, 1)[0]
+            before = ledger.consumed
+            value = run.target(candidate)
+            stalled = stalled + 1 if ledger.consumed == before else 0
+            if accept(value, current_value, before - start_consumed):
+                current, current_value = candidate, value
+                rejected = 0
+            else:
+                rejected += 1
+            if rejected == restart_after and not run.finished():
+                run.trace.restarts += 1
+                current, current_value = run.random_start()
+                rejected = 0
+    return run.trace
 
 
 def run_rs(
@@ -286,28 +278,8 @@ def run_rs(
 ) -> RunTrace:
     """Random search over a wide neighborhood of the incumbent, keeping the best
     target; falls back to uniform resampling once the neighborhood is spent."""
-    rng = random.Random(cfg.seed)
-    run = _Run(space, ledger, oracle)
     radius = cfg.rs_radius or max(1, len(space.options) // 2)
-
-    def loop() -> None:
-        incumbent = space.random_config(rng)
-        incumbent_value = run.target_of(run.measure(incumbent))
-        stalled = 0
-        while not run.finished():
-            if stalled >= STALL_PROPOSALS:
-                candidate = run.fresh_uniform(rng)
-                if candidate is None:
-                    return
-            else:
-                candidate = space.neighbors(incumbent, radius, rng, 1)[0]
-            before = ledger.consumed
-            value = run.target_of(run.measure(candidate))
-            stalled = stalled + 1 if ledger.consumed == before else 0
-            if value < incumbent_value:
-                incumbent, incumbent_value = candidate, value
-
-    return _finish(run, loop)
+    return _local_search(_Run(space, ledger, oracle, cfg.seed), radius, _improves)
 
 
 def run_shc_restart(
@@ -315,37 +287,12 @@ def run_shc_restart(
 ) -> RunTrace:
     """Stochastic hill climbing on Hamming-1 neighbors, restarting from a fresh
     uniform configuration after a stall of non-improving evaluations."""
-    rng = random.Random(cfg.seed)
-    run = _Run(space, ledger, oracle)
-    stall_limit = cfg.shc_restart_stall or 4 * len(space.options)
-
-    def loop() -> None:
-        current = space.random_config(rng)
-        current_value = run.target_of(run.measure(current))
-        non_improving = 0
-        stalled = 0
-        while not run.finished():
-            if stalled >= STALL_PROPOSALS:
-                candidate = run.fresh_uniform(rng)
-                if candidate is None:
-                    return
-            else:
-                candidate = space.neighbors(current, 1, rng, 1)[0]
-            before = ledger.consumed
-            value = run.target_of(run.measure(candidate))
-            stalled = stalled + 1 if ledger.consumed == before else 0
-            if value < current_value:
-                current, current_value = candidate, value
-                non_improving = 0
-            else:
-                non_improving += 1
-            if non_improving >= stall_limit and not run.finished():
-                run.trace.restarts += 1
-                current = space.random_config(rng)
-                current_value = run.target_of(run.measure(current))
-                non_improving = 0
-
-    return _finish(run, loop)
+    return _local_search(
+        _Run(space, ledger, oracle, cfg.seed),
+        1,
+        _improves,
+        restart_after=cfg.shc_restart_stall or 4 * len(space.options),
+    )
 
 
 def metropolis_probability(delta: float, temperature: float) -> float:
@@ -368,39 +315,27 @@ def run_sa(
     When no initial temperature is given, it defaults to the standard deviation
     of the targets of an initial uniform batch of ``population_size`` samples.
     """
-    rng = random.Random(cfg.seed)
-    run = _Run(space, ledger, oracle)
+    run = _Run(space, ledger, oracle, cfg.seed)
+    t0 = cfg.sa_initial_temp
 
-    def loop() -> None:
-        if cfg.sa_initial_temp is None:
-            batch = _sample_distinct(space, rng, cfg.population_size)
-            values = [(c, run.target_of(run.measure(c))) for c in batch]
-            targets = [v for _, v in values]
-            t0 = statistics.pstdev(targets) if len(targets) > 1 else 1.0
-            if t0 <= 0.0:
-                t0 = 1.0
-            current, current_value = min(values, key=lambda cv: cv[1])
-        else:
-            t0 = cfg.sa_initial_temp
-            current = space.random_config(rng)
-            current_value = run.target_of(run.measure(current))
-        start_consumed = ledger.consumed
-        stalled = 0
-        while not run.finished():
-            if stalled >= STALL_PROPOSALS:
-                candidate = run.fresh_uniform(rng)
-                if candidate is None:
-                    return
-            else:
-                candidate = space.neighbors(current, 1, rng, 1)[0]
-            temperature = t0 * cfg.sa_cooling ** (ledger.consumed - start_consumed)
-            before = ledger.consumed
-            value = run.target_of(run.measure(candidate))
-            stalled = stalled + 1 if ledger.consumed == before else 0
-            if rng.random() < metropolis_probability(value - current_value, temperature):
-                current, current_value = candidate, value
+    def start() -> tuple[Configuration, float]:
+        nonlocal t0
+        if t0 is not None:
+            return run.random_start()
+        batch = _sample_distinct(space, run.rng, cfg.population_size)
+        values = [(c, run.target(c)) for c in batch]
+        targets = [v for _, v in values]
+        # A batch without spread gives no scale: fall back to 1.
+        t0 = (statistics.pstdev(targets) if len(targets) > 1 else 0.0) or 1.0
+        return min(values, key=lambda cv: cv[1])
 
-    return _finish(run, loop)
+    def metropolis(value: float, current_value: float, spent: int) -> bool:
+        temperature = t0 * cfg.sa_cooling**spent
+        return run.rng.random() < metropolis_probability(
+            value - current_value, temperature
+        )
+
+    return _local_search(run, 1, metropolis, start)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +366,77 @@ def _sample_distinct(
     return population
 
 
-def _tournament(
-    size: int, rng: random.Random, better: Callable[[int, int], int]
-) -> int:
-    """Binary tournament over index range; ties fall to a fair coin."""
-    i = rng.randrange(size)
-    j = rng.randrange(size)
-    verdict = better(i, j)
-    if verdict == 0:
-        return i if rng.random() < 0.5 else j
-    return i if verdict > 0 else j
+def _tournament(keys: list, rng: random.Random) -> int:
+    """Binary tournament over the population: the lower key wins, ties fall to
+    a fair coin."""
+    i = rng.randrange(len(keys))
+    j = rng.randrange(len(keys))
+    if keys[i] < keys[j]:
+        return i
+    if keys[j] < keys[i]:
+        return j
+    return i if rng.random() < 0.5 else j
+
+
+def _generational(
+    run: _Run,
+    cfg: OptimizerConfig,
+    evaluate: Callable[[Configuration], tuple],
+    rank: Callable[[list[tuple]], list],
+    survivors: Callable[[list[tuple], list[tuple]], list[tuple]],
+) -> RunTrace:
+    """Evolve a population of ``evaluate`` results, tuples of (configuration,
+    minimization target, ...): binary tournaments on the ``rank`` keys of each
+    generation, uniform crossover, boundary mutation, then the ``survivors`` of
+    parents and offspring. After a few generations without a new distinct
+    measurement one offspring is replaced by a uniform draw over the unmeasured
+    space; without variation the search stops instead."""
+    if cfg.population_size < 2:
+        raise ValueError("population_size must be >= 2 for the GA")
+    space, ledger, rng = run.space, run.ledger, run.rng
+    can_vary = cfg.mutation_rate > 0.0 or cfg.crossover_rate > 0.0
+    with contextlib.suppress(BudgetExhausted):
+        population = [
+            evaluate(c) for c in _sample_distinct(space, rng, cfg.population_size)
+        ]
+        stalled_generations = 0
+        while not run.finished():
+            keys = rank(population)
+            offspring: list[tuple] = []
+            before = ledger.consumed
+            while len(offspring) < len(population):
+                p1 = population[_tournament(keys, rng)][0]
+                p2 = population[_tournament(keys, rng)][0]
+                for child in uniform_crossover(p1, p2, cfg.crossover_rate, rng):
+                    if len(offspring) < len(population):
+                        mutated = boundary_mutation(space, child, cfg.mutation_rate, rng)
+                        offspring.append(evaluate(mutated))
+            if ledger.consumed == before:
+                stalled_generations += 1
+                if stalled_generations >= STALL_GENERATIONS:
+                    # Without variation the search cannot progress: stop.
+                    fresh = run.fresh_uniform() if can_vary else None
+                    if fresh is None:
+                        break
+                    offspring[rng.randrange(len(offspring))] = evaluate(fresh)
+                    stalled_generations = 0
+            else:
+                stalled_generations = 0
+            population = survivors(population, offspring)
+    return run.trace
+
+
+def _targets(population: list[tuple]) -> list[float]:
+    return [individual[1] for individual in population]
+
+
+def _elitist(population: list[tuple], offspring: list[tuple]) -> list[tuple]:
+    """The offspring replace the parents, but the best individual always survives."""
+    best = min(population + offspring, key=lambda cv: cv[1])
+    if best[1] < min(offspring, key=lambda cv: cv[1])[1]:
+        worst = max(range(len(offspring)), key=lambda i: offspring[i][1])
+        offspring[worst] = best
+    return offspring
 
 
 def run_soga(
@@ -448,59 +444,8 @@ def run_soga(
 ) -> RunTrace:
     """Generational GA on the scalar target: binary tournaments, uniform
     crossover, boundary mutation, elitist replacement."""
-    if cfg.population_size < 2:
-        raise ValueError("population_size must be >= 2 for the GA")
-    rng = random.Random(cfg.seed)
-    run = _Run(space, ledger, oracle)
-    can_vary = cfg.mutation_rate > 0.0 or cfg.crossover_rate > 0.0
-
-    def evaluate(config: Configuration) -> tuple[Configuration, float]:
-        return config, run.target_of(run.measure(config))
-
-    def loop() -> None:
-        population = [evaluate(c) for c in _sample_distinct(space, rng, cfg.population_size)]
-        stalled_generations = 0
-        while not run.finished():
-            def better(i: int, j: int) -> int:
-                a, b = population[i][1], population[j][1]
-                if a < b:
-                    return 1
-                if b < a:
-                    return -1
-                return 0
-
-            offspring: list[tuple[Configuration, float]] = []
-            before = ledger.consumed
-            while len(offspring) < len(population):
-                p1 = population[_tournament(len(population), rng, better)][0]
-                p2 = population[_tournament(len(population), rng, better)][0]
-                c1, c2 = uniform_crossover(p1, p2, cfg.crossover_rate, rng)
-                for child in (c1, c2):
-                    if len(offspring) >= len(population):
-                        break
-                    mutated = boundary_mutation(space, child, cfg.mutation_rate, rng)
-                    offspring.append(evaluate(mutated))
-            if ledger.consumed == before:
-                stalled_generations += 1
-                if stalled_generations >= STALL_GENERATIONS:
-                    if not can_vary:
-                        # Variation-free search cannot progress; stop spinning.
-                        return
-                    fresh = run.fresh_uniform(rng)
-                    if fresh is None:
-                        return
-                    offspring[rng.randrange(len(offspring))] = evaluate(fresh)
-                    stalled_generations = 0
-            else:
-                stalled_generations = 0
-            # Elitist replacement: the best individual always survives.
-            best = min(population + offspring, key=lambda cv: cv[1])
-            population = offspring
-            if best[1] < min(population, key=lambda cv: cv[1])[1]:
-                worst = max(range(len(population)), key=lambda i: population[i][1])
-                population[worst] = best
-
-    return _finish(run, loop)
+    run = _Run(space, ledger, oracle, cfg.seed)
+    return _generational(run, cfg, lambda c: (c, run.target(c)), _targets, _elitist)
 
 
 def run_nsga2(
@@ -517,13 +462,9 @@ def run_nsga2(
     bounds before each selection step. The reported result of the run is the
     best measured target over the whole trace, not a survivor of selection.
     """
-    if cfg.population_size < 2:
-        raise ValueError("population_size must be >= 2 for the GA")
     if model != PMO and not isinstance(model, MmoInstance):
         raise ValueError(f"model must be {PMO!r} or an MmoInstance, got {model!r}")
-    rng = random.Random(cfg.seed)
-    run = _Run(space, ledger, oracle)
-    can_vary = cfg.mutation_rate > 0.0 or cfg.crossover_rate > 0.0
+    run = _Run(space, ledger, oracle, cfg.seed)
     bounds = NormalizationBounds()
 
     def evaluate(config: Configuration) -> tuple[Configuration, float, float]:
@@ -539,57 +480,22 @@ def run_nsga2(
             return pmo_objectives(ft_n, fa_n)
         return meta_objectives(model, ft_n, fa_n)
 
-    def loop() -> None:
-        population = [evaluate(c) for c in _sample_distinct(space, rng, cfg.population_size)]
-        stalled_generations = 0
-        while not run.finished():
-            points = [objective_point(ind) for ind in population]
-            fronts = fast_nondominated_sort(points)
-            rank = [0] * len(population)
-            crowd = [0.0] * len(population)
-            for level, front in enumerate(fronts):
-                dist = crowding_distance([points[i] for i in front])
-                for j, i in enumerate(front):
-                    rank[i] = level
-                    crowd[i] = dist[j]
+    def rank(population: list[tuple]) -> list[tuple[int, float]]:
+        """(front, -crowding distance) per individual."""
+        points = [objective_point(ind) for ind in population]
+        keys = [(0, 0.0)] * len(population)
+        for level, front in enumerate(fast_nondominated_sort(points)):
+            dist = crowding_distance([points[i] for i in front])
+            for j, i in enumerate(front):
+                keys[i] = (level, -dist[j])
+        return keys
 
-            def better(i: int, j: int) -> int:
-                if rank[i] != rank[j]:
-                    return 1 if rank[i] < rank[j] else -1
-                if crowd[i] != crowd[j]:
-                    return 1 if crowd[i] > crowd[j] else -1
-                return 0
+    def select(population: list[tuple], offspring: list[tuple]) -> list[tuple]:
+        pool = population + offspring
+        protect = None
+        if model != PMO:
+            protect = min(range(len(pool)), key=lambda i: pool[i][1])
+        points = [objective_point(ind) for ind in pool]
+        return [pool[i] for i in environmental_selection(points, len(population), protect)]
 
-            offspring: list[tuple[Configuration, float, float]] = []
-            before = ledger.consumed
-            while len(offspring) < len(population):
-                p1 = population[_tournament(len(population), rng, better)][0]
-                p2 = population[_tournament(len(population), rng, better)][0]
-                c1, c2 = uniform_crossover(p1, p2, cfg.crossover_rate, rng)
-                for child in (c1, c2):
-                    if len(offspring) >= len(population):
-                        break
-                    mutated = boundary_mutation(space, child, cfg.mutation_rate, rng)
-                    offspring.append(evaluate(mutated))
-            if ledger.consumed == before:
-                stalled_generations += 1
-                if stalled_generations >= STALL_GENERATIONS:
-                    if not can_vary:
-                        # Variation-free search cannot progress; stop spinning.
-                        return
-                    fresh = run.fresh_uniform(rng)
-                    if fresh is None:
-                        return
-                    offspring[rng.randrange(len(offspring))] = evaluate(fresh)
-                    stalled_generations = 0
-            else:
-                stalled_generations = 0
-            pool = population + offspring
-            pool_points = [objective_point(ind) for ind in pool]
-            protect = None
-            if model != PMO:
-                protect = min(range(len(pool)), key=lambda i: pool[i][1])
-            chosen = environmental_selection(pool_points, len(population), protect)
-            population = [pool[i] for i in chosen]
-
-    return _finish(run, loop)
+    return _generational(run, cfg, evaluate, rank, select)

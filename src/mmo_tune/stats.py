@@ -17,7 +17,7 @@ from typing import Sequence
 
 from scipy.stats import f as f_distribution
 
-from .optimizers import RunTrace
+from .trace import RunTrace
 
 ALPHA = 0.05
 

@@ -4,6 +4,11 @@ Each case runs one seeded tuning run through ``execute_run`` and hashes the
 CSV that ``emit_trace`` writes. A change that alters any proposal, any
 selection tie or any written digit moves a digest. The pins may change only
 together with a stated reason for the behaviour change.
+
+The non-default cases call the optimizers directly with ``OptimizerConfig``
+values that ``execute_run`` never sets (radius, restart stall, temperature,
+cooling, variation rates, tiny populations), on a 6-bit space that the budget
+exhausts and on a 10-bit space.
 """
 
 from __future__ import annotations
@@ -15,9 +20,19 @@ import pytest
 
 from mmo_tune.harness import derive_seed, emit_trace, execute_run, weight_token
 from mmo_tune.measurement import (
+    BudgetLedger,
     SyntheticLandscapeParams,
     SyntheticOracle,
     load_table,
+)
+from mmo_tune.models import PMO, MmoInstance
+from mmo_tune.optimizers import (
+    OptimizerConfig,
+    run_nsga2,
+    run_rs,
+    run_sa,
+    run_shc_restart,
+    run_soga,
 )
 from mmo_tune.space import OptionSpace, OptionSpec
 
@@ -140,3 +155,77 @@ def test_cases_cover_every_model():
         for model, weight in MODELS
     }
     assert set(GOLDEN) == expected
+
+
+# name -> (optimizer, meta model or None, OptimizerConfig overrides).
+NON_DEFAULT = {
+    "rs-radius3": (run_rs, None, {"rs_radius": 3}),
+    "shc-stall2": (run_shc_restart, None, {"shc_restart_stall": 2}),
+    "sa-temp0.5-cool0.9": (run_sa, None, {"sa_initial_temp": 0.5, "sa_cooling": 0.9}),
+    "sa-pop4": (run_sa, None, {"population_size": 4}),
+    "soga-novariation": (run_soga, None, {"mutation_rate": 0.0, "crossover_rate": 0.0}),
+    "soga-nomutation": (run_soga, None, {"mutation_rate": 0.0}),
+    "soga-pop3": (run_soga, None, {"population_size": 3}),
+    "pmo-novariation": (run_nsga2, PMO, {"mutation_rate": 0.0, "crossover_rate": 0.0}),
+    "pmo-pop3": (run_nsga2, PMO, {"population_size": 3}),
+    "mmo-linear-nocrossover": (run_nsga2, MmoInstance("linear", 0.5), {"crossover_rate": 0.0}),
+    "mmo-square-pop5": (run_nsga2, MmoInstance("square", 10.0), {"population_size": 5}),
+}
+
+# (option count, budget) per space; 6 bits are 64 configurations, fewer than the budget.
+NON_DEFAULT_SCALE = {"bits6": (6, 100), "bits10": (10, 300)}
+
+GOLDEN_NON_DEFAULT = {
+    "bits10/mmo-linear-nocrossover": "29f3eff906436454e647fa3010a179a377fbb38d97879e20ef5a367a0f8b3698",
+    "bits10/mmo-square-pop5": "9f964e810fd0d5790a8e892bf80590573bb847c9fa8f921e2d8463e35dfede20",
+    "bits10/pmo-novariation": "f4b680be1712254f1a6c54116f5769993ecbb69c762da6f94c68410a1aa5d98e",
+    "bits10/pmo-pop3": "5be28a38de99b3d3aab6873f586e8f35b826b66f86d6a19005aa68480d08dbff",
+    "bits10/rs-radius3": "35d209f2ec9e7022948ba1bbf3888bce22ff4f3e374e0ae2d7125e4e9be84663",
+    "bits10/sa-pop4": "233f2be3d6fac7601712595a850de4f51f5ae906debaf60560341ea4f88b2df6",
+    "bits10/sa-temp0.5-cool0.9": "2487830af52f1d7617dafd6e279e8f3c43c73bef0df64e548f18ef02bf401b57",
+    "bits10/shc-stall2": "82e7537d04f3f900d67abe8f8f49f659707ec6fb50452f8873b86e2a290bce69",
+    "bits10/soga-nomutation": "aa784f9a6746e7a9c9b05bf9fa33a31686940b66a2c73568361ae1352990b47c",
+    "bits10/soga-novariation": "17d719c4f941d6d831f1744ef9922ccc925f84345bf061678c1a9312e0d836aa",
+    "bits10/soga-pop3": "73416d2e80f6b44c118abe36f64a7298756b0fccaee47c971ee79323bed59e4d",
+    "bits6/mmo-linear-nocrossover": "4f61e8ae357698c052f003c1689dfae9dbbc0501d27c315b24be722fce0fbd78",
+    "bits6/mmo-square-pop5": "9c76d8c83501a11afda56d671651c6bf3d48038789aea02c0cc2c3760bc0fe83",
+    "bits6/pmo-novariation": "41aa45ca1e7ee34d6fc020e372e34d8f4891ae574f6fb1a4d1a6b499832a2f9b",
+    "bits6/pmo-pop3": "5eaadd48c05d01ad1e16fd7693242735a64cef4744b6de7cd97f763314ff4c90",
+    "bits6/rs-radius3": "d5417f32f10e92abce70dddff1545e0a1f230bd94b2745501ef9dd5fb4f313de",
+    "bits6/sa-pop4": "2623ee9defd71e1a32d7b31ff65d55b498bc00d6f5cb4c9a570f044313541089",
+    "bits6/sa-temp0.5-cool0.9": "98ccf1d4cc2aea74c274a4c8fe23c244b7626351553964eb2fac90ba5e9e0d5f",
+    "bits6/shc-stall2": "e11209d79fd7600e6fef29530176fb13d6f37dfd14665285595d32a511583da7",
+    "bits6/soga-nomutation": "dfe6c6f8a26cca441d610db4bdb5abec485f90576b2cffe77064044e2899c798",
+    "bits6/soga-novariation": "9ee49fc2077ed15270774a8b31e6c87a9d009a19f08abecd7c62d0d9166b311e",
+    "bits6/soga-pop3": "f218460afa509ba46793dc922b1f618d9769b50bd03eba881d27edc2f59c6fa3",
+}
+
+# Restart counts of the same runs; every other case restarts 0 times.
+RESTARTS = {"bits6/shc-stall2": 56, "bits10/shc-stall2": 96}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_NON_DEFAULT))
+def test_non_default_trace_digest(case, tmp_path):
+    scale, name = case.split("/")
+    bits, budget = NON_DEFAULT_SCALE[scale]
+    optimizer, model, overrides = NON_DEFAULT[name]
+    space = make_binary_space(bits)
+    oracle = SyntheticOracle(
+        SyntheticLandscapeParams(
+            space=space, seed=bits, ruggedness=0.5, correlation=0.2
+        )
+    )
+    cfg = OptimizerConfig(seed=derive_seed(2024, scale, name), **overrides)
+    if model is None:
+        trace = optimizer(space, BudgetLedger(budget), oracle, cfg)
+    else:
+        trace = optimizer(space, BudgetLedger(budget), oracle, model, cfg)
+    path = tmp_path / "trace.csv"
+    emit_trace(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NON_DEFAULT[case]
+    assert trace.restarts == RESTARTS.get(case, 0)
+
+
+def test_non_default_cases_cover_every_variant():
+    expected = {f"{scale}/{name}" for scale in NON_DEFAULT_SCALE for name in NON_DEFAULT}
+    assert set(GOLDEN_NON_DEFAULT) == expected

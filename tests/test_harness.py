@@ -197,6 +197,23 @@ class TestCampaign:
         with pytest.raises((CampaignError, FileNotFoundError)):
             run_campaign_traces(plan)
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_failing_run_is_named_serial_and_parallel(self, binary3, tmp_path, jobs):
+        rows = {c.values: (float(sum(c.values)), 0.0) for c in binary3.enumerate_all()}
+        for values in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            del rows[values]
+        plan = ExperimentPlan(
+            space=binary3,
+            oracle_spec={"kind": "table", "path": write_table(tmp_path / "t.csv", binary3, rows)},
+            budget=8,
+            population_size=2,
+            repeats=2,
+            models=("single:rs",),
+            master_seed=0,
+        )
+        with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=0: unmeasured"):
+            run_campaign_traces(plan, jobs=jobs)
+
     def test_parallel_equals_sequential(self, binary8, tmp_path):
         plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)
         sequential = build_report(plan, run_campaign_traces(plan, jobs=1))

@@ -8,7 +8,7 @@ from statistics import fmean
 
 import pytest
 
-from mmo_tune.optimizers import RunTrace, TraceEntry
+from mmo_tune.trace import RunTrace, TraceEntry
 from mmo_tune.space import OptionSpace, OptionSpec
 from mmo_tune.stats import (
     a12,
