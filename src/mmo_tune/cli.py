@@ -22,16 +22,16 @@ from .harness import (
     build_oracle,
     canonical_model,
     data_driven_weight_selection,
-    derive_seed,
     emit_trace,
     execute_run,
     preliminary_weight_selection,
     recompute_report,
-    report_bytes,
+    synthetic_oracle,
     weight_token,
     write_campaign,
+    write_report,
 )
-from .measurement import SyntheticLandscapeParams, SyntheticOracle, load_table
+from .models import DIRECTIONS
 from .space import load_space
 
 # Guard for table emission: enumerating beyond this is a mistake, not a use case.
@@ -47,16 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--table", help="CSV of pre-measured configurations")
-    parser.add_argument("--command", help="external measurement command")
-    parser.add_argument("--samples", type=int, default=5)
-    parser.add_argument("--timeout", type=float, default=60.0)
+def _add_landscape_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landscape-seed", type=int, default=0)
     parser.add_argument("--density", type=float, default=0.05)
     parser.add_argument("--ruggedness", type=float, default=0.3)
     parser.add_argument("--correlation", type=float, default=0.0)
     parser.add_argument("--planted", help="comma-separated planted optimum values")
+
+
+def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--table", help="CSV of pre-measured configurations")
+    parser.add_argument("--command", help="external measurement command")
+    parser.add_argument("--samples", type=int, default=5)
+    parser.add_argument("--timeout", type=float, default=60.0)
+    _add_landscape_args(parser)
     parser.add_argument(
         "--synthetic", action="store_true", help="use the synthetic landscape oracle"
     )
@@ -69,10 +73,9 @@ def _add_run_args(parser: argparse.ArgumentParser, budget_required: bool) -> Non
     parser.add_argument("--budget", type=int, required=budget_required)
     parser.add_argument("--pop", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--target-direction", choices=("minimize", "maximize"),
-                        default="minimize")
-    parser.add_argument("--auxiliary-direction", choices=("minimize", "maximize"),
-                        default="minimize")
+    for objective in ("target", "auxiliary"):
+        parser.add_argument(f"--{objective}-direction", choices=DIRECTIONS,
+                            default="minimize")
 
 
 def _add_plan_args(parser: argparse.ArgumentParser) -> None:
@@ -107,6 +110,10 @@ def _oracle_spec(args: argparse.Namespace) -> dict:
             "samples": args.samples,
             "timeout": args.timeout,
         }
+    return _landscape_spec(args)
+
+
+def _landscape_spec(args: argparse.Namespace) -> dict:
     spec: dict = {
         "kind": "synthetic",
         "seed": args.landscape_seed,
@@ -146,9 +153,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    space = load_space(args.space)
     plan = ExperimentPlan(
-        space=space,
+        space=load_space(args.space),
         oracle_spec=_oracle_spec(args),
         budget=args.budget,
         population_size=args.pop,
@@ -164,9 +170,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if model.startswith("mmo:") and weight is None:
         raise _UsageError(f"model {model} needs --weight")
     oracle = build_oracle(plan)
-    seed = derive_seed(plan.master_seed, model, weight_token(weight), 0)
+    seed = plan.run_seed(model, weight, 0)
     trace = execute_run(
-        space, oracle, plan.budget, plan.population_size, model, weight, seed
+        plan.space, oracle, plan.budget, plan.population_size, model, weight, seed,
+        plan.directions,
     )
     emit_trace(trace, args.out)
     best = trace.best_target() if trace.entries else None
@@ -240,13 +247,9 @@ def _cmd_select_weight(args: argparse.Namespace) -> int:
         return 0
     if not args.table:
         raise _UsageError("data-driven selection needs --table")
-    table = load_table(
-        args.table,
-        space=plan.space,
-        target_direction=plan.target_direction,
-        auxiliary_direction=plan.auxiliary_direction,
+    chosen, elapsed = data_driven_weight_selection(
+        build_oracle(plan), plan, mode=args.scale
     )
-    chosen, elapsed = data_driven_weight_selection(table, plan, mode=args.scale)
     print(
         json.dumps(
             {
@@ -263,9 +266,7 @@ def _cmd_select_weight(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     report = recompute_report(args.dir)
-    path = os.path.join(args.dir, "report.json")
-    with open(path, "wb") as fh:
-        fh.write(report_bytes(report))
+    path = write_report(report, args.dir)
     print(json.dumps({"report": path, "plan_hash": report["plan_hash"]}))
     return 0
 
@@ -277,19 +278,7 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
             f"space has {space.size()} configurations; refusing to enumerate "
             f"more than {MAX_TABLE_ROWS}"
         )
-    planted = None
-    if args.planted:
-        planted = space.config(int(v) for v in args.planted.split(","))
-    oracle = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space,
-            seed=args.landscape_seed,
-            local_optima_density=args.density,
-            ruggedness=args.ruggedness,
-            correlation=args.correlation,
-            planted_optimum=planted,
-        )
-    )
+    oracle = synthetic_oracle(space, _landscape_spec(args))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*space.names, "target", "auxiliary"])
@@ -349,11 +338,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-landscape", help="emit a synthetic table as CSV")
     gen.add_argument("--space", required=True)
-    gen.add_argument("--landscape-seed", type=int, default=0)
-    gen.add_argument("--density", type=float, default=0.05)
-    gen.add_argument("--ruggedness", type=float, default=0.3)
-    gen.add_argument("--correlation", type=float, default=0.0)
-    gen.add_argument("--planted")
+    _add_landscape_args(gen)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_landscape)
 

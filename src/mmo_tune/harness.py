@@ -23,14 +23,13 @@ from statistics import fmean, stdev
 from .measurement import (
     BudgetLedger,
     CommandOracle,
-    Direction,
     Oracle,
     SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
     load_table,
 )
-from .models import PMO, MmoInstance
+from .models import PMO, Direction, MmoInstance, check_directions
 from .optimizers import (
     OptimizerConfig,
     run_nsga2,
@@ -39,7 +38,7 @@ from .optimizers import (
     run_shc_restart,
     run_soga,
 )
-from .space import OptionSpace, OptionSpec
+from .space import OptionSpace, space_from_doc, space_to_doc
 from .stats import (
     compare_results,
     efficiency_ratio,
@@ -94,6 +93,20 @@ def derive_seed(master_seed: int, *parts: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+# Plan fields that plan.json stores under their own names, besides "space"
+# and "oracle".
+_DOC_FIELDS = (
+    "budget",
+    "population_size",
+    "repeats",
+    "models",
+    "weights",
+    "master_seed",
+    "target_direction",
+    "auxiliary_direction",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a campaign needs: space, oracle, budgets, models, seeding."""
@@ -110,6 +123,7 @@ class ExperimentPlan:
     auxiliary_direction: Direction = "minimize"
 
     def __post_init__(self) -> None:
+        check_directions(self.directions)
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.population_size < 2:
@@ -132,8 +146,16 @@ class ExperimentPlan:
         ):
             raise ValueError("budget must cover at least one population")
 
+    @property
+    def directions(self) -> tuple[Direction, Direction]:
+        return self.target_direction, self.auxiliary_direction
+
     def mmo_models(self) -> tuple[str, ...]:
         return tuple(m for m in self.models if m in MMO_MODELS)
+
+    def run_seed(self, model: str, weight: float | None, run_index: int) -> int:
+        """Seed of one campaign run: a hash of the master seed and the run's key."""
+        return derive_seed(self.master_seed, model, weight_token(weight), run_index)
 
     def group_keys(self) -> list[tuple[str, float | None]]:
         """Canonical (model, weight) grid: plan order, weights ascending."""
@@ -145,29 +167,13 @@ class ExperimentPlan:
                 keys.append((model, None))
         return keys
 
+    def run_keys(self) -> list[tuple[str, float | None, int]]:
+        """(model, weight, run index) of every run, group by group."""
+        return [(*key, run) for key in self.group_keys() for run in range(self.repeats)]
+
     def to_doc(self) -> dict:
-        return {
-            "space": {
-                "options": [
-                    {
-                        "name": opt.name,
-                        "kind": opt.kind,
-                        "lower": opt.lower,
-                        "upper": opt.upper,
-                    }
-                    for opt in self.space.options
-                ]
-            },
-            "oracle": self.oracle_spec,
-            "budget": self.budget,
-            "population_size": self.population_size,
-            "repeats": self.repeats,
-            "models": list(self.models),
-            "weights": list(self.weights),
-            "master_seed": self.master_seed,
-            "target_direction": self.target_direction,
-            "auxiliary_direction": self.auxiliary_direction,
-        }
+        doc = {name: getattr(self, name) for name in _DOC_FIELDS}
+        return dict(doc, space=space_to_doc(self.space), oracle=self.oracle_spec)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
@@ -177,57 +183,45 @@ class ExperimentPlan:
 
 
 def plan_from_doc(doc: dict) -> ExperimentPlan:
-    options = tuple(
-        OptionSpec(o["name"], o["kind"], o["lower"], o["upper"])
-        for o in doc["space"]["options"]
-    )
+    """Rebuild a plan from ``to_doc``'s form; the space and the directions are
+    checked as on input."""
     return ExperimentPlan(
-        space=OptionSpace(options),
+        space=space_from_doc(doc["space"]),
         oracle_spec=doc["oracle"],
-        budget=doc["budget"],
-        population_size=doc["population_size"],
-        repeats=doc["repeats"],
-        models=tuple(doc["models"]),
-        weights=tuple(doc["weights"]),
-        master_seed=doc["master_seed"],
-        target_direction=doc["target_direction"],
-        auxiliary_direction=doc["auxiliary_direction"],
+        **{name: doc[name] for name in _DOC_FIELDS},
     )
 
 
 def build_oracle(plan: ExperimentPlan) -> Oracle:
+    """The oracle of a plan's oracle spec; it reports raw values."""
     spec = plan.oracle_spec
     kind = spec.get("kind")
     if kind == "table":
-        return load_table(
-            spec["path"],
-            space=plan.space,
-            target_direction=plan.target_direction,
-            auxiliary_direction=plan.auxiliary_direction,
-        )
+        return load_table(spec["path"], space=plan.space)
     if kind == "command":
         return CommandOracle(
             spec["command"],
             plan.space,
             samples=spec.get("samples", 5),
             timeout=spec.get("timeout", 60.0),
-            target_direction=plan.target_direction,
-            auxiliary_direction=plan.auxiliary_direction,
         )
     if kind == "synthetic":
-        planted = spec.get("planted")
-        params = SyntheticLandscapeParams(
-            space=plan.space,
-            seed=spec["seed"],
-            local_optima_density=spec.get("density", 0.05),
-            ruggedness=spec.get("ruggedness", 0.3),
-            correlation=spec.get("correlation", 0.0),
-            planted_optimum=(
-                plan.space.config(planted) if planted is not None else None
-            ),
-        )
-        return SyntheticOracle(params)
+        return synthetic_oracle(plan.space, spec)
     raise ValueError(f"unknown oracle kind {kind!r}")
+
+
+def synthetic_oracle(space: OptionSpace, spec: dict) -> SyntheticOracle:
+    """The synthetic landscape of a ``{"kind": "synthetic", ...}`` oracle spec."""
+    planted = spec.get("planted")
+    params = SyntheticLandscapeParams(
+        space=space,
+        seed=spec["seed"],
+        local_optima_density=spec.get("density", 0.05),
+        ruggedness=spec.get("ruggedness", 0.3),
+        correlation=spec.get("correlation", 0.0),
+        planted_optimum=space.config(planted) if planted is not None else None,
+    )
+    return SyntheticOracle(params)
 
 
 def execute_run(
@@ -238,10 +232,15 @@ def execute_run(
     model: str,
     weight: float | None,
     seed: int,
+    directions: tuple[Direction, Direction] = ("minimize", "minimize"),
 ) -> RunTrace:
-    """One tuning run of the given model with its own ledger and generator."""
+    """One tuning run of the given model with its own ledger and generator;
+    ``directions`` says whether the target and the auxiliary are minimized
+    or maximized."""
     ledger = BudgetLedger(budget)
-    cfg = OptimizerConfig(population_size=population_size, seed=seed)
+    cfg = OptimizerConfig(
+        population_size=population_size, seed=seed, directions=directions
+    )
     if model == "single:rs":
         return run_rs(space, ledger, oracle, cfg)
     if model == "single:shc-r":
@@ -264,10 +263,11 @@ def _campaign_task(
     args: tuple[ExperimentPlan, Oracle, str, float | None, int],
 ) -> tuple[tuple[str, float | None, int], RunTrace]:
     plan, oracle, model, weight, run_index = args
-    seed = derive_seed(plan.master_seed, model, weight_token(weight), run_index)
+    seed = plan.run_seed(model, weight, run_index)
     try:
         trace = execute_run(
-            plan.space, oracle, plan.budget, plan.population_size, model, weight, seed
+            plan.space, oracle, plan.budget, plan.population_size, model, weight, seed,
+            plan.directions,
         )
     except Exception as exc:
         raise CampaignError(
@@ -282,11 +282,7 @@ def run_campaign_traces(
 ) -> dict[tuple[str, float | None, int], RunTrace]:
     """Execute the full model-by-weight-by-repeat grid of a plan."""
     oracle = oracle if oracle is not None else build_oracle(plan)
-    tasks = [
-        (plan, oracle, model, weight, run_index)
-        for model, weight in plan.group_keys()
-        for run_index in range(plan.repeats)
-    ]
+    tasks = [(plan, oracle, *key) for key in plan.run_keys()]
     if jobs <= 1:
         return dict(map(_campaign_task, tasks))
     try:
@@ -303,11 +299,13 @@ def build_report(
 ) -> dict:
     """Assemble the campaign report; a pure function of the plan and traces."""
     group_keys = plan.group_keys()
-    best_targets: dict[tuple[str, float | None], list[float]] = {}
-    for model, weight in group_keys:
-        best_targets[(model, weight)] = [
-            traces[(model, weight, run)].best_target() for run in range(plan.repeats)
-        ]
+    group_traces = {
+        key: [traces[(*key, run)] for run in range(plan.repeats)] for key in group_keys
+    }
+    best_targets = {
+        key: [trace.best_target() for trace in runs]
+        for key, runs in group_traces.items()
+    }
 
     singles = {
         model: best_targets[(model, None)]
@@ -316,11 +314,7 @@ def build_report(
     }
     counterpart = pick_best_counterpart(singles) if singles else None
     counterpart_results = singles.get(counterpart) if counterpart else None
-    counterpart_traces = (
-        [traces[(counterpart, None, run)] for run in range(plan.repeats)]
-        if counterpart
-        else None
-    )
+    counterpart_traces = group_traces.get((counterpart, None))
 
     all_results = [v for results in best_targets.values() for v in results]
     try:
@@ -338,19 +332,15 @@ def build_report(
     for key in group_keys:
         model, weight = key
         results = best_targets[key]
-        runs = []
-        for run_index in range(plan.repeats):
-            trace = traces[(model, weight, run_index)]
-            runs.append(
-                {
-                    "run": run_index,
-                    "seed": derive_seed(
-                        plan.master_seed, model, weight_token(weight), run_index
-                    ),
-                    "best_target": trace.best_target(),
-                    "measurements_to_best": trace.measurements_to_best(),
-                }
-            )
+        runs = [
+            {
+                "run": run_index,
+                "seed": plan.run_seed(model, weight, run_index),
+                "best_target": trace.best_target(),
+                "measurements_to_best": trace.measurements_to_best(),
+            }
+            for run_index, trace in enumerate(group_traces[key])
+        ]
         entry: dict = {
             "model": model,
             "weight": weight,
@@ -377,10 +367,7 @@ def build_report(
             entry["a12"] = stat.a12
             entry["a12_magnitude"] = stat.magnitude
             entry["significant"] = stat.significant
-            model_traces = [
-                traces[(model, weight, run)] for run in range(plan.repeats)
-            ]
-            ratio = efficiency_ratio(model_traces, counterpart_traces)
+            ratio = efficiency_ratio(group_traces[key], counterpart_traces)
             entry["efficiency_pct"] = ratio
             entry["converged"] = ratio is not None
         groups.append(entry)
@@ -442,7 +429,8 @@ def preliminary_weight_selection(
                 plan.master_seed, "prelim", model, weight_token(weight), 0
             )
             trace = execute_run(
-                plan.space, oracle, budget, population, model, weight, seed
+                plan.space, oracle, budget, population, model, weight, seed,
+                plan.directions,
             )
             results.append((weight, trace.best_target()))
         best_value = min(value for _, value in results)
@@ -489,27 +477,16 @@ def data_driven_weight_selection(
 # Campaign files
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
     """Run a campaign and persist plan, traces, report, and the flat summary."""
     traces = run_campaign_traces(plan, jobs=jobs)
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     with open(os.path.join(out_dir, "plan.json"), "w", encoding="utf-8") as fh:
         fh.write(plan.canonical_json() + "\n")
-    for model, weight in plan.group_keys():
-        for run_index in range(plan.repeats):
-            emit_trace(
-                traces[(model, weight, run_index)],
-                os.path.join(
-                    out_dir, "traces", trace_filename(model, weight, run_index)
-                ),
-            )
+    for key in plan.run_keys():
+        emit_trace(traces[key], _trace_path(out_dir, key))
     report = build_report(plan, traces)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(_report_json(report))
+    write_report(report, out_dir)
     _write_summary(plan, traces, os.path.join(out_dir, "summary.csv"))
     return report
 
@@ -522,33 +499,41 @@ def _write_summary(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "weight", "run", "best_target", "measurements_to_best"])
-        for model, weight in plan.group_keys():
-            for run_index in range(plan.repeats):
-                trace = traces[(model, weight, run_index)]
-                writer.writerow(
-                    [
-                        model,
-                        "" if weight is None else weight_token(weight),
-                        run_index,
-                        repr(trace.best_target()),
-                        trace.measurements_to_best(),
-                    ]
-                )
+        for model, weight, run_index in plan.run_keys():
+            trace = traces[(model, weight, run_index)]
+            writer.writerow(
+                [
+                    model,
+                    "" if weight is None else weight_token(weight),
+                    run_index,
+                    repr(trace.best_target()),
+                    trace.measurements_to_best(),
+                ]
+            )
 
 
 def recompute_report(out_dir: str) -> dict:
     """Rebuild the report purely from the stored plan and traces."""
     with open(os.path.join(out_dir, "plan.json"), "r", encoding="utf-8") as fh:
         plan = plan_from_doc(json.load(fh))
-    traces: dict[tuple[str, float | None, int], RunTrace] = {}
-    for model, weight in plan.group_keys():
-        for run_index in range(plan.repeats):
-            path = os.path.join(
-                out_dir, "traces", trace_filename(model, weight, run_index)
-            )
-            traces[(model, weight, run_index)] = load_trace(path, plan.space)
+    traces = {
+        key: load_trace(_trace_path(out_dir, key), plan.space)
+        for key in plan.run_keys()
+    }
     return build_report(plan, traces)
 
 
+def _trace_path(out_dir: str, key: tuple[str, float | None, int]) -> str:
+    return os.path.join(out_dir, "traces", trace_filename(*key))
+
+
 def report_bytes(report: dict) -> bytes:
-    return _report_json(report).encode()
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+def write_report(report: dict, out_dir: str) -> str:
+    """Write ``report.json`` of a campaign directory and return its path."""
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "wb") as fh:
+        fh.write(report_bytes(report))
+    return path

@@ -11,13 +11,9 @@ import random
 import signal
 import subprocess
 from dataclasses import dataclass
-from typing import Literal, Protocol
+from typing import Iterable, Protocol
 
 from .space import Configuration, OptionSpace
-
-Direction = Literal["minimize", "maximize"]
-
-DIRECTIONS = ("minimize", "maximize")
 
 
 class BudgetExhausted(Exception):
@@ -41,19 +37,14 @@ class CommandOracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Raw target and auxiliary performance values with their directionality."""
+    """Raw target and auxiliary performance values, as measured."""
 
     target_raw: float
     auxiliary_raw: float
-    target_direction: Direction = "minimize"
-    auxiliary_direction: Direction = "minimize"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.target_raw) and math.isfinite(self.auxiliary_raw)):
             raise ValueError("measurement values must be finite")
-        for d in (self.target_direction, self.auxiliary_direction):
-            if d not in DIRECTIONS:
-                raise ValueError(f"unknown direction {d!r}")
 
 
 class Oracle(Protocol):
@@ -100,13 +91,9 @@ class TabularOracle:
         self,
         rows: dict[tuple[int, ...], tuple[float, float]],
         option_names: tuple[str, ...],
-        target_direction: Direction = "minimize",
-        auxiliary_direction: Direction = "minimize",
     ):
         self.rows = rows
         self.option_names = option_names
-        self.target_direction: Direction = target_direction
-        self.auxiliary_direction: Direction = auxiliary_direction
 
     @property
     def row_count(self) -> int:
@@ -123,17 +110,10 @@ class TabularOracle:
             raise UnmeasuredConfigError(
                 f"unmeasured configuration {config.values}"
             ) from None
-        return MeasurementRecord(
-            target, auxiliary, self.target_direction, self.auxiliary_direction
-        )
+        return MeasurementRecord(target, auxiliary)
 
 
-def load_table(
-    path: str,
-    space: OptionSpace | None = None,
-    target_direction: Direction = "minimize",
-    auxiliary_direction: Direction = "minimize",
-) -> TabularOracle:
+def load_table(path: str, space: OptionSpace | None = None) -> TabularOracle:
     """Load a measurement table.
 
     Schema: header row is the option names in space order followed by ``target``
@@ -183,10 +163,10 @@ def load_table(
                     f"{path}:{lineno}: duplicate configuration row {values}"
                 )
             rows[values] = (target, auxiliary)
-    return TabularOracle(rows, option_names, target_direction, auxiliary_direction)
+    return TabularOracle(rows, option_names)
 
 
-def _lower_median(values: list[float]) -> float:
+def _lower_median(values: Iterable[float]) -> float:
     # Lower median: never fabricates a value that was not measured.
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
@@ -205,8 +185,6 @@ class CommandOracle:
         space: OptionSpace,
         samples: int = 5,
         timeout: float = 60.0,
-        target_direction: Direction = "minimize",
-        auxiliary_direction: Direction = "minimize",
     ):
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -214,26 +192,15 @@ class CommandOracle:
         self.space = space
         self.samples = samples
         self.timeout = timeout
-        self.target_direction: Direction = target_direction
-        self.auxiliary_direction: Direction = auxiliary_direction
 
     def measure(self, config: Configuration) -> MeasurementRecord:
         self.space.validate(config)
         env = dict(os.environ)
         for opt, value in zip(self.space.options, config.values):
             env[f"OPT_{opt.name}"] = str(value)
-        targets: list[float] = []
-        auxiliaries: list[float] = []
-        for _ in range(self.samples):
-            t, a = self._run_once(env)
-            targets.append(t)
-            auxiliaries.append(a)
-        return MeasurementRecord(
-            _lower_median(targets),
-            _lower_median(auxiliaries),
-            self.target_direction,
-            self.auxiliary_direction,
-        )
+        samples = [self._run_once(env) for _ in range(self.samples)]
+        targets, auxiliaries = zip(*samples)
+        return MeasurementRecord(_lower_median(targets), _lower_median(auxiliaries))
 
     def _run_once(self, env: dict[str, str]) -> tuple[float, float]:
         # A session of its own makes the command lead a process group, so a

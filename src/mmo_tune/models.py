@@ -12,23 +12,37 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Literal
 
 from .measurement import MeasurementRecord
 
 ObjectivePoint = tuple[float, ...]
+
+Direction = Literal["minimize", "maximize"]
+
+DIRECTIONS = ("minimize", "maximize")
 
 MMO_SHAPES = ("linear", "sqrt", "square")
 
 PMO = "pmo"
 
 
-def to_minimization(record: MeasurementRecord) -> tuple[float, float]:
-    """Direction-convert raw values: maximizing objectives are negated."""
-    target = record.target_raw
-    auxiliary = record.auxiliary_raw
-    if record.target_direction == "maximize":
+def check_directions(directions: tuple[str, ...]) -> None:
+    """Reject any direction other than "minimize" and "maximize"."""
+    for direction in directions:
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+
+
+def to_minimization(
+    record: MeasurementRecord, directions: tuple[Direction, Direction]
+) -> tuple[float, float]:
+    """Direction-convert the raw (target, auxiliary) pair: maximizing
+    objectives are negated."""
+    target, auxiliary = record.target_raw, record.auxiliary_raw
+    if directions[0] == "maximize":
         target = -target
-    if record.auxiliary_direction == "maximize":
+    if directions[1] == "maximize":
         auxiliary = -auxiliary
     return target, auxiliary
 

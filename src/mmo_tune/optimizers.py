@@ -21,15 +21,16 @@ from typing import Callable
 from .measurement import (
     BudgetExhausted,
     BudgetLedger,
-    MeasurementRecord,
     Oracle,
     cached_measure,
 )
 from .models import (
     PMO,
+    Direction,
     MmoInstance,
     NormalizationBounds,
     ObjectivePoint,
+    check_directions,
     fast_nondominated_sort,
     meta_objectives,
     pmo_objectives,
@@ -45,10 +46,6 @@ from .trace import RunTrace
 STALL_PROPOSALS = 32
 STALL_GENERATIONS = 3
 
-# Spaces up to this size may be enumerated to sample the unmeasured remainder
-# exactly once rejection sampling stops paying off.
-_ENUMERATE_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -57,7 +54,8 @@ class OptimizerConfig:
     ``rs_radius`` defaults to half the option count, ``shc_restart_stall`` to
     four times the option count, and ``sa_initial_temp`` to the standard
     deviation of an initial uniform batch; all three are deliberate choices,
-    exposed because no canonical values exist.
+    exposed because no canonical values exist. ``directions`` says whether the
+    target and the auxiliary are minimized or maximized.
     """
 
     population_size: int = 20
@@ -68,6 +66,7 @@ class OptimizerConfig:
     sa_cooling: float = 0.95
     shc_restart_stall: int | None = None
     seed: int = 0
+    directions: tuple[Direction, Direction] = ("minimize", "minimize")
 
     def __post_init__(self) -> None:
         if self.population_size < 1:
@@ -82,6 +81,7 @@ class OptimizerConfig:
             raise ValueError("rs_radius must be >= 1")
         if self.shc_restart_stall is not None and self.shc_restart_stall < 1:
             raise ValueError("shc_restart_stall must be >= 1")
+        check_directions(self.directions)
 
 
 class _Run:
@@ -89,25 +89,33 @@ class _Run:
     progress checks."""
 
     def __init__(
-        self, space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, seed: int
+        self,
+        space: OptionSpace,
+        ledger: BudgetLedger,
+        oracle: Oracle,
+        cfg: OptimizerConfig,
     ):
         self.space = space
         self.ledger = ledger
         self.oracle = oracle
-        self.rng = random.Random(seed)
+        self.directions = cfg.directions
+        self.rng = random.Random(cfg.seed)
         self.trace = RunTrace(space)
         self._space_size = space.size()
 
-    def measure(self, config: Configuration) -> MeasurementRecord:
+    def measure(self, config: Configuration) -> tuple[float, float]:
+        """Measure through the cache and return the (target, auxiliary) pair
+        converted for minimization; a new measurement joins the trace."""
         before = self.ledger.consumed
         record = cached_measure(self.ledger, self.oracle, config)
+        converted = to_minimization(record, self.directions)
         if self.ledger.consumed > before:
-            self.trace.record(config, record, self.ledger.consumed)
-        return record
+            self.trace.record(config, record, self.ledger.consumed, converted[0])
+        return converted
 
     def target(self, config: Configuration) -> float:
         """Measure and return the minimization-oriented target."""
-        return to_minimization(self.measure(config))[0]
+        return self.measure(config)[0]
 
     def random_start(self) -> tuple[Configuration, float]:
         config = self.space.random_config(self.rng)
@@ -118,23 +126,24 @@ class _Run:
         return self.ledger.consumed >= min(self.ledger.limit, self._space_size)
 
     def fresh_uniform(self) -> Configuration | None:
-        """A uniform draw over the not-yet-measured configurations, if any remain."""
-        rng = self.rng
-        if self.ledger.consumed >= self._space_size:
+        """A uniform draw over the not-yet-measured configurations, if any remain.
+
+        After 64 rejected uniform draws, one draw picks the position of the
+        result among the unmeasured configurations in lexicographic order.
+        """
+        rng, cache = self.rng, self.ledger.cache
+        if len(cache) >= self._space_size:
             return None
         for _ in range(64):
             config = self.space.random_config(rng)
-            if config not in self.ledger.cache:
+            if config not in cache:
                 return config
-        if self._space_size <= _ENUMERATE_LIMIT:
-            remaining = [
-                c for c in self.space.enumerate_all() if c not in self.ledger.cache
-            ]
-            return remaining[rng.randrange(len(remaining))]
-        while True:
-            config = self.space.random_config(rng)
-            if config not in self.ledger.cache:
-                return config
+        index = rng.randrange(self._space_size - len(cache))
+        for measured in sorted(map(self.space.index, cache)):
+            if measured > index:
+                break
+            index += 1
+        return self.space.config_at(index)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +288,7 @@ def run_rs(
     """Random search over a wide neighborhood of the incumbent, keeping the best
     target; falls back to uniform resampling once the neighborhood is spent."""
     radius = cfg.rs_radius or max(1, len(space.options) // 2)
-    return _local_search(_Run(space, ledger, oracle, cfg.seed), radius, _improves)
+    return _local_search(_Run(space, ledger, oracle, cfg), radius, _improves)
 
 
 def run_shc_restart(
@@ -288,7 +297,7 @@ def run_shc_restart(
     """Stochastic hill climbing on Hamming-1 neighbors, restarting from a fresh
     uniform configuration after a stall of non-improving evaluations."""
     return _local_search(
-        _Run(space, ledger, oracle, cfg.seed),
+        _Run(space, ledger, oracle, cfg),
         1,
         _improves,
         restart_after=cfg.shc_restart_stall or 4 * len(space.options),
@@ -315,7 +324,7 @@ def run_sa(
     When no initial temperature is given, it defaults to the standard deviation
     of the targets of an initial uniform batch of ``population_size`` samples.
     """
-    run = _Run(space, ledger, oracle, cfg.seed)
+    run = _Run(space, ledger, oracle, cfg)
     t0 = cfg.sa_initial_temp
 
     def start() -> tuple[Configuration, float]:
@@ -444,7 +453,7 @@ def run_soga(
 ) -> RunTrace:
     """Generational GA on the scalar target: binary tournaments, uniform
     crossover, boundary mutation, elitist replacement."""
-    run = _Run(space, ledger, oracle, cfg.seed)
+    run = _Run(space, ledger, oracle, cfg)
     return _generational(run, cfg, lambda c: (c, run.target(c)), _targets, _elitist)
 
 
@@ -464,11 +473,11 @@ def run_nsga2(
     """
     if model != PMO and not isinstance(model, MmoInstance):
         raise ValueError(f"model must be {PMO!r} or an MmoInstance, got {model!r}")
-    run = _Run(space, ledger, oracle, cfg.seed)
+    run = _Run(space, ledger, oracle, cfg)
     bounds = NormalizationBounds()
 
     def evaluate(config: Configuration) -> tuple[Configuration, float, float]:
-        ft, fa = to_minimization(run.measure(config))
+        ft, fa = run.measure(config)
         bounds.observe((ft, fa))
         return config, ft, fa
 

@@ -6,7 +6,7 @@ import itertools
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -158,17 +158,35 @@ class OptionSpace:
         for values in itertools.product(*ranges):
             yield Configuration(values)
 
+    def index(self, config: Configuration) -> int:
+        """Position of ``config`` in lexicographic order (see ``enumerate_all``)."""
+        index = 0
+        for opt, value in zip(self.options, config.values):
+            index = index * opt.cardinality + value - opt.lower
+        return index
 
-def parse_space(spec_text: str) -> OptionSpace:
-    """Parse a space definition from its JSON document form.
+    def config_at(self, index: int) -> Configuration:
+        """The configuration at ``index`` in lexicographic order; undoes ``index``."""
+        if not 0 <= index < self.size():
+            raise IndexError(f"configuration index {index} outside the space")
+        values = []
+        for opt in reversed(self.options):
+            index, digit = divmod(index, opt.cardinality)
+            values.append(opt.lower + digit)
+        return Configuration(tuple(reversed(values)))
+
+
+def space_to_doc(space: OptionSpace) -> dict:
+    """The JSON document form of a space, every bound written out."""
+    return {"options": [asdict(opt) for opt in space.options]}
+
+
+def space_from_doc(doc: object) -> OptionSpace:
+    """Build a space from its JSON document form.
 
     Schema: ``{"options": [{"name", "kind", "lower", "upper"}, ...]}``.
     Binary options may omit lower/upper (implied 0..1).
     """
-    try:
-        doc = json.loads(spec_text)
-    except json.JSONDecodeError as exc:
-        raise SpaceError(f"space document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "options" not in doc:
         raise SpaceError('space document must be an object with an "options" list')
     entries = doc["options"]
@@ -193,6 +211,15 @@ def parse_space(spec_text: str) -> OptionSpace:
             raise SpaceError(f"option {name!r}: bounds must be integers")
         options.append(OptionSpec(name=str(name), kind=kind, lower=lower, upper=upper))
     return OptionSpace(tuple(options))
+
+
+def parse_space(spec_text: str) -> OptionSpace:
+    """Parse a space definition from its JSON text (see ``space_from_doc``)."""
+    try:
+        doc = json.loads(spec_text)
+    except json.JSONDecodeError as exc:
+        raise SpaceError(f"space document is not valid JSON: {exc}") from exc
+    return space_from_doc(doc)
 
 
 def load_space(path: str) -> OptionSpace:

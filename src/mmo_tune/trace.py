@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 from .measurement import MeasurementRecord
-from .models import to_minimization
 from .space import Configuration, OptionSpace
 
 
@@ -36,10 +35,15 @@ class RunTrace:
     restarts: int = 0
 
     def record(
-        self, config: Configuration, measurement: MeasurementRecord, consumed: int
+        self,
+        config: Configuration,
+        measurement: MeasurementRecord,
+        consumed: int,
+        target: float,
     ) -> None:
-        converted, _ = to_minimization(measurement)
-        best = converted
+        """Append a distinct measurement; ``target`` is its direction-converted
+        target, which the best-so-far tracks."""
+        best = target
         if self.entries:
             if consumed < self.entries[-1].consumed_after:
                 raise ValueError("budget consumption must be nondecreasing")

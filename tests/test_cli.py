@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
+import hashlib
 import json
 
 import pytest
 
-from mmo_tune.cli import main
+from mmo_tune.cli import _build_parser, main
 
 from conftest import make_binary_space, write_table
 
@@ -94,6 +97,28 @@ class TestTune:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+    def test_synthetic_maximize_target_is_tuned_negated(self, space_file, tmp_path, capsys):
+        traces = {}
+        for direction in ("minimize", "maximize"):
+            out = tmp_path / f"{direction}.csv"
+            code = run_cli(
+                "tune", "--space", space_file, "--synthetic", "--landscape-seed", "3",
+                "--model", "single:sa", "--budget", "30", "--pop", "4",
+                "--target-direction", direction, "--out", str(out),
+            )
+            assert code == 0
+            traces[direction] = out.read_bytes()
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 30
+            if direction == "maximize":
+                best = float("inf")
+                for row in rows:
+                    best = min(best, -float(row["target"]))
+                    assert float(row["best_so_far"]) == best
+        assert traces["maximize"] != traces["minimize"]
+
+
 class TestCampaignCli:
     def test_campaign_then_stats_reproduces_report(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "camp"
@@ -120,6 +145,36 @@ class TestCampaignCli:
         plan = json.loads((out / "plan.json").read_text())
         assert plan["budget"] == 600
         assert plan["population_size"] == 50
+
+
+class TestPlanFileChecked:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda plan: plan["space"]["options"][0].update(upper=7.5),
+            lambda plan: plan.update(target_direction="up"),
+        ],
+        ids=["fractional-bound", "unknown-direction"],
+    )
+    def test_stats_rejects_edited_plan(self, edit, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"options": [
+            {"name": "a", "kind": "integer", "lower": 0, "upper": 7},
+            {"name": "b", "kind": "binary"},
+        ]}))
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", str(space), "--synthetic",
+            "--budget", "12", "--pop", "4", "--repeats", "2",
+            "--models", "single:rs,single:sa", "--out", str(out),
+        )
+        assert code == 0
+        plan = json.loads((out / "plan.json").read_text())
+        edit(plan)
+        (out / "plan.json").write_text(json.dumps(plan))
+        (out / "report.json").unlink()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        assert not (out / "report.json").exists()
 
 
 class TestOtherSubcommands:
@@ -176,3 +231,88 @@ class TestOtherSubcommands:
         assert len(lines) == 1 + 2 * 2  # two instances, two weights
         best_flags = [line.split(",")[-1] for line in lines[1:]]
         assert best_flags.count("1") == 2
+
+    def test_gen_landscape_table_bytes(self, space_file, tmp_path, capsys):
+        digests = {}
+        for name, extra in (
+            ("defaults", ()),
+            ("planted", ("--landscape-seed", "4", "--density", "0.1", "--ruggedness", "0.4",
+                         "--correlation", "0.3", "--planted", "1,0,1,0,1,0")),
+        ):
+            table = tmp_path / f"{name}.csv"
+            assert run_cli("gen-landscape", "--space", space_file, *extra, "--out", str(table)) == 0
+            digests[name] = hashlib.sha256(table.read_bytes()).hexdigest()
+        assert digests == {
+            "defaults": "af96bc92684b9c3072a14ba48804c219586908c0f2f43459657998559cbff5f4",
+            "planted": "bb14b5b505cc5f54d075c5c33937ad00891da40b32adf3182323970987888c6f",
+        }
+
+
+# Every subcommand's options in declaration order: (option, default, required).
+LANDSCAPE_OPTIONS = [
+    ("--landscape-seed", 0, False),
+    ("--density", 0.05, False),
+    ("--ruggedness", 0.3, False),
+    ("--correlation", 0.0, False),
+    ("--planted", None, False),
+]
+
+
+def _run_options(budget_required):
+    return [
+        ("--space", None, True),
+        ("--table", None, False),
+        ("--command", None, False),
+        ("--samples", 5, False),
+        ("--timeout", 60.0, False),
+        *LANDSCAPE_OPTIONS,
+        ("--synthetic", False, False),
+        ("--budget", None, budget_required),
+        ("--pop", 20, False),
+        ("--seed", 0, False),
+        ("--target-direction", "minimize", False),
+        ("--auxiliary-direction", "minimize", False),
+    ]
+
+
+PLAN_OPTIONS = [
+    *_run_options(False),
+    ("--preset", None, False),
+    ("--repeats", 30, False),
+    ("--models", "single:rs,single:shc-r,single:sa,single:soga,pmo,mmo:linear,mmo:sqrt,mmo:square",
+     False),
+    ("--weights", "0.01,0.1,0.3,0.5,0.7,0.9,10.0", False),
+    ("--jobs", 1, False),
+]
+
+OPTIONS = {
+    "tune": [
+        *_run_options(True),
+        ("--model", None, True),
+        ("--weight", None, False),
+        ("--out", "trace.csv", False),
+    ],
+    "campaign": [*PLAN_OPTIONS, ("--out", None, True)],
+    "sweep-weights": [*PLAN_OPTIONS, ("--out", None, True)],
+    "select-weight": [
+        *PLAN_OPTIONS,
+        ("--method", "preliminary", False),
+        ("--scale", "preliminary", False),
+    ],
+    "stats": [("--dir", None, True)],
+    "gen-landscape": [("--space", None, True), *LANDSCAPE_OPTIONS, ("--out", None, True)],
+}
+
+
+def test_subcommand_options_and_defaults():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [
+            (a.option_strings[0], a.default, a.required)
+            for a in subparser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, subparser in sub.choices.items()
+    }
+    assert found == OPTIONS

@@ -5,6 +5,9 @@ CSV that ``emit_trace`` writes. A change that alters any proposal, any
 selection tie or any written digit moves a digest. The pins may change only
 together with a stated reason for the behaviour change.
 
+The direction cases replay four models on the table with the target, the
+auxiliary or both maximized.
+
 The non-default cases call the optimizers directly with ``OptimizerConfig``
 values that ``execute_run`` never sets (radius, restart stall, temperature,
 cooling, variation rates, tiny populations), on a 6-bit space that the budget
@@ -146,6 +149,55 @@ def test_trace_digest(case, landscapes, tmp_path):
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[case]
+
+
+# (target, auxiliary) directions per direction case name.
+DIRECTIONS = {
+    "max-min": ("maximize", "minimize"),
+    "min-max": ("minimize", "maximize"),
+    "max-max": ("maximize", "maximize"),
+}
+
+DIRECTION_MODELS = (("single:sa", None), ("single:soga", None), ("pmo", None), ("mmo:linear", 0.5))
+
+GOLDEN_DIRECTIONS = {
+    "max-min/single:sa/-": "578ad5c8cbe17685eb84971d90a73dc675bb02b459a3b68fcb572e158c49fc22",
+    "max-min/single:soga/-": "3f9755c11e9f9c54e89040030601cae8c5abfaca49452dd6e3270f87a0d09dcb",
+    "max-min/pmo/-": "4354266a9962dd41ae4a17c423020359f269442e641bc01adf3411791b10948f",
+    "max-min/mmo:linear/0.5": "8cbe8cb98af6ab255cb02c58cbe4e4fe1664af54ac3a3671e08654ea7310c5e5",
+    "min-max/single:sa/-": "5fcfd74a9a19f098c7487758efa33ca1d7b25e768851235ad090f4eeb69db210",
+    "min-max/single:soga/-": "4f136e0fdde364afaf0cdeb65d8b54cb4efbc82d83c900b04bc4bf3a843e7457",
+    "min-max/pmo/-": "884cd225b17a6124fef953064f0aa196953bf0cf53285b66ce593d195693f553",
+    "min-max/mmo:linear/0.5": "b6dcbae2c7d62b08156281eb048e361d1c4555c1a9e76fa0eca9397623cca8b7",
+    "max-max/single:sa/-": "578ad5c8cbe17685eb84971d90a73dc675bb02b459a3b68fcb572e158c49fc22",
+    "max-max/single:soga/-": "3f9755c11e9f9c54e89040030601cae8c5abfaca49452dd6e3270f87a0d09dcb",
+    "max-max/pmo/-": "a0353fd31ede594afa4a3a2bf770b3656540c19c89ca72279e01297602e611b9",
+    "max-max/mmo:linear/0.5": "8cbe8cb98af6ab255cb02c58cbe4e4fe1664af54ac3a3671e08654ea7310c5e5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIRECTIONS))
+def test_direction_trace_digest(case, landscapes, tmp_path):
+    name, model, token = case.split("/")
+    weight = None if token == "-" else float(token)
+    space, oracle = landscapes["table"]
+    budget, population = SCALE["table"]
+    seed = derive_seed(2024, "table", model, weight_token(weight))
+    trace = execute_run(
+        space, oracle, budget, population, model, weight, seed, DIRECTIONS[name]
+    )
+    path = tmp_path / "trace.csv"
+    emit_trace(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECTIONS[case]
+
+
+def test_direction_cases_cover_every_pair():
+    expected = {
+        f"{name}/{model}/{weight_token(weight)}"
+        for name in DIRECTIONS
+        for model, weight in DIRECTION_MODELS
+    }
+    assert set(GOLDEN_DIRECTIONS) == expected
 
 
 def test_cases_cover_every_model():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from mmo_tune.harness import (
 )
 from mmo_tune.measurement import BudgetLedger, SyntheticLandscapeParams, SyntheticOracle
 from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
+from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
 
 from conftest import make_binary_space, write_table
@@ -83,6 +85,33 @@ class TestPlan:
         clone = plan_from_doc(json.loads(plan.canonical_json()))
         assert clone == plan
         assert clone.plan_hash() == plan.plan_hash()
+
+    def test_direction_flags_carried(self, binary8):
+        plan = dataclasses.replace(
+            synthetic_plan(binary8, ("single:rs",)), target_direction="maximize"
+        )
+        clone = plan_from_doc(json.loads(plan.canonical_json()))
+        assert clone.target_direction == "maximize"
+
+    def test_rejects_bad_direction(self, binary8):
+        plan = synthetic_plan(binary8, ("single:rs",))
+        with pytest.raises(ValueError, match="unknown direction 'up'"):
+            dataclasses.replace(plan, auxiliary_direction="up")
+        doc = dict(plan.to_doc(), target_direction="up")
+        with pytest.raises(ValueError, match="unknown direction 'up'"):
+            plan_from_doc(doc)
+
+    def test_plan_space_checked_as_a_space_file(self):
+        space = OptionSpace((OptionSpec("a", "integer", 0, 7),))
+        doc = synthetic_plan(space, ("single:rs",)).to_doc()
+        doc["space"]["options"][0]["upper"] = 7.5
+        with pytest.raises(SpaceError, match="bounds must be integers"):
+            plan_from_doc(doc)
+
+    def test_run_seed_hashes_master_seed_and_run_key(self, binary8):
+        plan = synthetic_plan(binary8, ("single:rs", "mmo:sqrt"))
+        assert plan.run_seed("mmo:sqrt", 0.1, 2) == derive_seed(5, "mmo:sqrt", "0.1", 2)
+        assert plan.run_seed("single:rs", None, 0) == derive_seed(5, "single:rs", "-", 0)
 
     def test_seed_derivation_stable_and_contextual(self):
         assert derive_seed(1, "a", 0) == derive_seed(1, "a", 0)

@@ -37,10 +37,6 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             MeasurementRecord(1.0, math.inf)
 
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(1.0, 1.0, target_direction="up")
-
 
 class ConstOracle:
     def __init__(self):
@@ -138,12 +134,6 @@ class TestTabularOracle:
         path.write_text("o0,o1,o2,target\n0,0,0,1.00\n")
         with pytest.raises(TableFormatError, match="target"):
             load_table(str(path), space=binary3)
-
-    def test_direction_flags_carried(self, tmp_path, binary3):
-        path = write_table(tmp_path / "t.csv", binary3, {(0, 0, 0): (1.0, 2.0)})
-        oracle = load_table(path, space=binary3, target_direction="maximize")
-        record = oracle.measure(binary3.config([0, 0, 0]))
-        assert record.target_direction == "maximize"
 
 
 @pytest.fixture

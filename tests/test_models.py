@@ -30,16 +30,16 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
 
 class TestToMinimization:
     def test_latency_throughput_pair(self):
-        record = MeasurementRecord(30.0, 3.33, "minimize", "maximize")
-        assert to_minimization(record) == (30.0, -3.33)
+        record = MeasurementRecord(30.0, 3.33)
+        assert to_minimization(record, ("minimize", "maximize")) == (30.0, -3.33)
 
     def test_both_minimize_is_identity(self):
         record = MeasurementRecord(4.0, 5.0)
-        assert to_minimization(record) == (4.0, 5.0)
+        assert to_minimization(record, ("minimize", "minimize")) == (4.0, 5.0)
 
     def test_double_negation_is_identity(self):
-        record = MeasurementRecord(4.0, 5.0, "maximize", "maximize")
-        t, a = to_minimization(record)
+        record = MeasurementRecord(4.0, 5.0)
+        t, a = to_minimization(record, ("maximize", "maximize"))
         assert (-t, -a) == (4.0, 5.0)
 
 

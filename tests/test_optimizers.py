@@ -9,6 +9,7 @@ import pytest
 
 from mmo_tune.measurement import (
     BudgetLedger,
+    MeasurementRecord,
     SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
@@ -16,6 +17,7 @@ from mmo_tune.measurement import (
 from mmo_tune.models import PMO, MmoInstance, _sort_by_domination_counts, dominance
 from mmo_tune.optimizers import (
     OptimizerConfig,
+    _Run,
     boundary_mutation,
     crowding_distance,
     environmental_selection,
@@ -382,3 +384,54 @@ class TestOptimizerConfig:
             OptimizerConfig(crossover_rate=-0.1)
         with pytest.raises(ValueError):
             OptimizerConfig(sa_cooling=1.0)
+
+    def test_rejects_bad_direction(self):
+        with pytest.raises(ValueError):
+            OptimizerConfig(directions=("up", "minimize"))
+
+
+class TestFreshUniform:
+    def test_matches_enumeration_rule_without_enumerating(self, monkeypatch):
+        # The rule it replaces: 64 rejection draws, then a uniform pick among
+        # the unmeasured configurations in enumeration order.
+        space = OptionSpace(
+            (
+                OptionSpec("a", "integer", 1, 3),
+                OptionSpec("b", "integer", -2, 2),
+                OptionSpec("c", "binary", 0, 1),
+                OptionSpec("d", "integer", 0, 3),
+            )
+        )
+        every = list(space.enumerate_all())
+        monkeypatch.setattr(
+            OptionSpace, "enumerate_all", lambda self: pytest.fail("enumerated")
+        )
+
+        def reference(measured, rng):
+            for _ in range(64):
+                config = space.random_config(rng)
+                if config not in measured:
+                    return config, False
+            remaining = [c for c in every if c not in measured]
+            return remaining[rng.randrange(len(remaining))], True
+
+        picker = random.Random(5)
+        exact_draws = 0
+        for state in range(600):
+            run = _Run(space, BudgetLedger(len(every)), None, OptimizerConfig(seed=state))
+            filled = picker.randrange(len(every) - 8, len(every))
+            for config in picker.sample(every, filled):
+                run.ledger.cache[config] = MeasurementRecord(0.0, 0.0)
+            rng = random.Random()
+            rng.setstate(run.rng.getstate())
+            expected, enumerated = reference(run.ledger.cache, rng)
+            assert run.fresh_uniform() == expected
+            assert run.rng.getstate() == rng.getstate()
+            exact_draws += enumerated
+        assert exact_draws >= 50
+
+    def test_exhausted_space_gives_none(self, binary3):
+        run = _Run(binary3, BudgetLedger(8), None, OptimizerConfig())
+        for config in binary3.enumerate_all():
+            run.ledger.cache[config] = MeasurementRecord(0.0, 0.0)
+        assert run.fresh_uniform() is None

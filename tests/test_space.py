@@ -209,3 +209,29 @@ class TestNeighbors:
     def test_bad_radius(self, binary3):
         with pytest.raises(ValueError):
             binary3.neighbors(binary3.config([0, 0, 0]), 0, random.Random(0), 1)
+
+
+class TestLexicographicIndex:
+    def test_index_and_config_at_follow_enumeration_order(self):
+        space = OptionSpace(
+            (
+                OptionSpec("a", "integer", 1, 3),
+                OptionSpec("b", "integer", -2, 2),
+                OptionSpec("c", "binary", 0, 1),
+            )
+        )
+        for position, config in enumerate(space.enumerate_all()):
+            assert space.index(config) == position
+            assert space.config_at(position) == config
+
+    def test_config_at_outside_the_space(self, binary3):
+        with pytest.raises(IndexError):
+            binary3.config_at(8)
+        with pytest.raises(IndexError):
+            binary3.config_at(-1)
+
+    def test_large_space_decodes_without_enumerating(self):
+        space = OptionSpace(tuple(OptionSpec(f"o{i}", "integer", 0, 9) for i in range(12)))
+        config = space.config_at(123456789012)
+        assert config.values == (1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2)
+        assert space.index(config) == 123456789012
