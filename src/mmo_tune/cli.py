@@ -166,9 +166,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         auxiliary_direction=args.auxiliary_direction,
     )
     model = plan.models[0]
-    weight = float(args.weight) if args.weight is not None else None
-    if model.startswith("mmo:") and weight is None:
-        raise _UsageError(f"model {model} needs --weight")
+    # Only meta models take a weight; the others are seeded as a campaign
+    # seeds them, whatever --weight says.
+    weight = None
+    if model.startswith("mmo:"):
+        if args.weight is None:
+            raise _UsageError(f"model {model} needs --weight")
+        weight = float(args.weight)
     oracle = build_oracle(plan)
     seed = plan.run_seed(model, weight, 0)
     trace = execute_run(

@@ -124,6 +124,10 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         check_directions(self.directions)
+        for name in ("budget", "population_size", "repeats", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.population_size < 2:

@@ -5,7 +5,10 @@ first. The module provides the utopian-anchored normalized percentage gain,
 the resource-efficiency ratio between best-so-far curves, a Wilcoxon
 signed-rank test (exact for small samples, normal approximation with tie and
 continuity corrections beyond), the Vargha-Delaney stochastic-superiority
-effect size with magnitude classes, and Scott-Knott rank clustering.
+effect size with magnitude classes, and Scott-Knott rank clustering, whose
+splits use an F(1, nu) test with a closed-form tail (the finite Student-t
+series of Abramowitz & Stegun 26.7.3-4), so the module needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass
 from statistics import fmean
 from typing import Sequence
-
-from scipy.stats import f as f_distribution
 
 from .trace import RunTrace
 
@@ -225,6 +226,36 @@ def compare_results(
     return StatResult(p_value=p, a12=value, magnitude=magnitude, significant=p < ALPHA)
 
 
+def f1_sf(x: float, nu: int) -> float:
+    """Upper tail P(F > x) of the F(1, nu) distribution, for integer nu >= 1.
+
+    F(1, nu) is the square of Student's t with nu degrees of freedom, so the
+    tail is 1 - A(sqrt(x) | nu), the two-sided t tail at sqrt(x). A is the
+    finite series of Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4 (even nu)
+    in theta = atan(sqrt(x / nu)): with S a sum of nu // 2 terms in
+    cos(theta)^2, A = 2/pi * (theta + sin(theta) cos(theta) S) for odd nu and
+    A = sin(theta) S for even nu.
+    """
+    if x <= 0.0:
+        return 1.0
+    odd = nu % 2
+    cos2 = nu / (nu + x)
+    series, term = 0.0, 1.0
+    for k in range(1, nu // 2 + 1):
+        series += term
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+    sin = 1.0 / math.sqrt(1.0 + nu / x)
+    if odd:
+        theta = math.atan(math.sqrt(x / nu))
+        central = 2.0 / math.pi * (theta + sin * math.sqrt(cos2) * series)
+    else:
+        central = sin * series
+    # Rounding can lift the central mass A past 1 for huge x; a NaN x stays
+    # NaN and so is never significant.
+    tail = 1.0 - central
+    return 0.0 if tail < 0.0 else tail
+
+
 def _split_significant(left: list[float], right: list[float]) -> bool:
     """One-way F-test between two candidate clusters at ALPHA."""
     n_left, n_right = len(left), len(right)
@@ -243,8 +274,7 @@ def _split_significant(left: list[float], right: list[float]) -> bool:
     if within == 0.0:
         return True
     statistic = between / (within / (total - 2))
-    p = float(f_distribution.sf(statistic, 1, total - 2))
-    return p < ALPHA
+    return f1_sf(statistic, total - 2) < ALPHA
 
 
 def scott_knott(groups: dict[str, Sequence[float]]) -> dict[str, int]:

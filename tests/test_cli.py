@@ -6,10 +6,15 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mmo_tune
 from mmo_tune.cli import _build_parser, main
+from mmo_tune.trace import trace_filename
 
 from conftest import make_binary_space, write_table
 
@@ -118,6 +123,29 @@ class TestTune:
                     assert float(row["best_so_far"]) == best
         assert traces["maximize"] != traces["minimize"]
 
+    def test_single_model_ignores_weight(self, space_file, table_file, tmp_path, capsys):
+        common = (
+            "--space", space_file, "--table", table_file,
+            "--budget", "20", "--pop", "4", "--seed", "5",
+        )
+        traces, payloads = {}, {}
+        for label, extra in (("plain", ()), ("weighted", ("--weight", "0.5"))):
+            out = tmp_path / f"{label}.csv"
+            code = run_cli("tune", *common, "--model", "single:sa", *extra,
+                           "--out", str(out))
+            assert code == 0
+            traces[label] = out.read_bytes()
+            payloads[label] = json.loads(capsys.readouterr().out)
+        assert traces["weighted"] == traces["plain"]
+        assert payloads["weighted"]["weight"] is None
+        assert payloads["weighted"]["seed"] == payloads["plain"]["seed"]
+        camp = tmp_path / "camp"
+        code = run_cli("campaign", *common, "--repeats", "1",
+                       "--models", "single:sa", "--out", str(camp))
+        assert code == 0
+        run0 = camp / "traces" / trace_filename("single:sa", None, 0)
+        assert run0.read_bytes() == traces["plain"]
+
 
 class TestCampaignCli:
     def test_campaign_then_stats_reproduces_report(self, space_file, table_file, tmp_path, capsys):
@@ -153,8 +181,15 @@ class TestPlanFileChecked:
         [
             lambda plan: plan["space"]["options"][0].update(upper=7.5),
             lambda plan: plan.update(target_direction="up"),
+            lambda plan: plan.update(population_size=4.5),
+            lambda plan: plan.update(budget=12.0),
+            lambda plan: plan.update(repeats=True),
+            lambda plan: plan.update(master_seed="3"),
         ],
-        ids=["fractional-bound", "unknown-direction"],
+        ids=[
+            "fractional-bound", "unknown-direction", "fractional-population",
+            "float-budget", "bool-repeats", "string-seed",
+        ],
     )
     def test_stats_rejects_edited_plan(self, edit, tmp_path, capsys):
         space = tmp_path / "space.json"
@@ -316,3 +351,20 @@ def test_subcommand_options_and_defaults():
         for name, subparser in sub.choices.items()
     }
     assert found == OPTIONS
+
+
+def test_runtime_imports_neither_scipy_nor_numpy():
+    # The runtime needs only the standard library; scipy is a test reference.
+    script = (
+        "import sys, mmo_tune.cli\n"
+        "assert 'scipy' not in sys.modules and 'numpy' not in sys.modules\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

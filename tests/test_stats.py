@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from statistics import fmean
 
@@ -11,10 +12,12 @@ import pytest
 from mmo_tune.trace import RunTrace, TraceEntry
 from mmo_tune.space import OptionSpace, OptionSpec
 from mmo_tune.stats import (
+    ALPHA,
     a12,
     a12_magnitude,
     compare_results,
     efficiency_ratio,
+    f1_sf,
     normalized_gain,
     pick_best_counterpart,
     scott_knott,
@@ -196,6 +199,52 @@ class TestA12:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             a12([], [1.0])
+
+
+# Degrees of freedom checked against scipy: every nu up to 200, then seeded
+# random ones up to 10**4, where the series has thousands of terms.
+F_TAIL_NUS = list(range(1, 201)) + sorted(
+    random.Random(52).sample(range(201, 10_001), 30)
+)
+
+
+class TestF1Tail:
+    def test_matches_scipy(self):
+        from scipy.stats import f as fdist
+
+        rng = random.Random(53)
+        for nu in F_TAIL_NUS:
+            critical = float(fdist.isf(ALPHA, 1, nu))
+            xs = [10.0 ** e for e in range(-8, 9)]
+            xs += [critical * rng.uniform(0.05, 20.0) for _ in range(12)]
+            xs += [10.0 ** rng.uniform(-6.0, 6.0) for _ in range(12)]
+            expected = fdist.sf(xs, 1, nu)
+            for x, want in zip(xs, expected):
+                assert abs(f1_sf(x, nu) - float(want)) <= 1e-12, (x, nu)
+
+    @pytest.mark.parametrize("relative", [1e-9, 1e-6, 1e-3])
+    def test_decisions_around_critical_value(self, relative):
+        from scipy.stats import f as fdist
+
+        for nu in F_TAIL_NUS:
+            critical = float(fdist.isf(ALPHA, 1, nu))
+            for x in (critical * (1.0 - relative), critical * (1.0 + relative)):
+                expected = float(fdist.sf(x, 1, nu)) < ALPHA
+                assert (f1_sf(x, nu) < ALPHA) == expected, (x, nu)
+
+    def test_zero_statistic_is_one(self):
+        for nu in (1, 2, 3, 4, 57, 1000):
+            assert f1_sf(0.0, nu) == 1.0
+
+    def test_very_large_statistic_is_a_nonnegative_tail(self):
+        for nu in (1, 2, 3, 4, 57, 1000, 1001):
+            for x in (1e6, 1e12, 1e50, 1e300, math.inf):
+                value = f1_sf(x, nu)
+                assert 0.0 <= value < 1e-3, (x, nu, value)
+
+    def test_nan_statistic_is_never_significant(self):
+        for nu in (1, 2):
+            assert not f1_sf(math.nan, nu) < ALPHA
 
 
 def oracle_scott_knott(groups):
