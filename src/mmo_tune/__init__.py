@@ -27,14 +27,12 @@ from .measurement import (
     TabularOracle,
     cached_measure,
     load_table,
-    synth_landscape,
 )
 from .models import (
     PMO,
     MmoInstance,
     NormalizationBounds,
     dominance,
-    dominates,
     fast_nondominated_sort,
     meta_objectives,
     pareto_front,

@@ -264,9 +264,9 @@ def execute_run(
 
 
 def _campaign_task(
-    args: tuple[ExperimentPlan, Oracle, str, float | None, int],
-) -> tuple[tuple[str, float | None, int], RunTrace]:
-    plan, oracle, model, weight, run_index = args
+    plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int]
+) -> RunTrace:
+    model, weight, run_index = key
     seed = plan.run_seed(model, weight, run_index)
     try:
         trace = execute_run(
@@ -278,7 +278,21 @@ def _campaign_task(
             f"run failed: model={model} weight={weight_token(weight)} "
             f"run={run_index}: {exc}"
         ) from exc
-    return (model, weight, run_index), trace
+    return trace
+
+
+# A worker process's plan and oracle, set once by _init_worker, so that a
+# task carries only its run key.
+_worker_state: tuple[ExperimentPlan, Oracle] | None = None
+
+
+def _init_worker(plan: ExperimentPlan, oracle: Oracle) -> None:
+    global _worker_state
+    _worker_state = (plan, oracle)
+
+
+def _worker_task(key: tuple[str, float | None, int]) -> RunTrace:
+    return _campaign_task(*_worker_state, key)
 
 
 def run_campaign_traces(
@@ -286,12 +300,14 @@ def run_campaign_traces(
 ) -> dict[tuple[str, float | None, int], RunTrace]:
     """Execute the full model-by-weight-by-repeat grid of a plan."""
     oracle = oracle if oracle is not None else build_oracle(plan)
-    tasks = [(plan, oracle, *key) for key in plan.run_keys()]
+    keys = plan.run_keys()
     if jobs <= 1:
-        return dict(map(_campaign_task, tasks))
+        return {key: _campaign_task(plan, oracle, key) for key in keys}
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return dict(pool.map(_campaign_task, tasks))
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(plan, oracle)
+        ) as pool:
+            return dict(zip(keys, pool.map(_worker_task, keys)))
     except CampaignError:
         raise
     except Exception as exc:  # the pool itself failed, e.g. a worker died
@@ -491,29 +507,27 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
         emit_trace(traces[key], _trace_path(out_dir, key))
     report = build_report(plan, traces)
     write_report(report, out_dir)
-    _write_summary(plan, traces, os.path.join(out_dir, "summary.csv"))
+    _write_summary(report, os.path.join(out_dir, "summary.csv"))
     return report
 
 
-def _write_summary(
-    plan: ExperimentPlan,
-    traces: dict[tuple[str, float | None, int], RunTrace],
-    path: str,
-) -> None:
+def _write_summary(report: dict, path: str) -> None:
+    """Write the report's per-run rows as a flat CSV, one line per run."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "weight", "run", "best_target", "measurements_to_best"])
-        for model, weight, run_index in plan.run_keys():
-            trace = traces[(model, weight, run_index)]
-            writer.writerow(
-                [
-                    model,
-                    "" if weight is None else weight_token(weight),
-                    run_index,
-                    repr(trace.best_target()),
-                    trace.measurements_to_best(),
-                ]
-            )
+        for group in report["groups"]:
+            weight = group["weight"]
+            for run in group["runs"]:
+                writer.writerow(
+                    [
+                        group["model"],
+                        "" if weight is None else weight_token(weight),
+                        run["run"],
+                        repr(run["best_target"]),
+                        run["measurements_to_best"],
+                    ]
+                )
 
 
 def recompute_report(out_dir: str) -> dict:

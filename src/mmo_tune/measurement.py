@@ -87,21 +87,8 @@ def cached_measure(
 class TabularOracle:
     """Exact-match lookups against pre-measured data; never invents values."""
 
-    def __init__(
-        self,
-        rows: dict[tuple[int, ...], tuple[float, float]],
-        option_names: tuple[str, ...],
-    ):
+    def __init__(self, rows: dict[tuple[int, ...], tuple[float, float]]):
         self.rows = rows
-        self.option_names = option_names
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self.option_names + ("target", "auxiliary")
 
     def measure(self, config: Configuration) -> MeasurementRecord:
         try:
@@ -113,7 +100,7 @@ class TabularOracle:
         return MeasurementRecord(target, auxiliary)
 
 
-def load_table(path: str, space: OptionSpace | None = None) -> TabularOracle:
+def load_table(path: str, space: OptionSpace) -> TabularOracle:
     """Load a measurement table.
 
     Schema: header row is the option names in space order followed by ``target``
@@ -131,15 +118,14 @@ def load_table(path: str, space: OptionSpace | None = None) -> TabularOracle:
                 f"{path}: header must end with 'target','auxiliary', got {header}"
             )
         option_names = tuple(header[:-2])
-        if space is not None:
-            for name in option_names:
-                if name not in space.names:
-                    raise TableFormatError(f"{path}: unknown option column {name!r}")
-            if option_names != space.names:
-                raise TableFormatError(
-                    f"{path}: option columns {option_names} do not match "
-                    f"space order {space.names}"
-                )
+        for name in option_names:
+            if name not in space.names:
+                raise TableFormatError(f"{path}: unknown option column {name!r}")
+        if option_names != space.names:
+            raise TableFormatError(
+                f"{path}: option columns {option_names} do not match "
+                f"space order {space.names}"
+            )
         rows: dict[tuple[int, ...], tuple[float, float]] = {}
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -156,14 +142,13 @@ def load_table(path: str, space: OptionSpace | None = None) -> TabularOracle:
                 raise TableFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
             if not (math.isfinite(target) and math.isfinite(auxiliary)):
                 raise TableFormatError(f"{path}:{lineno}: non-finite measurement")
-            if space is not None:
-                space.config(values)
+            space.config(values)
             if values in rows:
                 raise TableFormatError(
                     f"{path}:{lineno}: duplicate configuration row {values}"
                 )
             rows[values] = (target, auxiliary)
-    return TabularOracle(rows, option_names)
+    return TabularOracle(rows)
 
 
 def _lower_median(values: Iterable[float]) -> float:
@@ -330,8 +315,3 @@ class SyntheticOracle:
     def measure(self, config: Configuration) -> MeasurementRecord:
         self.space.validate(config)
         return MeasurementRecord(self.target(config), self.auxiliary(config))
-
-
-def synth_landscape(params: SyntheticLandscapeParams) -> SyntheticOracle:
-    """Build the deterministic synthetic oracle for the given parameters."""
-    return SyntheticOracle(params)

@@ -51,26 +51,18 @@ class NormalizationBounds:
     """Running per-objective min/max of converted values seen so far in one run.
 
     Bounds only widen; they are updated dynamically as the tuning proceeds.
-    ``revision`` increments whenever an update actually widened a bound, so
-    callers can cheaply detect staleness of previously normalized values.
     """
 
-    def __init__(self, objectives: int = 2):
-        self.mins = [math.inf] * objectives
-        self.maxs = [-math.inf] * objectives
-        self.revision = 0
+    def __init__(self):
+        self.mins = [math.inf] * 2
+        self.maxs = [-math.inf] * 2
 
     def observe(self, point: tuple[float, ...]) -> None:
-        changed = False
         for i, value in enumerate(point):
             if value < self.mins[i]:
                 self.mins[i] = value
-                changed = True
             if value > self.maxs[i]:
                 self.maxs[i] = value
-                changed = True
-        if changed:
-            self.revision += 1
 
     def normalize(self, value: float, objective: int) -> float:
         """Max-min scale into [0, 1]; a degenerate range maps to 0.5.
@@ -142,10 +134,6 @@ def dominance(u: ObjectivePoint, v: ObjectivePoint) -> int:
     if v_better and not u_better:
         return -1
     return 0
-
-
-def dominates(u: ObjectivePoint, v: ObjectivePoint) -> bool:
-    return dominance(u, v) == 1
 
 
 def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:

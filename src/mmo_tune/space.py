@@ -52,9 +52,6 @@ class Configuration:
 
     values: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class OptionSpace:

@@ -8,6 +8,7 @@ budget consumed, best-so-far) and reads back losslessly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 from .measurement import MeasurementRecord
@@ -59,9 +60,6 @@ class RunTrace:
             )
         )
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def best_target(self) -> float:
         """Minimum direction-converted target over all measurements."""
         if not self.entries:
@@ -104,26 +102,40 @@ def emit_trace(trace: RunTrace, path: str) -> None:
 
 
 def load_trace(path: str, space: OptionSpace) -> RunTrace:
-    """Read a trace CSV back; lossless against emit_trace."""
+    """Read a trace CSV back; lossless against emit_trace.
+
+    A malformed row (wrong cell count, a number that does not parse, an option
+    value outside the space, a non-finite target, auxiliary or best-so-far)
+    raises ValueError starting with ``path:line:``.
+    """
     trace = RunTrace(space)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _header(space):
             raise ValueError(f"{path}: unexpected trace header {header}")
         n = len(space.names)
-        for cells in reader:
-            config = space.config(int(v) for v in cells[1 : 1 + n])
-            trace.entries.append(
-                TraceEntry(
+        for line, cells in enumerate(reader, start=2):
+            try:
+                if len(cells) != n + 5:
+                    raise ValueError(f"expected {n + 5} cells, got {len(cells)}")
+                entry = TraceEntry(
                     step=int(cells[0]),
-                    config=config,
+                    config=space.config(int(v) for v in cells[1 : 1 + n]),
                     target_raw=float(cells[1 + n]),
                     auxiliary_raw=float(cells[2 + n]),
                     consumed_after=int(cells[3 + n]),
                     best_so_far=float(cells[4 + n]),
                 )
-            )
+                if not (
+                    math.isfinite(entry.target_raw)
+                    and math.isfinite(entry.auxiliary_raw)
+                    and math.isfinite(entry.best_so_far)
+                ):
+                    raise ValueError("non-finite target, auxiliary or best_so_far")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
+            trace.entries.append(entry)
     return trace
 
 

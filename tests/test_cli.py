@@ -174,6 +174,26 @@ class TestCampaignCli:
         assert plan["budget"] == 600
         assert plan["population_size"] == 50
 
+    def test_stats_names_the_malformed_trace_row(self, space_file, table_file, tmp_path, capsys):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "8", "--repeats", "1", "--models", "single:rs",
+            "--out", str(out),
+        )
+        assert code == 0
+        trace = out / "traces" / trace_filename("single:rs", None, 0)
+        lines = trace.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[7] = "nan"  # the target, after the step and six option values
+        lines[2] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        (out / "report.json").unlink()
+        capsys.readouterr()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {trace}:3: non-finite")
+        assert not (out / "report.json").exists()
+
 
 class TestPlanFileChecked:
     @pytest.mark.parametrize(
@@ -368,3 +388,25 @@ def test_runtime_imports_neither_scipy_nor_numpy():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_surface():
+    # Any change to the package's exported names should be deliberate.
+    assert sorted(mmo_tune.__all__) == [
+        "ALL_MODELS", "BudgetExhausted", "BudgetLedger", "CommandOracle",
+        "Configuration", "DEFAULT_WEIGHTS", "ExperimentPlan", "MeasurementRecord",
+        "MmoInstance", "NormalizationBounds", "OptimizerConfig", "OptionSpace",
+        "OptionSpec", "PMO", "PRESETS", "RunTrace", "StatResult",
+        "SyntheticLandscapeParams", "SyntheticOracle", "TabularOracle", "a12",
+        "a12_magnitude", "boundary_mutation", "build_oracle", "build_report",
+        "cached_measure", "compare_results", "crowding_distance",
+        "data_driven_weight_selection", "derive_seed", "dominance",
+        "efficiency_ratio", "emit_trace", "execute_run", "fast_nondominated_sort",
+        "harness", "load_space", "load_table", "load_trace", "measurement",
+        "meta_objectives", "models", "normalized_gain", "optimizers",
+        "pareto_front", "parse_space", "pick_best_counterpart", "pmo_objectives",
+        "preliminary_weight_selection", "recompute_report", "run_campaign_traces",
+        "run_nsga2", "run_rs", "run_sa", "run_shc_restart", "run_soga",
+        "scott_knott", "space", "stats", "to_minimization", "trace",
+        "uniform_crossover", "utopian", "wilcoxon_signed_rank", "write_campaign",
+    ]

@@ -6,6 +6,9 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import re
+from multiprocessing.reduction import ForkingPickler
 from statistics import fmean
 
 import pytest
@@ -146,6 +149,54 @@ class TestTraceFiles:
         emit_trace(trace, str(path))
         assert len(path.read_text().splitlines()) == 1001
 
+    @staticmethod
+    def _edited_trace(space, tmp_path, edit, line=2):
+        """A short RS trace with its ``line`` (1 is the header) passed through
+        ``edit``."""
+        oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=1))
+        trace = run_rs(space, BudgetLedger(5), oracle, OptimizerConfig(seed=3))
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, str(path))
+        lines = path.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (1, lambda cells: ["stp", *cells[1:]], "unexpected trace header"),
+            (2, lambda cells: [cells[0], "2", *cells[2:]], r"value 2 outside \[0, 1\]"),
+            (2, lambda cells: [cells[0], "0.5", *cells[2:]], "invalid literal for int"),
+        ],
+        ids=["bad-header", "out-of-range-value", "non-integer-value"],
+    )
+    def test_malformed_trace_fails_as_before(self, binary3, tmp_path, line, edit, message):
+        path = self._edited_trace(binary3, tmp_path, edit, line)
+        with pytest.raises(ValueError, match=message):
+            load_trace(path, binary3)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: [*cells[:4], "nan", *cells[5:]], "non-finite"),
+            (lambda cells: [*cells[:7], "-inf"], "non-finite"),
+            (lambda cells: [*cells[:5], "inf", *cells[6:]], "non-finite"),
+            (lambda cells: [*cells, "1"], "expected 8 cells, got 9"),
+            (lambda cells: cells[:6], "expected 8 cells, got 6"),
+            (lambda cells: [*cells[:6], "five", cells[7]], "invalid literal for int"),
+            (lambda cells: [cells[0], "2", *cells[2:]], r"value 2 outside \[0, 1\]"),
+        ],
+        ids=[
+            "nan-target", "minus-inf-best", "inf-auxiliary", "extra-cell",
+            "short-row", "unparsed-consumed", "out-of-range-value",
+        ],
+    )
+    def test_malformed_row_names_path_and_line(self, binary3, tmp_path, edit, message):
+        path = self._edited_trace(binary3, tmp_path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: .*{message}"):
+            load_trace(path, binary3)
+
     def test_filename_scheme(self):
         assert trace_filename("single:shc-r", None, 3) == "single_shc_r__run003.csv"
         assert trace_filename("mmo:linear", 0.5, 0) == "mmo_linear__w0.5__run000.csv"
@@ -242,6 +293,33 @@ class TestCampaign:
         )
         with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=0: unmeasured"):
             run_campaign_traces(plan, jobs=jobs)
+
+    def test_parallel_sends_the_oracle_once_per_worker(self, tmp_path, monkeypatch):
+        space = make_binary_space(10)
+        rows = {c.values: (float(sum(c.values)), float(c.values[0])) for c in space.enumerate_all()}
+        plan = ExperimentPlan(
+            space=space,
+            oracle_spec={"kind": "table", "path": write_table(tmp_path / "t.csv", space, rows)},
+            budget=10,
+            population_size=2,
+            repeats=40,
+            models=("single:rs",),
+        )
+        oracle = build_oracle(plan)
+        pickled = []
+        dumps = ForkingPickler.dumps.__func__
+
+        def counting_dumps(cls, obj, protocol=None):
+            data = dumps(cls, obj, protocol)
+            pickled.append(len(data))
+            return data
+
+        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counting_dumps))
+        parallel = run_campaign_traces(plan, jobs=2, oracle=oracle)
+        monkeypatch.undo()
+        assert len(parallel) == 40
+        assert 0 < sum(pickled) < 2 * len(pickle.dumps(oracle))
+        assert parallel == run_campaign_traces(plan, jobs=1, oracle=oracle)
 
     def test_parallel_equals_sequential(self, binary8, tmp_path):
         plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)

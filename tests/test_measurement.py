@@ -23,7 +23,6 @@ from mmo_tune.measurement import (
     UnmeasuredConfigError,
     cached_measure,
     load_table,
-    synth_landscape,
 )
 from mmo_tune.space import OptionSpace, OptionSpec
 
@@ -96,8 +95,7 @@ class TestTabularOracle:
         rows = {(0, 0, 0): (1.25, 7.0), (1, 0, 1): (3.5, 2.0), (1, 1, 1): (9.0, 0.5)}
         path = write_table(tmp_path / "t.csv", binary3, rows)
         oracle = load_table(path, space=binary3)
-        assert oracle.row_count == 3
-        assert oracle.columns == ("o0", "o1", "o2", "target", "auxiliary")
+        assert len(oracle.rows) == 3
         for values, (target, auxiliary) in rows.items():
             record = oracle.measure(binary3.config(values))
             assert record.target_raw == target
@@ -115,6 +113,12 @@ class TestTabularOracle:
             "o0,o1,o2,target,auxiliary\n0,0,0,1.00,2.00\n0,0,0,3.00,4.00\n"
         )
         with pytest.raises(TableFormatError, match="duplicate"):
+            load_table(str(path), space=binary3)
+
+    def test_wrong_column_order(self, tmp_path, binary3):
+        path = tmp_path / "bad.csv"
+        path.write_text("o0,o2,o1,target,auxiliary\n0,0,0,1.00,2.00\n")
+        with pytest.raises(TableFormatError, match="space order"):
             load_table(str(path), space=binary3)
 
     def test_unknown_option_column(self, tmp_path, binary3):
@@ -253,7 +257,7 @@ class TestSyntheticOracle:
         params = SyntheticLandscapeParams(
             space=binary8, seed=4, correlation=1.0, ruggedness=0.5
         )
-        oracle = synth_landscape(params)
+        oracle = SyntheticOracle(params)
         rng = random.Random(0)
         for _ in range(50):
             config = binary8.random_config(rng)
@@ -263,7 +267,7 @@ class TestSyntheticOracle:
         params = SyntheticLandscapeParams(
             space=binary8, seed=4, correlation=-1.0, ruggedness=0.5
         )
-        oracle = synth_landscape(params)
+        oracle = SyntheticOracle(params)
         rng = random.Random(0)
         for _ in range(50):
             config = binary8.random_config(rng)

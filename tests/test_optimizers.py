@@ -303,7 +303,7 @@ class TestShcRestart:
     def test_unimodal_single_option_reaches_optimum(self):
         space = OptionSpace((OptionSpec("x", "integer", 0, 9),))
         rows = {(x,): (abs(x - 3) + 1.0, 0.0) for x in range(10)}
-        oracle = TabularOracle(rows, ("x",))
+        oracle = TabularOracle(rows)
         trace = run_shc_restart(
             space, BudgetLedger(10), oracle, OptimizerConfig(seed=2)
         )
@@ -318,7 +318,7 @@ class TestShcRestart:
             (1, 0): (4.0, 0.0), (1, 1): (6.0, 0.0), (1, 2): (4.0, 0.0),
             (2, 0): (5.0, 0.0), (2, 1): (4.0, 0.0), (2, 2): (0.0, 0.0),
         }
-        oracle = TabularOracle(rows, ("x", "y"))
+        oracle = TabularOracle(rows)
         trace = run_shc_restart(
             space,
             BudgetLedger(9),
