@@ -142,8 +142,8 @@ class ExperimentPlan:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if any(m in MMO_MODELS for m in self.models) and not self.weights:
             raise ValueError("weights must be nonempty when a meta model is selected")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("weights must be finite and positive")
         if (
             any(m in POPULATION_MODELS for m in self.models)
             and self.budget < self.population_size

@@ -89,8 +89,8 @@ class MmoInstance:
     def __post_init__(self) -> None:
         if self.shape not in MMO_SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of {MMO_SHAPES}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
 
     def phi(self, fa_norm: float) -> float:
         """Weighted balance term applied to the normalized auxiliary value."""

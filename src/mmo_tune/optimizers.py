@@ -46,41 +46,26 @@ from .trace import RunTrace
 STALL_PROPOSALS = 32
 STALL_GENERATIONS = 3
 
+# Fixed settings: the variation rates of the GA and NSGA-II, and SA's geometric
+# cooling factor per distinct measurement.
+MUTATION_RATE = 0.1
+CROSSOVER_RATE = 0.9
+SA_COOLING = 0.95
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Shared optimizer parameters and their defaults.
-
-    ``rs_radius`` defaults to half the option count, ``shc_restart_stall`` to
-    four times the option count, and ``sa_initial_temp`` to the standard
-    deviation of an initial uniform batch; all three are deliberate choices,
-    exposed because no canonical values exist. ``directions`` says whether the
-    target and the auxiliary are minimized or maximized.
-    """
+    """What one run is given: the population size (also SA's initial batch),
+    the seed of its generator, and whether the target and the auxiliary are
+    minimized or maximized."""
 
     population_size: int = 20
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.9
-    rs_radius: int | None = None
-    sa_initial_temp: float | None = None
-    sa_cooling: float = 0.95
-    shc_restart_stall: int | None = None
     seed: int = 0
     directions: tuple[Direction, Direction] = ("minimize", "minimize")
 
     def __post_init__(self) -> None:
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 < self.sa_cooling < 1.0:
-            raise ValueError("sa_cooling must be in (0, 1)")
-        if self.rs_radius is not None and self.rs_radius < 1:
-            raise ValueError("rs_radius must be >= 1")
-        if self.shc_restart_stall is not None and self.shc_restart_stall < 1:
-            raise ValueError("shc_restart_stall must be >= 1")
         check_directions(self.directions)
 
 
@@ -285,9 +270,9 @@ def _local_search(
 def run_rs(
     space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
-    """Random search over a wide neighborhood of the incumbent, keeping the best
-    target; falls back to uniform resampling once the neighborhood is spent."""
-    radius = cfg.rs_radius or max(1, len(space.options) // 2)
+    """Random search within half the option count of the incumbent, keeping the
+    best target; falls back to uniform resampling once the neighborhood is spent."""
+    radius = max(1, len(space.options) // 2)
     return _local_search(_Run(space, ledger, oracle, cfg), radius, _improves)
 
 
@@ -295,12 +280,13 @@ def run_shc_restart(
     space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
     """Stochastic hill climbing on Hamming-1 neighbors, restarting from a fresh
-    uniform configuration after a stall of non-improving evaluations."""
+    uniform configuration after four times the option count of non-improving
+    evaluations in a row."""
     return _local_search(
         _Run(space, ledger, oracle, cfg),
         1,
         _improves,
-        restart_after=cfg.shc_restart_stall or 4 * len(space.options),
+        restart_after=4 * len(space.options),
     )
 
 
@@ -321,16 +307,15 @@ def run_sa(
 ) -> RunTrace:
     """Simulated annealing with geometric cooling per distinct measurement.
 
-    When no initial temperature is given, it defaults to the standard deviation
-    of the targets of an initial uniform batch of ``population_size`` samples.
+    The walk starts from the best of an initial uniform batch of
+    ``population_size`` samples, and the initial temperature is the standard
+    deviation of the batch's targets.
     """
     run = _Run(space, ledger, oracle, cfg)
-    t0 = cfg.sa_initial_temp
+    t0 = 1.0  # start() sets it from the batch
 
     def start() -> tuple[Configuration, float]:
         nonlocal t0
-        if t0 is not None:
-            return run.random_start()
         batch = _sample_distinct(space, run.rng, cfg.population_size)
         values = [(c, run.target(c)) for c in batch]
         targets = [v for _, v in values]
@@ -339,7 +324,7 @@ def run_sa(
         return min(values, key=lambda cv: cv[1])
 
     def metropolis(value: float, current_value: float, spent: int) -> bool:
-        temperature = t0 * cfg.sa_cooling**spent
+        temperature = t0 * SA_COOLING**spent
         return run.rng.random() < metropolis_probability(
             value - current_value, temperature
         )
@@ -399,11 +384,10 @@ def _generational(
     generation, uniform crossover, boundary mutation, then the ``survivors`` of
     parents and offspring. After a few generations without a new distinct
     measurement one offspring is replaced by a uniform draw over the unmeasured
-    space; without variation the search stops instead."""
+    space."""
     if cfg.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
     space, ledger, rng = run.space, run.ledger, run.rng
-    can_vary = cfg.mutation_rate > 0.0 or cfg.crossover_rate > 0.0
     with contextlib.suppress(BudgetExhausted):
         population = [
             evaluate(c) for c in _sample_distinct(space, rng, cfg.population_size)
@@ -416,15 +400,14 @@ def _generational(
             while len(offspring) < len(population):
                 p1 = population[_tournament(keys, rng)][0]
                 p2 = population[_tournament(keys, rng)][0]
-                for child in uniform_crossover(p1, p2, cfg.crossover_rate, rng):
+                for child in uniform_crossover(p1, p2, CROSSOVER_RATE, rng):
                     if len(offspring) < len(population):
-                        mutated = boundary_mutation(space, child, cfg.mutation_rate, rng)
+                        mutated = boundary_mutation(space, child, MUTATION_RATE, rng)
                         offspring.append(evaluate(mutated))
             if ledger.consumed == before:
                 stalled_generations += 1
                 if stalled_generations >= STALL_GENERATIONS:
-                    # Without variation the search cannot progress: stop.
-                    fresh = run.fresh_uniform() if can_vary else None
+                    fresh = run.fresh_uniform()
                     if fresh is None:
                         break
                     offspring[rng.randrange(len(offspring))] = evaluate(fresh)

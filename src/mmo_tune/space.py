@@ -204,7 +204,7 @@ def space_from_doc(doc: object) -> OptionSpace:
                 upper = entry["upper"]
             except KeyError as exc:
                 raise SpaceError(f"option {name!r}: missing bound {exc}") from exc
-        if not isinstance(lower, int) or not isinstance(upper, int):
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in (lower, upper)):
             raise SpaceError(f"option {name!r}: bounds must be integers")
         options.append(OptionSpec(name=str(name), kind=kind, lower=lower, upper=upper))
     return OptionSpace(tuple(options))

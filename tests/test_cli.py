@@ -147,6 +147,30 @@ class TestTune:
         assert run0.read_bytes() == traces["plain"]
 
 
+class TestNonFiniteWeight:
+    def test_tune_rejects_it(self, space_file, table_file, tmp_path, capsys):
+        code = run_cli(
+            "tune", "--space", space_file, "--table", table_file,
+            "--model", "mmo:sqrt", "--weight", "inf", "--budget", "10",
+            "--pop", "4", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("weights", ["inf", "0.5,nan"])
+    def test_campaign_rejects_it(self, weights, space_file, table_file, tmp_path, capsys):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "10", "--pop", "4", "--repeats", "1",
+            "--models", "mmo:linear", "--weights", weights, "--out", str(out),
+        )
+        assert code == 2
+        assert "weights must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCampaignCli:
     def test_campaign_then_stats_reproduces_report(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "camp"
@@ -205,10 +229,13 @@ class TestPlanFileChecked:
             lambda plan: plan.update(budget=12.0),
             lambda plan: plan.update(repeats=True),
             lambda plan: plan.update(master_seed="3"),
+            lambda plan: plan.update(weights=[1e999]),
+            lambda plan: plan["space"]["options"][1].update(lower=False, upper=True),
         ],
         ids=[
             "fractional-bound", "unknown-direction", "fractional-population",
-            "float-budget", "bool-repeats", "string-seed",
+            "float-budget", "bool-repeats", "string-seed", "infinite-weight",
+            "bool-bounds",
         ],
     )
     def test_stats_rejects_edited_plan(self, edit, tmp_path, capsys):

@@ -8,10 +8,12 @@ together with a stated reason for the behaviour change.
 The direction cases replay four models on the table with the target, the
 auxiliary or both maximized.
 
-The non-default cases call the optimizers directly with ``OptimizerConfig``
-values that ``execute_run`` never sets (radius, restart stall, temperature,
-cooling, variation rates, tiny populations), on a 6-bit space that the budget
-exhausts and on a 10-bit space.
+The non-default cases call the optimizers directly, with the default
+population or a tiny one that ``execute_run`` is never given, on a 6-bit space
+that the budget exhausts and on a 10-bit space.
+
+The restart counts of the hill-climbing runs are pinned too: they are not in
+the trace bytes.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ GOLDEN = {
     "table/mmo:square/10.0": "8e50d98df5fae2f4cc35f44f4d73cf44b60b7be4496032123383890dcef1a548",
 }
 
+# Restart counts of the same runs; every other case restarts 0 times.
+GOLDEN_RESTARTS = {
+    "synth-a/single:shc-r/-": 19,
+    "synth-b/single:shc-r/-": 21,
+    "table/single:shc-r/-": 12,
+}
+
 
 def _table_space() -> OptionSpace:
     return OptionSpace(
@@ -149,6 +158,7 @@ def test_trace_digest(case, landscapes, tmp_path):
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[case]
+    assert trace.restarts == GOLDEN_RESTARTS.get(case, 0)
 
 
 # (target, auxiliary) directions per direction case name.
@@ -209,65 +219,68 @@ def test_cases_cover_every_model():
     assert set(GOLDEN) == expected
 
 
-# name -> (optimizer, meta model or None, OptimizerConfig overrides).
+# name -> (optimizer, meta model or None, population size).
 NON_DEFAULT = {
-    "rs-radius3": (run_rs, None, {"rs_radius": 3}),
-    "shc-stall2": (run_shc_restart, None, {"shc_restart_stall": 2}),
-    "sa-temp0.5-cool0.9": (run_sa, None, {"sa_initial_temp": 0.5, "sa_cooling": 0.9}),
-    "sa-pop4": (run_sa, None, {"population_size": 4}),
-    "soga-novariation": (run_soga, None, {"mutation_rate": 0.0, "crossover_rate": 0.0}),
-    "soga-nomutation": (run_soga, None, {"mutation_rate": 0.0}),
-    "soga-pop3": (run_soga, None, {"population_size": 3}),
-    "pmo-novariation": (run_nsga2, PMO, {"mutation_rate": 0.0, "crossover_rate": 0.0}),
-    "pmo-pop3": (run_nsga2, PMO, {"population_size": 3}),
-    "mmo-linear-nocrossover": (run_nsga2, MmoInstance("linear", 0.5), {"crossover_rate": 0.0}),
-    "mmo-square-pop5": (run_nsga2, MmoInstance("square", 10.0), {"population_size": 5}),
+    "rs": (run_rs, None, 20),
+    "shc-r": (run_shc_restart, None, 20),
+    "sa": (run_sa, None, 20),
+    "sa-pop4": (run_sa, None, 4),
+    "soga": (run_soga, None, 20),
+    "soga-pop3": (run_soga, None, 3),
+    "pmo": (run_nsga2, PMO, 20),
+    "pmo-pop3": (run_nsga2, PMO, 3),
+    "mmo-linear": (run_nsga2, MmoInstance("linear", 0.5), 20),
+    "mmo-square-pop5": (run_nsga2, MmoInstance("square", 10.0), 5),
 }
+
+# Seeds drawn under the label of an earlier case: the radius-3 random search
+# (3 is the default radius on 6 options, so bits6/rs keeps its digest) and the
+# hill climber that restarted after 2 rejections.
+SEED_LABELS = {"rs": "rs-radius3", "shc-r": "shc-stall2"}
 
 # (option count, budget) per space; 6 bits are 64 configurations, fewer than the budget.
 NON_DEFAULT_SCALE = {"bits6": (6, 100), "bits10": (10, 300)}
 
 GOLDEN_NON_DEFAULT = {
-    "bits10/mmo-linear-nocrossover": "29f3eff906436454e647fa3010a179a377fbb38d97879e20ef5a367a0f8b3698",
+    "bits10/mmo-linear": "60c75fe8bb42961a7221bc6306191ecfe2e4403b85526b9c9ad000a63ec1eaf8",
     "bits10/mmo-square-pop5": "9f964e810fd0d5790a8e892bf80590573bb847c9fa8f921e2d8463e35dfede20",
-    "bits10/pmo-novariation": "f4b680be1712254f1a6c54116f5769993ecbb69c762da6f94c68410a1aa5d98e",
+    "bits10/pmo": "2c4fe391a28d6bef36e6f51d7519d73b167b6beb3226f4bf62365f01304e23b3",
     "bits10/pmo-pop3": "5be28a38de99b3d3aab6873f586e8f35b826b66f86d6a19005aa68480d08dbff",
-    "bits10/rs-radius3": "35d209f2ec9e7022948ba1bbf3888bce22ff4f3e374e0ae2d7125e4e9be84663",
+    "bits10/rs": "c60dfcf7836069d0e8e5b8c8064ace28320832dcfe75b4405cd3ce41ee51635c",
+    "bits10/sa": "9555504dd53a746be28af30ac39f9a74ff8183215390839ff11971d8b86f802b",
     "bits10/sa-pop4": "233f2be3d6fac7601712595a850de4f51f5ae906debaf60560341ea4f88b2df6",
-    "bits10/sa-temp0.5-cool0.9": "2487830af52f1d7617dafd6e279e8f3c43c73bef0df64e548f18ef02bf401b57",
-    "bits10/shc-stall2": "82e7537d04f3f900d67abe8f8f49f659707ec6fb50452f8873b86e2a290bce69",
-    "bits10/soga-nomutation": "aa784f9a6746e7a9c9b05bf9fa33a31686940b66a2c73568361ae1352990b47c",
-    "bits10/soga-novariation": "17d719c4f941d6d831f1744ef9922ccc925f84345bf061678c1a9312e0d836aa",
+    "bits10/shc-r": "2cf0bbe6056f3fc2a946dda05cd605071253cf714ffddef87ef055eef5cef0b3",
+    "bits10/soga": "8476df9c7316dbf837853337dd86cd99cd58bb13d9af32464dfc21a2f3ed587e",
     "bits10/soga-pop3": "73416d2e80f6b44c118abe36f64a7298756b0fccaee47c971ee79323bed59e4d",
-    "bits6/mmo-linear-nocrossover": "4f61e8ae357698c052f003c1689dfae9dbbc0501d27c315b24be722fce0fbd78",
+    "bits6/mmo-linear": "a2bed4e0795fa0d6c16998dfd9dfb650d5905114131f2a9b07eb0fd2f749703f",
     "bits6/mmo-square-pop5": "9c76d8c83501a11afda56d671651c6bf3d48038789aea02c0cc2c3760bc0fe83",
-    "bits6/pmo-novariation": "41aa45ca1e7ee34d6fc020e372e34d8f4891ae574f6fb1a4d1a6b499832a2f9b",
+    "bits6/pmo": "a1508cf90a65d9efca5734bc407e547222d37c556fca5eb2607ce515c5dfeb84",
     "bits6/pmo-pop3": "5eaadd48c05d01ad1e16fd7693242735a64cef4744b6de7cd97f763314ff4c90",
-    "bits6/rs-radius3": "d5417f32f10e92abce70dddff1545e0a1f230bd94b2745501ef9dd5fb4f313de",
+    "bits6/rs": "d5417f32f10e92abce70dddff1545e0a1f230bd94b2745501ef9dd5fb4f313de",
+    "bits6/sa": "24b6ba676c5750746f2570a5bdd12891148ea337dbf9602e5ca28d1786f8b1e5",
     "bits6/sa-pop4": "2623ee9defd71e1a32d7b31ff65d55b498bc00d6f5cb4c9a570f044313541089",
-    "bits6/sa-temp0.5-cool0.9": "98ccf1d4cc2aea74c274a4c8fe23c244b7626351553964eb2fac90ba5e9e0d5f",
-    "bits6/shc-stall2": "e11209d79fd7600e6fef29530176fb13d6f37dfd14665285595d32a511583da7",
-    "bits6/soga-nomutation": "dfe6c6f8a26cca441d610db4bdb5abec485f90576b2cffe77064044e2899c798",
-    "bits6/soga-novariation": "9ee49fc2077ed15270774a8b31e6c87a9d009a19f08abecd7c62d0d9166b311e",
+    "bits6/shc-r": "78d53cec965cef992ac707cdc27a0bc4a19df70ca7a37ce19d38ba452e80cb93",
+    "bits6/soga": "0fc66d79ae1ae93aa67cbd79ad133f330742d23a672ee65ef22bb41bf8272d8a",
     "bits6/soga-pop3": "f218460afa509ba46793dc922b1f618d9769b50bd03eba881d27edc2f59c6fa3",
 }
 
 # Restart counts of the same runs; every other case restarts 0 times.
-RESTARTS = {"bits6/shc-stall2": 56, "bits10/shc-stall2": 96}
+RESTARTS = {"bits6/shc-r": 20, "bits10/shc-r": 24}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_NON_DEFAULT))
 def test_non_default_trace_digest(case, tmp_path):
     scale, name = case.split("/")
     bits, budget = NON_DEFAULT_SCALE[scale]
-    optimizer, model, overrides = NON_DEFAULT[name]
+    optimizer, model, population = NON_DEFAULT[name]
     space = make_binary_space(bits)
     oracle = SyntheticOracle(
         SyntheticLandscapeParams(
             space=space, seed=bits, ruggedness=0.5, correlation=0.2
         )
     )
-    cfg = OptimizerConfig(seed=derive_seed(2024, scale, name), **overrides)
+    seed = derive_seed(2024, scale, SEED_LABELS.get(name, name))
+    cfg = OptimizerConfig(population_size=population, seed=seed)
     if model is None:
         trace = optimizer(space, BudgetLedger(budget), oracle, cfg)
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -128,6 +129,11 @@ class TestMetaObjectives:
     def test_weight_must_be_positive(self):
         with pytest.raises(ValueError):
             MmoInstance("linear", 0.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_weight_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="weight must be finite and > 0"):
+            MmoInstance("linear", weight)
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,12 @@ class TestParseSpace:
         with pytest.raises(SpaceError, match="'x'"):
             parse_space(doc([{"name": "x", "kind": "binary", "lower": 0, "upper": 3}]))
 
+    @pytest.mark.parametrize("kind", ["binary", "integer"])
+    def test_boolean_bounds_rejected(self, kind):
+        option = {"name": "flag", "kind": kind, "lower": False, "upper": True}
+        with pytest.raises(SpaceError, match="'flag': bounds must be integers"):
+            parse_space(doc([option]))
+
     def test_not_json(self):
         with pytest.raises(SpaceError):
             parse_space("nope")
