@@ -244,6 +244,8 @@ def _cmd_sweep_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_select_weight(args: argparse.Namespace) -> int:
+    if args.scale == "full" and args.method != "data-driven":
+        raise _UsageError("--scale full needs --method data-driven")
     plan = _plan_from_args(args)
     if args.method == "preliminary":
         chosen = preliminary_weight_selection(plan)
@@ -289,7 +291,7 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
         for config in space.enumerate_all():
             writer.writerow(
                 [
-                    *config.values,
+                    *config,
                     f"{oracle.target(config):.2f}",
                     f"{oracle.auxiliary(config):.2f}",
                 ]
@@ -299,7 +301,7 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
             {
                 "out": args.out,
                 "rows": space.size(),
-                "planted": list(oracle.params.planted_optimum.values),
+                "planted": oracle.params.planted_optimum,
             }
         )
     )

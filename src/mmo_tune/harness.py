@@ -140,6 +140,10 @@ class ExperimentPlan:
             self, "models", tuple(canonical_model(m) for m in self.models)
         )
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for name in ("models", "weights"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {values}")
         if any(m in MMO_MODELS for m in self.models) and not self.weights:
             raise ValueError("weights must be nonempty when a meta model is selected")
         if not all(math.isfinite(w) and w > 0 for w in self.weights):
@@ -263,14 +267,16 @@ def execute_run(
     raise ValueError(f"unknown model {model!r}")
 
 
-def _campaign_task(
-    plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int]
+def _named_run(
+    plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int],
+    seed: int, budget: int, population_size: int,
 ) -> RunTrace:
+    """``execute_run`` for the run ``key`` of a plan; a failure raises
+    CampaignError naming the run."""
     model, weight, run_index = key
-    seed = plan.run_seed(model, weight, run_index)
     try:
-        trace = execute_run(
-            plan.space, oracle, plan.budget, plan.population_size, model, weight, seed,
+        return execute_run(
+            plan.space, oracle, budget, population_size, model, weight, seed,
             plan.directions,
         )
     except Exception as exc:
@@ -278,7 +284,13 @@ def _campaign_task(
             f"run failed: model={model} weight={weight_token(weight)} "
             f"run={run_index}: {exc}"
         ) from exc
-    return trace
+
+
+def _campaign_task(
+    plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int]
+) -> RunTrace:
+    seed = plan.run_seed(*key)
+    return _named_run(plan, oracle, key, seed, plan.budget, plan.population_size)
 
 
 # A worker process's plan and oracle, set once by _init_worker, so that a
@@ -432,7 +444,8 @@ def preliminary_weight_selection(
 
     One run per weight at 10% of the budget (ceiling) and 10% of the population
     (floored at 2); the weight with the best target wins, ties broken uniformly
-    at random from a seeded generator.
+    at random from a seeded generator. A failing run raises CampaignError
+    naming its model and weight.
     """
     mmo_models = plan.mmo_models()
     if not mmo_models:
@@ -448,10 +461,7 @@ def preliminary_weight_selection(
             seed = derive_seed(
                 plan.master_seed, "prelim", model, weight_token(weight), 0
             )
-            trace = execute_run(
-                plan.space, oracle, budget, population, model, weight, seed,
-                plan.directions,
-            )
+            trace = _named_run(plan, oracle, (model, weight, 0), seed, budget, population)
             results.append((weight, trace.best_target()))
         best_value = min(value for _, value in results)
         tied = [weight for weight, value in results if value == best_value]

@@ -13,7 +13,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .space import Configuration, OptionSpace
+from .space import Configuration, InvalidConfigurationError, OptionSpace
 
 
 class BudgetExhausted(Exception):
@@ -92,11 +92,9 @@ class TabularOracle:
 
     def measure(self, config: Configuration) -> MeasurementRecord:
         try:
-            target, auxiliary = self.rows[config.values]
+            target, auxiliary = self.rows[config]
         except KeyError:
-            raise UnmeasuredConfigError(
-                f"unmeasured configuration {config.values}"
-            ) from None
+            raise UnmeasuredConfigError(f"unmeasured configuration {config}") from None
         return MeasurementRecord(target, auxiliary)
 
 
@@ -142,7 +140,10 @@ def load_table(path: str, space: OptionSpace) -> TabularOracle:
                 raise TableFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
             if not (math.isfinite(target) and math.isfinite(auxiliary)):
                 raise TableFormatError(f"{path}:{lineno}: non-finite measurement")
-            space.config(values)
+            try:
+                space.validate(values)
+            except InvalidConfigurationError as exc:
+                raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
             if values in rows:
                 raise TableFormatError(
                     f"{path}:{lineno}: duplicate configuration row {values}"
@@ -181,7 +182,7 @@ class CommandOracle:
     def measure(self, config: Configuration) -> MeasurementRecord:
         self.space.validate(config)
         env = dict(os.environ)
-        for opt, value in zip(self.space.options, config.values):
+        for opt, value in zip(self.space.options, config):
             env[f"OPT_{opt.name}"] = str(value)
         samples = [self._run_once(env) for _ in range(self.samples)]
         targets, auxiliaries = zip(*samples)
@@ -255,10 +256,10 @@ class SyntheticLandscapeParams:
             raise ValueError("ruggedness must be >= 0")
         if not -1.0 <= self.correlation <= 1.0:
             raise ValueError("correlation must be in [-1, 1]")
-        if self.planted_optimum is None:
+        planted = self.planted_optimum
+        if planted is None:
             planted = self.space.random_config(random.Random(self.seed))
-            object.__setattr__(self, "planted_optimum", planted)
-        self.space.validate(self.planted_optimum)
+        object.__setattr__(self, "planted_optimum", self.space.config(planted))
 
 
 def _unit_hash(seed: int, tag: bytes, values: tuple[int, ...]) -> float:
@@ -294,22 +295,19 @@ class SyntheticOracle:
         if config == p.planted_optimum:
             return -2.0 * p.ruggedness - 0.5
         base = (
-            sum(
-                abs(v - pv)
-                for v, pv in zip(config.values, p.planted_optimum.values)
-            )
+            sum(abs(v - pv) for v, pv in zip(config, p.planted_optimum))
             / self._distance_scale
         )
-        noise = p.ruggedness * _unit_hash(p.seed, b"noise", config.values)
+        noise = p.ruggedness * _unit_hash(p.seed, b"noise", config)
         pit = 0.0
-        if _unit_hash(p.seed, b"pit", config.values) < p.local_optima_density:
+        if _unit_hash(p.seed, b"pit", config) < p.local_optima_density:
             pit = -2.0 * p.ruggedness
         return base + noise + pit
 
     def auxiliary(self, config: Configuration) -> float:
         p = self.params
         rho = p.correlation
-        noise = _unit_hash(p.seed, b"aux", config.values)
+        noise = _unit_hash(p.seed, b"aux", config)
         return rho * self.target(config) + (1.0 - abs(rho)) * noise
 
     def measure(self, config: Configuration) -> MeasurementRecord:

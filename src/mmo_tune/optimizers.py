@@ -141,27 +141,27 @@ def boundary_mutation(
     """Independently reset each option to its lower or upper bound with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
-    values = list(config.values)
+    values = list(config)
     for i, opt in enumerate(space.options):
         if rng.random() < rate:
             values[i] = opt.lower if rng.random() < 0.5 else opt.upper
-    return Configuration(tuple(values))
+    return tuple(values)
 
 
 def uniform_crossover(
     a: Configuration, b: Configuration, rate: float, rng: random.Random
 ) -> tuple[Configuration, Configuration]:
     """Swap each position between the children via a fair coin, with probability ``rate``."""
-    if len(a.values) != len(b.values):
+    if len(a) != len(b):
         raise ValueError("parents come from different spaces")
     if rng.random() >= rate:
         return a, b
-    left = list(a.values)
-    right = list(b.values)
+    left = list(a)
+    right = list(b)
     for i in range(len(left)):
         if rng.random() < 0.5:
             left[i], right[i] = right[i], left[i]
-    return Configuration(tuple(left)), Configuration(tuple(right))
+    return tuple(left), tuple(right)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Configuration spaces: typed options, validation, sampling, neighborhoods."""
+"""Configuration spaces: typed options, validation, sampling, neighborhoods.
+
+A configuration is a plain tuple of integers, one per option in declaration
+order (``Configuration`` names that type). ``OptionSpace.config`` builds a
+validated one from any values; every other method takes and returns tuples.
+"""
 
 from __future__ import annotations
 
@@ -46,11 +51,8 @@ class OptionSpec:
         return self.upper - self.lower + 1
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One integer value per option, in declaration order. Hashable; used as cache key."""
-
-    values: tuple[int, ...]
+# One integer value per option, in declaration order; used as the cache key.
+Configuration = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,16 @@ class OptionSpace:
 
     def config(self, values: Iterable[int]) -> Configuration:
         """Build a validated configuration from per-option values."""
-        cfg = Configuration(tuple(int(v) for v in values))
-        self.validate(cfg)
-        return cfg
+        config = tuple(int(v) for v in values)
+        self.validate(config)
+        return config
 
     def validate(self, config: Configuration) -> None:
-        if len(config.values) != len(self.options):
+        if len(config) != len(self.options):
             raise InvalidConfigurationError(
-                f"expected {len(self.options)} values, got {len(config.values)}"
+                f"expected {len(self.options)} values, got {len(config)}"
             )
-        for opt, value in zip(self.options, config.values):
+        for opt, value in zip(self.options, config):
             if not opt.lower <= value <= opt.upper:
                 raise InvalidConfigurationError(
                     f"option {opt.name!r}: value {value} outside [{opt.lower}, {opt.upper}]"
@@ -98,9 +100,7 @@ class OptionSpace:
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Uniform independent draw per option; deterministic for a seeded rng."""
-        return Configuration(
-            tuple(rng.randint(opt.lower, opt.upper) for opt in self.options)
-        )
+        return tuple(rng.randint(opt.lower, opt.upper) for opt in self.options)
 
     def neighbors(
         self,
@@ -136,10 +136,10 @@ class OptionSpace:
                 continue
             k = rng.randint(1, min(radius, len(mutable)))
             positions = rng.sample(mutable, k)
-            values = list(config.values)
+            values = list(config)
             for i in positions:
                 values[i] = self._resample_excluding(i, values[i], rng)
-            out.append(Configuration(tuple(values)))
+            out.append(tuple(values))
         return out
 
     def _resample_excluding(self, index: int, current: int, rng: random.Random) -> int:
@@ -152,13 +152,12 @@ class OptionSpace:
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic order. Small spaces only."""
         ranges = [range(opt.lower, opt.upper + 1) for opt in self.options]
-        for values in itertools.product(*ranges):
-            yield Configuration(values)
+        yield from itertools.product(*ranges)
 
     def index(self, config: Configuration) -> int:
         """Position of ``config`` in lexicographic order (see ``enumerate_all``)."""
         index = 0
-        for opt, value in zip(self.options, config.values):
+        for opt, value in zip(self.options, config):
             index = index * opt.cardinality + value - opt.lower
         return index
 
@@ -170,7 +169,7 @@ class OptionSpace:
         for opt in reversed(self.options):
             index, digit = divmod(index, opt.cardinality)
             values.append(opt.lower + digit)
-        return Configuration(tuple(reversed(values)))
+        return tuple(reversed(values))
 
 
 def space_to_doc(space: OptionSpace) -> dict:

@@ -92,7 +92,7 @@ def emit_trace(trace: RunTrace, path: str) -> None:
             writer.writerow(
                 [
                     entry.step,
-                    *entry.config.values,
+                    *entry.config,
                     repr(entry.target_raw),
                     repr(entry.auxiliary_raw),
                     entry.consumed_after,

@@ -261,7 +261,7 @@ class _CountingOracle:
 
     def measure(self, config):
         self.calls += 1
-        return MeasurementRecord(float(hash(config.values) % 97), 0.0)
+        return MeasurementRecord(float(hash(config) % 97), 0.0)
 
 
 def test_criterion_6_budget_and_caching_law(tmp_path):
@@ -369,7 +369,7 @@ def test_criterion_8_data_driven_weight_selection(tmp_path):
         )
     )
     rows = {
-        c.values: (landscape.target(c), landscape.auxiliary(c))
+        c: (landscape.target(c), landscape.auxiliary(c))
         for c in space.enumerate_all()
     }
     table_path = write_table(tmp_path / "table12.csv", space, rows)

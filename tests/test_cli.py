@@ -36,7 +36,7 @@ def space_file(tmp_path):
 def table_file(tmp_path):
     space = make_binary_space(6)
     rows = {
-        c.values: (float(sum(c.values)) + 1.0, float(c.values[0]))
+        c: (float(sum(c)) + 1.0, float(c[0]))
         for c in space.enumerate_all()
     }
     return write_table(tmp_path / "table.csv", space, rows)
@@ -171,6 +171,25 @@ class TestNonFiniteWeight:
         assert not out.exists()
 
 
+class TestRepeatedModelsAndWeights:
+    @pytest.mark.parametrize(
+        "models, weights",
+        [("single:rs,Single:RS,mmo:linear", "0.5"), ("single:rs,mmo:linear", "0.5,0.50")],
+        ids=["repeated-model", "repeated-weight"],
+    )
+    def test_campaign_rejects_them(self, models, weights, space_file, table_file,
+                                   tmp_path, capsys):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "10", "--pop", "4", "--repeats", "1",
+            "--models", models, "--weights", weights, "--out", str(out),
+        )
+        assert code == 2
+        assert "must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCampaignCli:
     def test_campaign_then_stats_reproduces_report(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "camp"
@@ -231,11 +250,13 @@ class TestPlanFileChecked:
             lambda plan: plan.update(master_seed="3"),
             lambda plan: plan.update(weights=[1e999]),
             lambda plan: plan["space"]["options"][1].update(lower=False, upper=True),
+            lambda plan: plan.update(weights=[0.5, 0.5]),
+            lambda plan: plan.update(models=["single:rs", "single:rs"]),
         ],
         ids=[
             "fractional-bound", "unknown-direction", "fractional-population",
             "float-budget", "bool-repeats", "string-seed", "infinite-weight",
-            "bool-bounds",
+            "bool-bounds", "repeated-weight", "repeated-model",
         ],
     )
     def test_stats_rejects_edited_plan(self, edit, tmp_path, capsys):
@@ -298,6 +319,28 @@ class TestOtherSubcommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["elapsed_seconds"] > 0.0
+
+    def test_select_weight_names_the_failing_preliminary_run(self, space_file, capsys):
+        code = run_cli(
+            "select-weight", "--space", space_file, "--command", "exit 3",
+            "--samples", "1", "--budget", "30", "--pop", "4",
+            "--models", "mmo:linear", "--weights", "0.1,0.9",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: run failed: model=mmo:linear weight=0.1 run=0: command exited 3"
+        )
+
+    def test_select_weight_full_scale_needs_data_driven(self, space_file, table_file,
+                                                        capsys):
+        code = run_cli(
+            "select-weight", "--space", space_file, "--table", table_file,
+            "--budget", "30", "--pop", "4", "--models", "mmo:linear",
+            "--weights", "0.1,0.9", "--scale", "full",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--scale full" in err and "--method data-driven" in err
 
     def test_sweep_weights_emits_grid(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -133,9 +133,9 @@ def landscapes(tmp_path_factory):
     space = _table_space()
     rng = random.Random(11)
     rows = {
-        config.values: (
-            sum(config.values) + rng.random(),
-            rng.choice((0.5, 1.0, 1.5)) * config.values[0] + rng.random(),
+        config: (
+            sum(config) + rng.random(),
+            rng.choice((0.5, 1.0, 1.5)) * config[0] + rng.random(),
         )
         for config in space.enumerate_all()
     }

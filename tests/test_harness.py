@@ -279,7 +279,7 @@ class TestCampaign:
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_failing_run_is_named_serial_and_parallel(self, binary3, tmp_path, jobs):
-        rows = {c.values: (float(sum(c.values)), 0.0) for c in binary3.enumerate_all()}
+        rows = {c: (float(sum(c)), 0.0) for c in binary3.enumerate_all()}
         for values in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
             del rows[values]
         plan = ExperimentPlan(
@@ -296,7 +296,7 @@ class TestCampaign:
 
     def test_parallel_sends_the_oracle_once_per_worker(self, tmp_path, monkeypatch):
         space = make_binary_space(10)
-        rows = {c.values: (float(sum(c.values)), float(c.values[0])) for c in space.enumerate_all()}
+        rows = {c: (float(sum(c)), float(c[0])) for c in space.enumerate_all()}
         plan = ExperimentPlan(
             space=space,
             oracle_spec={"kind": "table", "path": write_table(tmp_path / "t.csv", space, rows)},
@@ -369,7 +369,7 @@ class TestDataDrivenSelection:
             )
         )
         rows = {
-            c.values: (oracle.target(c), oracle.auxiliary(c))
+            c: (oracle.target(c), oracle.auxiliary(c))
             for c in space.enumerate_all()
         }
         path = write_table(tmp_path / "full.csv", space, rows)

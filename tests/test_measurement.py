@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import stat
 import textwrap
 import time
@@ -43,7 +44,7 @@ class ConstOracle:
 
     def measure(self, config):
         self.calls += 1
-        return MeasurementRecord(float(sum(config.values)), 0.0)
+        return MeasurementRecord(float(sum(config)), 0.0)
 
 
 class TestBudgetLedger:
@@ -100,6 +101,17 @@ class TestTabularOracle:
             record = oracle.measure(binary3.config(values))
             assert record.target_raw == target
             assert record.auxiliary_raw == auxiliary
+
+    def test_measures_a_plain_tuple(self, tmp_path, binary3):
+        path = write_table(tmp_path / "t.csv", binary3, {(1, 0, 1): (3.5, 2.0)})
+        assert load_table(path, space=binary3).measure((1, 0, 1)) == MeasurementRecord(3.5, 2.0)
+
+    def test_out_of_range_value_names_path_and_line(self, tmp_path, binary3):
+        path = tmp_path / "bad.csv"
+        path.write_text("o0,o1,o2,target,auxiliary\n0,0,0,1.00,2.00\n0,1,9,1.00,2.00\n")
+        message = f"{path}:3: option 'o2': value 9 outside [0, 1]"
+        with pytest.raises(TableFormatError, match=re.escape(message)):
+            load_table(str(path), space=binary3)
 
     def test_absent_configuration(self, tmp_path, binary3):
         path = write_table(tmp_path / "t.csv", binary3, {(0, 0, 0): (1.0, 2.0)})
@@ -297,13 +309,22 @@ class TestSyntheticOracle:
         for config, value in values.items():
             flips = [
                 space.config(
-                    [1 - v if i == j else v for j, v in enumerate(config.values)]
+                    [1 - v if i == j else v for j, v in enumerate(config)]
                 )
                 for i in range(8)
             ]
             if all(value < values[n] for n in flips):
                 local_minima.append(config)
         assert local_minima == [params.planted_optimum]
+
+    def test_measures_a_plain_tuple(self, binary3):
+        params = SyntheticLandscapeParams(
+            space=binary3, seed=1, ruggedness=0.3, planted_optimum=[1, 0, 1]
+        )
+        assert params.planted_optimum == (1, 0, 1)
+        oracle = SyntheticOracle(params)
+        assert oracle.measure((1, 0, 1)).target_raw == -2.0 * 0.3 - 0.5
+        assert oracle.measure((0, 0, 1)).target_raw > oracle.measure((1, 0, 1)).target_raw
 
     def test_referentially_transparent(self, binary8):
         params = SyntheticLandscapeParams(space=binary8, seed=13, ruggedness=0.4)

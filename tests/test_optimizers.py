@@ -81,7 +81,7 @@ class TestBoundaryMutation:
         config = space.config([5, 5, 5, 5, 5, 5])
         for _ in range(50):
             mutated = boundary_mutation(space, config, 1.0, rng)
-            assert all(v in (2, 9) for v in mutated.values)
+            assert all(v in (2, 9) for v in mutated)
 
     def test_gene_mutation_frequency_near_rate(self, binary8):
         rng = random.Random(2)
@@ -91,7 +91,7 @@ class TestBoundaryMutation:
         space = OptionSpace((OptionSpec("x", "integer", 0, 10),))
         config = space.config([5])
         flipped = sum(
-            boundary_mutation(space, config, rate, rng).values[0] != 5
+            boundary_mutation(space, config, rate, rng)[0] != 5
             for _ in range(trials)
         )
         sigma = math.sqrt(trials * rate * (1 - rate))
@@ -110,8 +110,8 @@ class TestUniformCrossover:
             a, b = binary8.random_config(rng), binary8.random_config(rng)
             c1, c2 = uniform_crossover(a, b, 1.0, rng)
             for i in range(8):
-                assert sorted((c1.values[i], c2.values[i])) == sorted(
-                    (a.values[i], b.values[i])
+                assert sorted((c1[i], c2[i])) == sorted(
+                    (a[i], b[i])
                 )
 
     def test_space_mismatch(self, binary8, binary3):

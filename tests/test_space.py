@@ -116,7 +116,7 @@ class TestConfigValidation:
             binary3.config([0, 2, 0])
 
     def test_valid(self, binary3):
-        assert binary3.config([1, 0, 1]).values == (1, 0, 1)
+        assert binary3.config([1, 0, 1]) == (1, 0, 1)
 
 
 class TestRandomConfig:
@@ -134,7 +134,7 @@ class TestRandomConfig:
     def test_degenerate_range(self):
         space = OptionSpace((OptionSpec("five", "integer", 5, 5),))
         rng = random.Random(0)
-        assert all(space.random_config(rng).values == (5,) for _ in range(50))
+        assert all(space.random_config(rng) == (5,) for _ in range(50))
 
     def test_uniform_within_three_sigma(self):
         space = OptionSpace(
@@ -146,8 +146,8 @@ class TestRandomConfig:
         digit_counts = [0] * 10
         for _ in range(draws):
             config = space.random_config(rng)
-            bit_ones += config.values[0]
-            digit_counts[config.values[1]] += 1
+            bit_ones += config[0]
+            digit_counts[config[1]] += 1
         assert abs(bit_ones - 5000) <= 3 * math.sqrt(draws * 0.25)
         sigma = math.sqrt(draws * 0.1 * 0.9)
         for count in digit_counts:
@@ -162,7 +162,7 @@ class TestRandomConfig:
 
 
 def hamming(a: Configuration, b: Configuration) -> int:
-    return sum(x != y for x, y in zip(a.values, b.values))
+    return sum(x != y for x, y in zip(a, b))
 
 
 class TestNeighbors:
@@ -202,7 +202,7 @@ class TestNeighbors:
         space = OptionSpace((OptionSpec("a", "integer", 0, 9),))
         rng = random.Random(11)
         config = space.config([4])
-        values = {n.values[0] for n in space.neighbors(config, 1, rng, 500)}
+        values = {n[0] for n in space.neighbors(config, 1, rng, 500)}
         assert 4 not in values
         assert values == set(range(10)) - {4}
 
@@ -239,5 +239,22 @@ class TestLexicographicIndex:
     def test_large_space_decodes_without_enumerating(self):
         space = OptionSpace(tuple(OptionSpec(f"o{i}", "integer", 0, 9) for i in range(12)))
         config = space.config_at(123456789012)
-        assert config.values == (1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2)
+        assert config == (1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2)
         assert space.index(config) == 123456789012
+
+
+class TestTupleBoundary:
+    def test_methods_take_and_return_plain_tuples(self):
+        space = OptionSpace(
+            (OptionSpec("a", "integer", 0, 3), OptionSpec("b", "binary", 0, 1))
+        )
+        assert type(space.config(["2", 1])) is tuple
+        assert space.config(["2", 1]) == (2, 1)
+        rng = random.Random(0)
+        assert type(space.random_config(rng)) is tuple
+        assert all(type(n) is tuple for n in space.neighbors((2, 1), 2, rng, 20))
+        assert list(space.enumerate_all())[:3] == [(0, 0), (0, 1), (1, 0)]
+        assert space.index((3, 1)) == 7
+        for i in range(space.size()):
+            assert type(space.config_at(i)) is tuple
+            assert space.index(space.config_at(i)) == i
