@@ -11,7 +11,6 @@ from .harness import (
     derive_seed,
     emit_trace,
     execute_run,
-    load_trace,
     preliminary_weight_selection,
     recompute_report,
     run_campaign_traces,
@@ -63,6 +62,6 @@ from .stats import (
     utopian,
     wilcoxon_signed_rank,
 )
-from .trace import RunTrace
+from .trace import RunTrace, load_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,12 +42,20 @@ from .space import OptionSpace, space_from_doc, space_to_doc
 from .stats import (
     compare_results,
     efficiency_ratio,
+    mean_best_curve,
     normalized_gain,
     pick_best_counterpart,
     scott_knott,
     utopian,
 )
-from .trace import RunTrace, emit_trace, load_trace, trace_filename, weight_token
+from .trace import (
+    RunSummary,
+    RunTrace,
+    emit_trace,
+    load_summary,
+    trace_filename,
+    weight_token,
+)
 
 SEED_ENV_VAR = "MMO_TUNE_SEED"
 
@@ -327,16 +335,16 @@ def run_campaign_traces(
 
 
 def build_report(
-    plan: ExperimentPlan, traces: dict[tuple[str, float | None, int], RunTrace]
+    plan: ExperimentPlan, runs: dict[tuple[str, float | None, int], RunSummary]
 ) -> dict:
-    """Assemble the campaign report; a pure function of the plan and traces."""
+    """Assemble the campaign report; a pure function of the plan and the
+    summaries of its runs."""
     group_keys = plan.group_keys()
-    group_traces = {
-        key: [traces[(*key, run)] for run in range(plan.repeats)] for key in group_keys
+    group_runs = {
+        key: [runs[(*key, run)] for run in range(plan.repeats)] for key in group_keys
     }
     best_targets = {
-        key: [trace.best_target() for trace in runs]
-        for key, runs in group_traces.items()
+        key: [run.best_target for run in group] for key, group in group_runs.items()
     }
 
     singles = {
@@ -346,7 +354,9 @@ def build_report(
     }
     counterpart = pick_best_counterpart(singles) if singles else None
     counterpart_results = singles.get(counterpart) if counterpart else None
-    counterpart_traces = group_traces.get((counterpart, None))
+    counterpart_curve = (
+        mean_best_curve(group_runs[(counterpart, None)]) if counterpart else None
+    )
 
     all_results = [v for results in best_targets.values() for v in results]
     try:
@@ -364,20 +374,19 @@ def build_report(
     for key in group_keys:
         model, weight = key
         results = best_targets[key]
-        runs = [
-            {
-                "run": run_index,
-                "seed": plan.run_seed(model, weight, run_index),
-                "best_target": trace.best_target(),
-                "measurements_to_best": trace.measurements_to_best(),
-            }
-            for run_index, trace in enumerate(group_traces[key])
-        ]
         entry: dict = {
             "model": model,
             "weight": weight,
             "label": labels[key],
-            "runs": runs,
+            "runs": [
+                {
+                    "run": run_index,
+                    "seed": plan.run_seed(model, weight, run_index),
+                    "best_target": run.best_target,
+                    "measurements_to_best": run.measurements_to_best,
+                }
+                for run_index, run in enumerate(group_runs[key])
+            ],
             "mean": fmean(results),
             "stddev": stdev(results) if len(results) > 1 else 0.0,
             "sk_rank": ranks[labels[key]],
@@ -399,7 +408,8 @@ def build_report(
             entry["a12"] = stat.a12
             entry["a12_magnitude"] = stat.magnitude
             entry["significant"] = stat.significant
-            ratio = efficiency_ratio(group_traces[key], counterpart_traces)
+            curve = mean_best_curve(group_runs[key])
+            ratio = efficiency_ratio(curve, counterpart_curve)
             entry["efficiency_pct"] = ratio
             entry["converged"] = ratio is not None
         groups.append(entry)
@@ -412,6 +422,10 @@ def build_report(
         "utopian": utopian_value,
         "groups": groups,
     }
+
+
+def _summaries(traces: dict[tuple, RunTrace]) -> dict[tuple, RunSummary]:
+    return {key: trace.summary() for key, trace in traces.items()}
 
 
 def best_weight_groups(report: dict) -> dict[str, dict]:
@@ -498,7 +512,8 @@ def data_driven_weight_selection(
     chosen = {}
     for model in plan.mmo_models():
         sub_plan = dataclasses.replace(plan, models=(model,))
-        report = build_report(sub_plan, run_campaign_traces(sub_plan, oracle=table))
+        traces = run_campaign_traces(sub_plan, oracle=table)
+        report = build_report(sub_plan, _summaries(traces))
         chosen[model] = best_weight_groups(report)[model]["weight"]
     return chosen, time.perf_counter() - start
 
@@ -515,7 +530,7 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
         fh.write(plan.canonical_json() + "\n")
     for key in plan.run_keys():
         emit_trace(traces[key], _trace_path(out_dir, key))
-    report = build_report(plan, traces)
+    report = build_report(plan, _summaries(traces))
     write_report(report, out_dir)
     _write_summary(report, os.path.join(out_dir, "summary.csv"))
     return report
@@ -541,14 +556,15 @@ def _write_summary(report: dict, path: str) -> None:
 
 
 def recompute_report(out_dir: str) -> dict:
-    """Rebuild the report purely from the stored plan and traces."""
+    """Rebuild the report purely from the stored plan and traces, each trace
+    reduced to its summary as it is read."""
     with open(os.path.join(out_dir, "plan.json"), "r", encoding="utf-8") as fh:
         plan = plan_from_doc(json.load(fh))
-    traces = {
-        key: load_trace(_trace_path(out_dir, key), plan.space)
+    runs = {
+        key: load_summary(_trace_path(out_dir, key), plan.space)
         for key in plan.run_keys()
     }
-    return build_report(plan, traces)
+    return build_report(plan, runs)
 
 
 def _trace_path(out_dir: str, key: tuple[str, float | None, int]) -> str:

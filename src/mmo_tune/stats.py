@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from statistics import fmean
 from typing import Sequence
 
-from .trace import RunTrace
+from .trace import RunSummary
 
 ALPHA = 0.05
 
@@ -79,36 +80,30 @@ def normalized_gain(
     return total / len(x) * 100.0
 
 
-def _best_so_far_at(trace: RunTrace, count: int) -> float:
-    entries = trace.entries
-    index = min(count, len(entries)) - 1
-    return entries[index].best_so_far
-
-
-def _mean_best_curve(traces: Sequence[RunTrace]) -> list[float]:
-    horizon = max(len(t.entries) for t in traces)
-    return [
-        fmean(_best_so_far_at(t, count) for t in traces)
-        for count in range(1, horizon + 1)
+def mean_best_curve(runs: Sequence[RunSummary]) -> list[float]:
+    """Mean best-so-far after each measurement; a run that stopped early
+    keeps its final best."""
+    if not runs:
+        raise ValueError("run set must be nonempty")
+    horizon = max(len(run.best_so_far) for run in runs)
+    padded = [
+        chain(run.best_so_far, repeat(run.best_target, horizon - len(run.best_so_far)))
+        for run in runs
     ]
+    return list(map(fmean, zip(*padded)))
 
 
 def efficiency_ratio(
-    model_traces: Sequence[RunTrace], baseline_traces: Sequence[RunTrace]
+    model_curve: Sequence[float], baseline_curve: Sequence[float]
 ) -> float | None:
     """Measurements the model needs to reach the baseline's final mean
-    best-so-far level, as a percentage of the baseline's own count.
+    best-so-far level, as a percentage of the baseline's own count; both
+    curves come from ``mean_best_curve``.
 
     Returns None when the model never reaches that level within its budget.
     """
-    if not model_traces or not baseline_traces:
-        raise ValueError("trace sets must be nonempty")
-    if any(not t.entries for t in model_traces) or any(
-        not t.entries for t in baseline_traces
-    ):
-        raise ValueError("traces must contain at least one measurement")
-    baseline_curve = _mean_best_curve(baseline_traces)
-    model_curve = _mean_best_curve(model_traces)
+    if not model_curve or not baseline_curve:
+        raise ValueError("curves must be nonempty")
     level = baseline_curve[-1]
     b = next(i for i, v in enumerate(baseline_curve, start=1) if v <= level)
     m = next((i for i, v in enumerate(model_curve, start=1) if v <= level), None)

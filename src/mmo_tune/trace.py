@@ -1,15 +1,31 @@
-"""The trace of a tuning run and its CSV file format.
+"""The trace of a tuning run, its CSV file format, and the summary a report reads.
 
 A trace is the ordered log of every distinct measurement of one run. Its CSV
 holds one row per measurement (step, option values, raw target and auxiliary,
-budget consumed, best-so-far) and reads back losslessly.
+budget consumed, best-so-far) and reads back losslessly with ``load_trace``.
+
+A report reads three things of a run: its best-so-far column, its final best
+target and the measurements made when that best was first reached.
+``RunSummary`` holds just these, the column as an ``array('d')``.
+``RunTrace.summary`` makes one of a trace in memory; ``load_summary`` reduces a
+trace file to one as it reads it, keeping one float per row.
+
+Both readers check every row with one parser. A malformed row raises
+ValueError starting with ``path:line:``: a wrong cell count, a number that
+does not parse, an option value outside the space, a non-finite target,
+auxiliary or best-so-far, a step or consumed count other than the row's
+number (a run consumes one unit of budget per distinct measurement), or a
+configuration that an earlier row holds.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+from array import array
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import contains
+from typing import Iterator
 
 from .measurement import MeasurementRecord
 from .space import Configuration, OptionSpace
@@ -66,13 +82,28 @@ class RunTrace:
             raise ValueError("empty trace has no best target")
         return self.entries[-1].best_so_far
 
-    def measurements_to_best(self) -> int:
-        """Budget consumed when the final best value was first reached."""
-        best = self.best_target()
-        for entry in self.entries:
-            if entry.best_so_far == best:
-                return entry.consumed_after
-        raise AssertionError("unreachable: best_so_far must appear in entries")
+    def summary(self) -> RunSummary:
+        """The summary a report reads of this run."""
+        return RunSummary.of(array("d", [entry.best_so_far for entry in self.entries]))
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """What a report reads of one run: the best-so-far after each distinct
+    measurement, the final best target, and the measurements made when that
+    best was first reached."""
+
+    best_so_far: array
+    best_target: float
+    measurements_to_best: int
+
+    @classmethod
+    def of(cls, best_so_far: array) -> RunSummary:
+        """The summary of a best-so-far column, one value per measurement."""
+        if not best_so_far:
+            raise ValueError("empty trace has no best target")
+        best = best_so_far[-1]
+        return cls(best_so_far, best, best_so_far.index(best) + 1)
 
 
 def weight_token(weight: float | None) -> str:
@@ -101,42 +132,69 @@ def emit_trace(trace: RunTrace, path: str) -> None:
             )
 
 
-def load_trace(path: str, space: OptionSpace) -> RunTrace:
-    """Read a trace CSV back; lossless against emit_trace.
-
-    A malformed row (wrong cell count, a number that does not parse, an option
-    value outside the space, a non-finite target, auxiliary or best-so-far)
-    raises ValueError starting with ``path:line:``.
-    """
-    trace = RunTrace(space)
+def _read_rows(
+    path: str, space: OptionSpace
+) -> Iterator[tuple[Configuration, float, float, float]]:
+    """Yield (configuration, target, auxiliary, best-so-far) of each row of a
+    trace file, whose step and consumed count are its row number; a malformed
+    row raises ValueError starting with ``path:line:``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _header(space):
             raise ValueError(f"{path}: unexpected trace header {header}")
         n = len(space.names)
-        for line, cells in enumerate(reader, start=2):
+        # Built once per file: a value in its range skips space.validate,
+        # which words the error for one that is not.
+        ranges = tuple(range(opt.lower, opt.upper + 1) for opt in space.options)
+        seen: set[Configuration] = set()
+        for row, cells in enumerate(reader, start=1):
             try:
                 if len(cells) != n + 5:
                     raise ValueError(f"expected {n + 5} cells, got {len(cells)}")
-                entry = TraceEntry(
-                    step=int(cells[0]),
-                    config=space.config(int(v) for v in cells[1 : 1 + n]),
-                    target_raw=float(cells[1 + n]),
-                    auxiliary_raw=float(cells[2 + n]),
-                    consumed_after=int(cells[3 + n]),
-                    best_so_far=float(cells[4 + n]),
-                )
-                if not (
-                    math.isfinite(entry.target_raw)
-                    and math.isfinite(entry.auxiliary_raw)
-                    and math.isfinite(entry.best_so_far)
-                ):
+                step = int(cells[0])
+                config = tuple(map(int, cells[1 : 1 + n]))
+                if not all(map(contains, ranges, config)):
+                    space.validate(config)
+                target = float(cells[1 + n])
+                auxiliary = float(cells[2 + n])
+                consumed = int(cells[3 + n])
+                best = float(cells[4 + n])
+                if not (isfinite(target) and isfinite(auxiliary) and isfinite(best)):
                     raise ValueError("non-finite target, auxiliary or best_so_far")
+                if step != row or consumed != row:
+                    raise ValueError(
+                        f"step {step} and consumed {consumed} must both be the "
+                        f"row number {row}"
+                    )
+                if config in seen:
+                    raise ValueError(f"configuration {config} repeats an earlier row")
+                seen.add(config)
             except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
-            trace.entries.append(entry)
+                raise ValueError(f"{path}:{row + 1}: {exc}") from exc
+            yield config, target, auxiliary, best
+
+
+def load_trace(path: str, space: OptionSpace) -> RunTrace:
+    """Read a trace CSV back; lossless against emit_trace. A malformed row
+    raises ValueError starting with ``path:line:``."""
+    trace = RunTrace(space)
+    trace.entries = [
+        TraceEntry(step, config, target, auxiliary, step, best)
+        for step, (config, target, auxiliary, best) in enumerate(
+            _read_rows(path, space), start=1
+        )
+    ]
     return trace
+
+
+def load_summary(path: str, space: OptionSpace) -> RunSummary:
+    """The summary of a trace CSV, read without holding its rows."""
+    column = array("d", (best for _, _, _, best in _read_rows(path, space)))
+    try:
+        return RunSummary.of(column)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def trace_filename(model: str, weight: float | None, run_index: int) -> str:

@@ -238,6 +238,21 @@ class TestCampaignCli:
         assert not (out / "report.json").exists()
 
 
+    def test_stats_names_a_header_only_trace(self, space_file, table_file, tmp_path, capsys):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "8", "--repeats", "2", "--models", "single:rs",
+            "--out", str(out),
+        )
+        assert code == 0
+        trace = out / "traces" / trace_filename("single:rs", None, 1)
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {trace}: empty trace has no best target\n"
+
+
 class TestPlanFileChecked:
     @pytest.mark.parametrize(
         "edit",

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
 import os
 import pickle
+import random
 import re
+import tracemalloc
 from multiprocessing.reduction import ForkingPickler
 from statistics import fmean
 
@@ -24,7 +27,6 @@ from mmo_tune.harness import (
     derive_seed,
     emit_trace,
     execute_run,
-    load_trace,
     plan_from_doc,
     preliminary_weight_selection,
     recompute_report,
@@ -38,8 +40,14 @@ from mmo_tune.measurement import BudgetLedger, SyntheticLandscapeParams, Synthet
 from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
 from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
+import mmo_tune.trace
+from mmo_tune.trace import load_summary, load_trace
 
 from conftest import make_binary_space, write_table
+
+
+def summaries(traces):
+    return {key: trace.summary() for key, trace in traces.items()}
 
 
 def synthetic_plan(space, models, repeats=3, budget=40, pop=4, seed=5, weights=(0.1, 0.9)):
@@ -150,16 +158,17 @@ class TestTraceFiles:
         assert len(path.read_text().splitlines()) == 1001
 
     @staticmethod
-    def _edited_trace(space, tmp_path, edit, line=2):
-        """A short RS trace with its ``line`` (1 is the header) passed through
-        ``edit``."""
+    def _edited_trace(space, tmp_path, edit, *lines):
+        """A short RS trace with each of its ``lines`` (1 is the header) passed
+        through ``edit``."""
         oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=1))
         trace = run_rs(space, BudgetLedger(5), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
-        lines = path.read_text().splitlines()
-        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
-        path.write_text("\n".join(lines) + "\n")
+        text = path.read_text().splitlines()
+        for line in lines:
+            text[line - 1] = ",".join(edit(text[line - 1].split(",")))
+        path.write_text("\n".join(text) + "\n")
         return str(path)
 
     @pytest.mark.parametrize(
@@ -173,29 +182,38 @@ class TestTraceFiles:
     )
     def test_malformed_trace_fails_as_before(self, binary3, tmp_path, line, edit, message):
         path = self._edited_trace(binary3, tmp_path, edit, line)
-        with pytest.raises(ValueError, match=message):
-            load_trace(path, binary3)
+        for read in (load_trace, load_summary):
+            with pytest.raises(ValueError, match=message):
+                read(path, binary3)
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "lines, edit, message",
         [
-            (lambda cells: [*cells[:4], "nan", *cells[5:]], "non-finite"),
-            (lambda cells: [*cells[:7], "-inf"], "non-finite"),
-            (lambda cells: [*cells[:5], "inf", *cells[6:]], "non-finite"),
-            (lambda cells: [*cells, "1"], "expected 8 cells, got 9"),
-            (lambda cells: cells[:6], "expected 8 cells, got 6"),
-            (lambda cells: [*cells[:6], "five", cells[7]], "invalid literal for int"),
-            (lambda cells: [cells[0], "2", *cells[2:]], r"value 2 outside \[0, 1\]"),
+            ((2,), lambda cells: [*cells[:4], "nan", *cells[5:]], "non-finite"),
+            ((2,), lambda cells: [*cells[:7], "-inf"], "non-finite"),
+            ((2,), lambda cells: [*cells[:5], "inf", *cells[6:]], "non-finite"),
+            ((2,), lambda cells: [*cells, "1"], "expected 8 cells, got 9"),
+            ((2,), lambda cells: cells[:6], "expected 8 cells, got 6"),
+            ((2,), lambda cells: [*cells[:6], "five", cells[7]], "invalid literal for int"),
+            ((2,), lambda cells: [cells[0], "2", *cells[2:]], r"value 2 outside \[0, 1\]"),
+            ((2,), lambda cells: ["2", *cells[1:]],
+             "step 2 and consumed 1 must both be the row number 1"),
+            ((2,), lambda cells: [*cells[:6], "0", cells[7]],
+             "step 1 and consumed 0 must both be the row number 1"),
+            ((2, 3), lambda cells: [cells[0], "1", "1", "1", *cells[4:]],
+             re.escape("configuration (1, 1, 1) repeats an earlier row")),
         ],
         ids=[
             "nan-target", "minus-inf-best", "inf-auxiliary", "extra-cell",
             "short-row", "unparsed-consumed", "out-of-range-value",
+            "step-not-row-number", "consumed-not-row-number", "repeated-configuration",
         ],
     )
-    def test_malformed_row_names_path_and_line(self, binary3, tmp_path, edit, message):
-        path = self._edited_trace(binary3, tmp_path, edit)
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}:2: .*{message}"):
-            load_trace(path, binary3)
+    def test_malformed_row_names_path_and_line(self, binary3, tmp_path, lines, edit, message):
+        path = self._edited_trace(binary3, tmp_path, edit, *lines)
+        for read in (load_trace, load_summary):
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}:{lines[-1]}: .*{message}"):
+                read(path, binary3)
 
     def test_filename_scheme(self):
         assert trace_filename("single:shc-r", None, 3) == "single_shc_r__run003.csv"
@@ -252,7 +270,7 @@ class TestCampaign:
             repeats=4,
             budget=30,
         )
-        report = build_report(plan, run_campaign_traces(plan))
+        report = build_report(plan, summaries(run_campaign_traces(plan)))
         assert report["best_counterpart"] in ("single:rs", "single:shc-r")
         by_label = {g["label"]: g for g in report["groups"]}
         for label, group in by_label.items():
@@ -323,9 +341,59 @@ class TestCampaign:
 
     def test_parallel_equals_sequential(self, binary8, tmp_path):
         plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)
-        sequential = build_report(plan, run_campaign_traces(plan, jobs=1))
-        parallel = build_report(plan, run_campaign_traces(plan, jobs=2))
+        sequential = build_report(plan, summaries(run_campaign_traces(plan, jobs=1)))
+        parallel = build_report(plan, summaries(run_campaign_traces(plan, jobs=2)))
         assert report_bytes(sequential) == report_bytes(parallel)
+
+
+class TestStoredCampaignRebuild:
+    """``recompute_report`` on a campaign written straight to disk: 3 groups of
+    20 runs, 1,000 rows each (60,000 stored rows)."""
+
+    ROWS = 1000
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        space = make_binary_space(10)
+        plan = synthetic_plan(
+            space, ("single:rs", "pmo", "mmo:linear"), repeats=20,
+            budget=self.ROWS, weights=(0.5,),
+        )
+        out = tmp_path_factory.mktemp("stored")
+        (out / "plan.json").write_text(plan.canonical_json() + "\n")
+        os.mkdir(out / "traces")
+        rng = random.Random(8)
+        for key in plan.run_keys():
+            best = math.inf
+            with open(out / "traces" / trace_filename(*key), "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["step", *space.names, "target", "auxiliary",
+                                 "consumed", "best_so_far"])
+                for step in range(1, self.ROWS + 1):
+                    target = round(rng.uniform(0.0, 100.0), 2)
+                    best = min(best, target)
+                    writer.writerow([step, *space.config_at(step - 1), repr(target),
+                                     repr(rng.random()), step, repr(best)])
+        return str(out), len(plan.run_keys()) * self.ROWS
+
+    def test_memory_per_stored_row(self, stored):
+        out, rows = stored
+        tracemalloc.start()
+        try:
+            recompute_report(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows >= 50_000
+        assert peak / rows < 32
+
+    def test_builds_no_trace_entry(self, stored, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report rebuild built a TraceEntry")
+
+        monkeypatch.setattr(mmo_tune.trace, "TraceEntry", refuse)
+        report = recompute_report(stored[0])
+        assert [len(g["runs"]) for g in report["groups"]] == [20, 20, 20]
 
 
 class TestWeightSelection:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from statistics import fmean
 
 import pytest
 
-from mmo_tune.trace import RunTrace, TraceEntry
-from mmo_tune.space import OptionSpace, OptionSpec
+from mmo_tune.trace import RunSummary
 from mmo_tune.stats import (
     ALPHA,
     a12,
@@ -18,6 +18,7 @@ from mmo_tune.stats import (
     compare_results,
     efficiency_ratio,
     f1_sf,
+    mean_best_curve,
     normalized_gain,
     pick_best_counterpart,
     scott_knott,
@@ -368,38 +369,45 @@ class TestPickBestCounterpart:
 
 
 def step_trace(best_values):
-    """Fabricate a trace whose best-so-far curve follows ``best_values``."""
-    space = OptionSpace((OptionSpec("x", "integer", 0, 10_000),))
-    trace = RunTrace(space)
-    for i, value in enumerate(best_values):
-        trace.entries.append(
-            TraceEntry(
-                step=i + 1,
-                config=space.config([i]),
-                target_raw=value,
-                auxiliary_raw=0.0,
-                consumed_after=i + 1,
-                best_so_far=value,
-            )
-        )
-    return trace
+    """The summary of a run whose best-so-far curve follows ``best_values``."""
+    return RunSummary.of(array("d", best_values))
+
+
+def ratio(model, baseline):
+    return efficiency_ratio(mean_best_curve(model), mean_best_curve(baseline))
 
 
 class TestEfficiencyRatio:
     def test_identical_sets_are_hundred_percent(self):
         traces = [step_trace([10.0, 9.0, 8.0]), step_trace([10.0, 8.0, 8.0])]
-        assert efficiency_ratio(traces, traces) == 100.0
+        assert ratio(traces, traces) == 100.0
 
     def test_never_reaching_baseline_is_not_converged(self):
         baseline = [step_trace([5.0, 4.0, 3.0])]
         model = [step_trace([9.0, 8.0, 7.0])]
-        assert efficiency_ratio(model, baseline) is None
+        assert ratio(model, baseline) is None
 
     def test_hand_built_step_functions(self):
         baseline = [step_trace([10.0] * 99 + [5.0])]
         model = [step_trace([10.0] * 23 + [5.0] * 27)]
-        assert efficiency_ratio(model, baseline) == pytest.approx(24.0)
+        assert ratio(model, baseline) == pytest.approx(24.0)
 
     def test_empty_trace_set_rejected(self):
         with pytest.raises(ValueError):
-            efficiency_ratio([], [step_trace([1.0])])
+            efficiency_ratio([], mean_best_curve([step_trace([1.0])]))
+        with pytest.raises(ValueError):
+            mean_best_curve([])
+
+    def test_short_run_keeps_its_final_best(self):
+        curve = mean_best_curve([step_trace([6.0, 2.0]), step_trace([4.0])])
+        assert curve == [5.0, 3.0]
+
+
+class TestRunSummary:
+    def test_first_reach_of_the_final_best(self):
+        run = step_trace([9.0, 4.0, 4.0, 4.0])
+        assert (run.best_target, run.measurements_to_best) == (4.0, 2)
+
+    def test_empty_run_has_no_best(self):
+        with pytest.raises(ValueError, match="empty trace has no best target"):
+            step_trace([])
