@@ -57,12 +57,17 @@ class NormalizationBounds:
         self.mins = [math.inf] * 2
         self.maxs = [-math.inf] * 2
 
-    def observe(self, point: tuple[float, ...]) -> None:
+    def observe(self, point: tuple[float, ...]) -> bool:
+        """Widen the bounds to cover ``point``; True if a bound moved."""
+        moved = False
         for i, value in enumerate(point):
             if value < self.mins[i]:
                 self.mins[i] = value
+                moved = True
             if value > self.maxs[i]:
                 self.maxs[i] = value
+                moved = True
+        return moved
 
     def normalize(self, value: float, objective: int) -> float:
         """Max-min scale into [0, 1]; a degenerate range maps to 0.5.

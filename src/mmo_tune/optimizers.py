@@ -87,6 +87,8 @@ class _Run:
         self.rng = random.Random(cfg.seed)
         self.trace = RunTrace(space)
         self._space_size = space.size()
+        # The ledger count at which no distinct measurement is left to make.
+        self._stop = min(ledger.limit, self._space_size)
 
     def measure(self, config: Configuration) -> tuple[float, float]:
         """Measure through the cache and return the (target, auxiliary) pair
@@ -108,7 +110,7 @@ class _Run:
 
     def finished(self) -> bool:
         """No further distinct measurement is possible: budget or space is spent."""
-        return self.ledger.consumed >= min(self.ledger.limit, self._space_size)
+        return self.ledger.consumed >= self._stop
 
     def fresh_uniform(self) -> Configuration | None:
         """A uniform draw over the not-yet-measured configurations, if any remain.
@@ -450,27 +452,35 @@ def run_nsga2(
     """NSGA-II over the plain or meta bi-objective model.
 
     Normalization bounds widen dynamically with every measurement, and all
-    retained individuals' objective points are recomputed from the current
-    bounds before each selection step. The reported result of the run is the
-    best measured target over the whole trace, not a survivor of selection.
+    retained individuals' objective points follow the current bounds before
+    each selection step: a point is kept per configuration until a
+    measurement moves a bound. The reported result of the run is the best
+    measured target over the whole trace, not a survivor of selection.
     """
     if model != PMO and not isinstance(model, MmoInstance):
         raise ValueError(f"model must be {PMO!r} or an MmoInstance, got {model!r}")
     run = _Run(space, ledger, oracle, cfg)
     bounds = NormalizationBounds()
+    points: dict[Configuration, ObjectivePoint] = {}  # under the current bounds
 
     def evaluate(config: Configuration) -> tuple[Configuration, float, float]:
         ft, fa = run.measure(config)
-        bounds.observe((ft, fa))
+        if bounds.observe((ft, fa)):
+            points.clear()
         return config, ft, fa
 
     def objective_point(individual: tuple[Configuration, float, float]) -> ObjectivePoint:
-        _, ft, fa = individual
-        ft_n = bounds.normalize(ft, 0)
-        fa_n = bounds.normalize(fa, 1)
-        if model == PMO:
-            return pmo_objectives(ft_n, fa_n)
-        return meta_objectives(model, ft_n, fa_n)
+        config, ft, fa = individual
+        point = points.get(config)
+        if point is None:
+            ft_n = bounds.normalize(ft, 0)
+            fa_n = bounds.normalize(fa, 1)
+            if model == PMO:
+                point = pmo_objectives(ft_n, fa_n)
+            else:
+                point = meta_objectives(model, ft_n, fa_n)
+            points[config] = point
+        return point
 
     def rank(population: list[tuple]) -> list[tuple[int, float]]:
         """(front, -crowding distance) per individual."""

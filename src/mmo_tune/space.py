@@ -3,6 +3,13 @@
 A configuration is a plain tuple of integers, one per option in declaration
 order (``Configuration`` names that type). ``OptionSpace.config`` builds a
 validated one from any values; every other method takes and returns tuples.
+
+Validation guards input from outside the space: ``config``, and through it
+or ``validate`` the table loader, the trace readers, the oracles'
+``measure`` and a planted optimum. The methods that take a configuration
+(``neighbors``, ``index``) trust it to be one of this space, as every
+configuration that ``random_config``, ``neighbors`` and ``config_at`` build
+is; a local search therefore pays for nothing but its random draws.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import logging
 import random
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
@@ -70,9 +78,20 @@ class OptionSpace:
                 raise SpaceError(f"duplicate option name {opt.name!r}")
             seen.add(opt.name)
 
+    def __getstate__(self) -> dict:
+        # Pickle the field alone, as before any cached value was computed.
+        return {"options": self.options}
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(opt.name for opt in self.options)
+
+    @cached_property
+    def _mutable(self) -> tuple[int, ...]:
+        """Positions of the options with more than one value: the ones a
+        neighbor can change. Computed once; not a field, so equality, hashing
+        and the document form see only ``options``."""
+        return tuple(i for i, opt in enumerate(self.options) if opt.cardinality > 1)
 
     def size(self) -> int:
         """Number of distinct configurations (product of option cardinalities)."""
@@ -114,8 +133,9 @@ class OptionSpace:
         Each neighbor changes between 1 and ``radius`` positions; a changed value
         is drawn uniformly from the option range excluding the current value.
         A radius above the option count is clamped (reported, not fatal).
+        ``config`` must be a configuration of this space, as with ``index``:
+        it is not validated.
         """
-        self.validate(config)
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
         if count < 1:
@@ -127,14 +147,14 @@ class OptionSpace:
                 len(self.options),
             )
             radius = len(self.options)
-        mutable = [i for i, opt in enumerate(self.options) if opt.cardinality > 1]
+        mutable = self._mutable
+        if not mutable:
+            # Space of size 1: the input is its only configuration.
+            return [config] * count
+        most = min(radius, len(mutable))
         out: list[Configuration] = []
         for _ in range(count):
-            if not mutable:
-                # Space of size 1: the input is its only configuration.
-                out.append(config)
-                continue
-            k = rng.randint(1, min(radius, len(mutable)))
+            k = rng.randint(1, most)
             positions = rng.sample(mutable, k)
             values = list(config)
             for i in positions:

@@ -50,6 +50,10 @@ class RunTrace:
     space: OptionSpace
     entries: list[TraceEntry] = field(default_factory=list)
     restarts: int = 0
+    _recorded: set[Configuration] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._recorded = {entry.config for entry in self.entries}
 
     def record(
         self,
@@ -59,15 +63,21 @@ class RunTrace:
         target: float,
     ) -> None:
         """Append a distinct measurement; ``target`` is its direction-converted
-        target, which the best-so-far tracks."""
+        target, which the best-so-far tracks. Raises ValueError, as the trace
+        readers do, when ``consumed`` is not the new row number or ``config``
+        is already recorded."""
+        step = len(self.entries) + 1
+        if consumed != step:
+            raise ValueError(f"consumed {consumed} must be the row number {step}")
+        if config in self._recorded:
+            raise ValueError(f"configuration {config} repeats an earlier row")
+        self._recorded.add(config)
         best = target
         if self.entries:
-            if consumed < self.entries[-1].consumed_after:
-                raise ValueError("budget consumption must be nondecreasing")
             best = min(best, self.entries[-1].best_so_far)
         self.entries.append(
             TraceEntry(
-                step=len(self.entries) + 1,
+                step=step,
                 config=config,
                 target_raw=measurement.target_raw,
                 auxiliary_raw=measurement.auxiliary_raw,
@@ -178,14 +188,15 @@ def _read_rows(
 def load_trace(path: str, space: OptionSpace) -> RunTrace:
     """Read a trace CSV back; lossless against emit_trace. A malformed row
     raises ValueError starting with ``path:line:``."""
-    trace = RunTrace(space)
-    trace.entries = [
-        TraceEntry(step, config, target, auxiliary, step, best)
-        for step, (config, target, auxiliary, best) in enumerate(
-            _read_rows(path, space), start=1
-        )
-    ]
-    return trace
+    return RunTrace(
+        space,
+        [
+            TraceEntry(step, config, target, auxiliary, step, best)
+            for step, (config, target, auxiliary, best) in enumerate(
+                _read_rows(path, space), start=1
+            )
+        ],
+    )
 
 
 def load_summary(path: str, space: OptionSpace) -> RunSummary:

@@ -36,7 +36,12 @@ from mmo_tune.harness import (
     weight_token,
     write_campaign,
 )
-from mmo_tune.measurement import BudgetLedger, SyntheticLandscapeParams, SyntheticOracle
+from mmo_tune.measurement import (
+    BudgetLedger,
+    MeasurementRecord,
+    SyntheticLandscapeParams,
+    SyntheticOracle,
+)
 from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
 from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
@@ -140,6 +145,25 @@ class TestTraceFiles:
         emit_trace(trace, str(path))
         loaded = load_trace(str(path), binary8)
         assert loaded.entries == trace.entries
+
+    def test_record_rejects_what_the_reader_rejects(self, binary3, tmp_path):
+        m = MeasurementRecord(1.0, 2.0)
+        trace = RunTrace(binary3)
+        trace.record((0, 0, 0), m, 1, 1.0)
+        with pytest.raises(ValueError, match=r"^consumed 1 must be the row number 2$"):
+            trace.record((0, 0, 1), m, 1, 0.5)
+        with pytest.raises(ValueError, match=r"^consumed 3 must be the row number 2$"):
+            trace.record((0, 0, 1), m, 3, 0.5)
+        with pytest.raises(ValueError, match=r"^configuration \(0, 0, 0\) repeats an earlier row$"):
+            trace.record((0, 0, 0), m, 2, 0.5)
+        assert len(trace.entries) == 1
+        trace.record((0, 0, 1), m, 2, 0.5)
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, str(path))
+        loaded = load_trace(str(path), binary3)
+        assert loaded == trace
+        with pytest.raises(ValueError, match="repeats an earlier row"):
+            loaded.record((0, 0, 1), m, 3, 0.5)
 
     def test_empty_trace_is_header_only(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"

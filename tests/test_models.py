@@ -65,6 +65,17 @@ class TestNormalizationBounds:
         assert bounds.mins == [3.0, 7.0]
         assert bounds.maxs == [5.0, 9.0]
 
+    def test_observe_reports_whether_a_bound_moved(self):
+        bounds = NormalizationBounds()
+        assert bounds.observe((5.0, 7.0)) is True
+        assert bounds.observe((5.0, 7.0)) is False
+        assert bounds.observe((4.0, 7.0)) is True  # one lower bound
+        assert bounds.observe((4.5, 7.0)) is False  # inside
+        assert bounds.observe((4.5, 8.0)) is True  # one upper bound
+        assert bounds.observe((4.0, 8.0)) is False  # on both bounds
+        assert bounds.observe((6.0, 6.0)) is True  # two bounds
+        assert (bounds.mins, bounds.maxs) == ([4.0, 6.0], [6.0, 8.0])
+
     def test_scaling(self):
         bounds = NormalizationBounds()
         bounds.observe((0.0, 0.0))

@@ -16,6 +16,8 @@ from mmo_tune.measurement import (
     SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
+    UnmeasuredConfigError,
+    load_table,
 )
 from mmo_tune.models import PMO, MmoInstance, _sort_by_domination_counts, dominance
 from mmo_tune.optimizers import (
@@ -33,9 +35,9 @@ from mmo_tune.optimizers import (
     run_soga,
     uniform_crossover,
 )
-from mmo_tune.space import OptionSpace, OptionSpec
+from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec
 
-from conftest import make_binary_space
+from conftest import make_binary_space, write_table
 
 
 def synthetic(space, seed=7, ruggedness=0.4, density=0.1, correlation=0.3):
@@ -395,6 +397,46 @@ class TestNsga2:
                 PMO,
                 OptimizerConfig(population_size=1),
             )
+
+
+class TestTrustedProposals:
+    """A local-search proposal validates nothing; input from outside the
+    space is checked where it enters and where it is measured."""
+
+    @pytest.mark.parametrize("runner", [run_sa, run_shc_restart])
+    def test_table_run_validates_nothing_after_loading(self, runner, tmp_path, monkeypatch):
+        space = OptionSpace(
+            (
+                OptionSpec("a", "integer", 1, 4),
+                OptionSpec("b", "integer", 0, 2),
+                OptionSpec("c", "binary", 0, 1),
+            )
+        )
+        rows = {c: (float(sum(c) % 5), float(c[0])) for c in space.enumerate_all()}
+        oracle = load_table(write_table(tmp_path / "t.csv", space, rows), space)
+        validated = []
+        validate = OptionSpace.validate
+        monkeypatch.setattr(
+            OptionSpace,
+            "validate",
+            lambda self, config: validated.append(config) or validate(self, config),
+        )
+        cfg = OptimizerConfig(population_size=4, seed=3)
+        trace = runner(space, BudgetLedger(20), oracle, cfg)
+        assert len(trace.entries) == 20
+        assert validated == []
+
+    def test_neighbor_of_an_outside_incumbent_is_refused_when_measured(
+        self, binary3, tmp_path
+    ):
+        rows = {c: (0.0, 0.0) for c in binary3.enumerate_all()}
+        table = load_table(write_table(tmp_path / "t.csv", binary3, rows), binary3)
+        neighbors = binary3.neighbors((7, 0, 0), 1, random.Random(0), 20)
+        neighbor = next(n for n in neighbors if n[0] == 7)
+        with pytest.raises(InvalidConfigurationError):
+            synthetic(binary3).measure(neighbor)
+        with pytest.raises(UnmeasuredConfigError):
+            table.measure(neighbor)
 
 
 class TestOptimizerConfig:

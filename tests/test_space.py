@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from mmo_tune.space import (
     OptionSpec,
     SpaceError,
     parse_space,
+    space_to_doc,
 )
 
 from conftest import make_binary_space
@@ -215,6 +218,40 @@ class TestNeighbors:
     def test_bad_radius(self, binary3):
         with pytest.raises(ValueError):
             binary3.neighbors(binary3.config([0, 0, 0]), 0, random.Random(0), 1)
+
+    def test_single_value_options_never_change(self):
+        space = OptionSpace(
+            (
+                OptionSpec("a", "integer", 0, 3),
+                OptionSpec("fixed", "integer", 5, 5),
+                OptionSpec("b", "binary", 0, 1),
+                OptionSpec("pinned", "integer", 2, 2),
+            )
+        )
+        config = space.config([1, 5, 0, 2])
+        neighbors = space.neighbors(config, 4, random.Random(5), 400)
+        assert all((n[1], n[3]) == (5, 2) for n in neighbors)
+        # k is drawn up to the two mutable positions, not up to the radius.
+        assert {hamming(config, n) for n in neighbors} == {1, 2}
+
+    def test_cached_positions_leave_identity_unchanged(self):
+        def build():
+            return OptionSpace(
+                (OptionSpec("a", "integer", 1, 8), OptionSpec("c", "integer", 3, 3))
+            )
+
+        used, fresh = build(), build()
+        used.neighbors((1, 3), 1, random.Random(0), 5)
+        assert [f.name for f in dataclasses.fields(OptionSpace)] == ["options"]
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert space_to_doc(used) == space_to_doc(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used
+        assert restored.neighbors((1, 3), 1, random.Random(0), 5) == used.neighbors(
+            (1, 3), 1, random.Random(0), 5
+        )
 
 
 class TestLexicographicIndex:
