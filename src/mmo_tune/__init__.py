@@ -31,10 +31,8 @@ from .models import (
     PMO,
     MmoInstance,
     NormalizationBounds,
-    dominance,
     fast_nondominated_sort,
     meta_objectives,
-    pareto_front,
     pmo_objectives,
     to_minimization,
 )

@@ -180,7 +180,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         plan.directions,
     )
     emit_trace(trace, args.out)
-    best = trace.best_target() if trace.entries else None
+    best = trace.summary().best_target if trace.entries else None
     print(
         json.dumps(
             {

@@ -476,7 +476,7 @@ def preliminary_weight_selection(
                 plan.master_seed, "prelim", model, weight_token(weight), 0
             )
             trace = _named_run(plan, oracle, (model, weight, 0), seed, budget, population)
-            results.append((weight, trace.best_target()))
+            results.append((weight, trace.summary().best_target))
         best_value = min(value for _, value in results)
         tied = [weight for weight, value in results if value == best_value]
         if len(tied) == 1:

@@ -1,10 +1,12 @@
-"""Optimization models: direction handling, max-min scaling, meta-objectives, dominance.
+"""Optimization models: direction handling, max-min scaling, meta-objectives
+and the bi-objective nondominated sort.
 
 Three models are supported. The single-objective model minimizes the
 direction-converted target alone. The plain bi-objective model (PMO) minimizes
 the (target, auxiliary) pair as equals. The meta bi-objective model (MMO)
 minimizes g1 = ft + w*phi(fa) and g2 = ft - w*phi(fa): the target stays primary
 while configurations with dissimilar auxiliary values become incomparable.
+Both multi-objective models minimize a pair, so an objective point is a pair.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Literal
 
 from .measurement import MeasurementRecord
 
-ObjectivePoint = tuple[float, ...]
+ObjectivePoint = tuple[float, float]
 
 Direction = Literal["minimize", "maximize"]
 
@@ -28,7 +30,11 @@ PMO = "pmo"
 
 
 def check_directions(directions: tuple[str, ...]) -> None:
-    """Reject any direction other than "minimize" and "maximize"."""
+    """Require a (target, auxiliary) pair of "minimize" or "maximize"."""
+    if len(directions) != 2:
+        raise ValueError(
+            f"directions must be a (target, auxiliary) pair, got {len(directions)}"
+        )
     for direction in directions:
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
@@ -119,82 +125,27 @@ def pmo_objectives(ft_norm: float, fa_norm: float) -> ObjectivePoint:
     return (ft_norm, fa_norm)
 
 
-def dominance(u: ObjectivePoint, v: ObjectivePoint) -> int:
-    """Pareto comparison: 1 if u dominates v, -1 if v dominates u, 0 otherwise.
-
-    u dominates v iff u <= v componentwise with at least one strict inequality;
-    equal points are mutually nondominated.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"objective length mismatch: {len(u)} vs {len(v)}")
-    u_better = False
-    v_better = False
-    for a, b in zip(u, v):
-        if a < b:
-            u_better = True
-        elif b < a:
-            v_better = True
-    if u_better and not v_better:
-        return 1
-    if v_better and not u_better:
-        return -1
-    return 0
-
-
 def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
-    """Partition indices into fronts: front 0 is the nondominated set, front k
-    is nondominated once fronts < k are removed.
+    """Partition the indices of objective pairs into fronts: front 0 is the
+    nondominated set, front k is nondominated once fronts < k are removed.
+    A point that is not a pair raises ValueError; equal points share a front.
 
     Front 0 lists its indices ascending. Front k >= 1 lists them in the order
-    the general counting loop discovers them: by the position in front k-1 of
-    a member's last dominator there, then by index. Crowding ties depend on
-    this order, so the two-objective path reproduces it exactly.
+    the counting loop of Deb et al. 2002 discovers them: by the position in
+    front k-1 of a member's last dominator there, then by index. Crowding ties
+    depend on this order; the tests keep that loop as its reference.
+
+    The sort is O(N log N) (Jensen 2003; ENS-BS, Zhang et al. 2015). Visited
+    in lexicographic order, a point is dominated by an earlier one iff that
+    one has no larger second objective and differs from it. Within a front
+    the second objective falls in lexicographic order, so the front's last
+    member decides, and the first front it does not dominate is found by
+    binary search.
     """
     if not points:
         raise ValueError("cannot sort an empty point set")
-    if all(len(p) == 2 for p in points):
-        return _sort_two_objectives(points)
-    return _sort_by_domination_counts(points)
-
-
-def _sort_by_domination_counts(points: list[ObjectivePoint]) -> list[list[int]]:
-    """The O(M N^2) sort of Deb et al. 2002 for any number of objectives."""
-    n = len(points)
-    dominated: list[list[int]] = [[] for _ in range(n)]
-    counts = [0] * n
-    for i in range(n):
-        pi = points[i]
-        for j in range(i + 1, n):
-            d = dominance(pi, points[j])
-            if d > 0:
-                dominated[i].append(j)
-                counts[j] += 1
-            elif d < 0:
-                dominated[j].append(i)
-                counts[i] += 1
-    fronts: list[list[int]] = []
-    current = [i for i in range(n) if counts[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated[i]:
-                counts[j] -= 1
-                if counts[j] == 0:
-                    nxt.append(j)
-        current = nxt
-    return fronts
-
-
-def _sort_two_objectives(points: list[ObjectivePoint]) -> list[list[int]]:
-    """O(N log N) bi-objective sort (Jensen 2003; ENS-BS, Zhang et al. 2015).
-
-    Visited in lexicographic order, a point is dominated by an earlier one iff
-    that one has no larger second objective and differs from it. Within a
-    front the second objective falls in lexicographic order, so the front's
-    last member decides, and the first front it does not dominate is found
-    by binary search. Equal points share a front.
-    """
+    if not all(len(p) == 2 for p in points):
+        raise ValueError("every objective point must be a pair")
     lex_fronts: list[list[int]] = []
     for i in sorted(range(len(points)), key=points.__getitem__):
         p = points[i]
@@ -239,7 +190,3 @@ def _sort_two_objectives(points: list[ObjectivePoint]) -> list[list[int]]:
         fronts.append([i for _, i in keyed])
     return fronts
 
-
-def pareto_front(points: list[ObjectivePoint]) -> list[int]:
-    """Indices of the points dominated by no other point in the set, ascending."""
-    return fast_nondominated_sort(points)[0]

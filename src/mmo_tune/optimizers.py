@@ -171,13 +171,14 @@ def uniform_crossover(
 
 
 def crowding_distance(points: list[ObjectivePoint]) -> list[float]:
-    """Crowding distances within one front: boundary points get +inf, interior
-    points accumulate (next - prev) / (max - min) per objective."""
+    """Crowding distances within one front of objective pairs: boundary points
+    get +inf, interior points accumulate (next - prev) / (max - min) per
+    objective."""
     k = len(points)
     if k == 0:
         raise ValueError("empty front")
     distances = [0.0] * k
-    for m in range(len(points[0])):
+    for m in (0, 1):
         order = sorted(range(k), key=lambda i: points[i][m])
         distances[order[0]] = math.inf
         distances[order[-1]] = math.inf

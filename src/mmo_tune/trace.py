@@ -33,13 +33,13 @@ from .space import Configuration, OptionSpace
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One distinct measurement: raw values plus budget and best-so-far state."""
+    """One distinct measurement: its step, which is also the budget consumed
+    after it, its raw values and the best-so-far."""
 
     step: int
     config: Configuration
     target_raw: float
     auxiliary_raw: float
-    consumed_after: int
     best_so_far: float
 
 
@@ -81,16 +81,9 @@ class RunTrace:
                 config=config,
                 target_raw=measurement.target_raw,
                 auxiliary_raw=measurement.auxiliary_raw,
-                consumed_after=consumed,
                 best_so_far=best,
             )
         )
-
-    def best_target(self) -> float:
-        """Minimum direction-converted target over all measurements."""
-        if not self.entries:
-            raise ValueError("empty trace has no best target")
-        return self.entries[-1].best_so_far
 
     def summary(self) -> RunSummary:
         """The summary a report reads of this run."""
@@ -125,7 +118,10 @@ def _header(space: OptionSpace) -> list[str]:
 
 
 def emit_trace(trace: RunTrace, path: str) -> None:
-    """Write a trace as CSV: step, option values, raw values, budget, best-so-far."""
+    """Write a trace as CSV: step, option values, raw values, budget, best-so-far.
+
+    A run consumes one unit of budget per distinct measurement, so the
+    consumed column repeats the step."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(trace.space))
@@ -136,7 +132,7 @@ def emit_trace(trace: RunTrace, path: str) -> None:
                     *entry.config,
                     repr(entry.target_raw),
                     repr(entry.auxiliary_raw),
-                    entry.consumed_after,
+                    entry.step,
                     repr(entry.best_so_far),
                 ]
             )
@@ -191,7 +187,7 @@ def load_trace(path: str, space: OptionSpace) -> RunTrace:
     return RunTrace(
         space,
         [
-            TraceEntry(step, config, target, auxiliary, step, best)
+            TraceEntry(step, config, target, auxiliary, best)
             for step, (config, target, auxiliary, best) in enumerate(
                 _read_rows(path, space), start=1
             )

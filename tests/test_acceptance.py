@@ -28,11 +28,11 @@ from mmo_tune.measurement import (
     SyntheticOracle,
     cached_measure,
 )
-from mmo_tune.models import MmoInstance, dominance, meta_objectives, pareto_front, pmo_objectives
+from mmo_tune.models import MmoInstance, meta_objectives, pmo_objectives
 from mmo_tune.optimizers import crowding_distance, fast_nondominated_sort
 from mmo_tune.stats import a12, a12_magnitude, normalized_gain, pick_best_counterpart, wilcoxon_signed_rank
 
-from conftest import make_binary_space, write_table
+from conftest import make_binary_space, sort_by_domination_counts, write_table
 
 SHAPES = ("linear", "sqrt", "square")
 WEIGHT_SET = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 10.0)
@@ -64,11 +64,7 @@ def test_criterion_2_meta_model_invariants():
             pairs = [(rng.random(), rng.random()) for _ in range(rng.randint(2, 8))]
             meta = [meta_objectives(instance, ft, fa) for ft, fa in pairs]
             best = min(range(len(pairs)), key=lambda i: pairs[i][0])
-            if any(
-                dominance(meta[j], meta[best]) == 1
-                for j in range(len(meta))
-                if j != best
-            ):
+            if best not in fast_nondominated_sort(meta)[0]:
                 failures += 1
         # (b) worse target never dominates better target
         for _ in range(cases):
@@ -78,7 +74,7 @@ def test_criterion_2_meta_model_invariants():
                 continue
             m1 = meta_objectives(instance, ft1, rng.random())
             m2 = meta_objectives(instance, ft2, rng.random())
-            if dominance(m2, m1) == 1:
+            if fast_nondominated_sort([m2, m1]) == [[0], [1]]:
                 failures += 1
         # (c) fixed target, distinct balance terms: mutually nondominated
         for _ in range(cases):
@@ -87,12 +83,11 @@ def test_criterion_2_meta_model_invariants():
             fa1, fa2 = rng.random(), rng.random()
             if instance.phi(fa1) == instance.phi(fa2):
                 continue
-            if dominance(
-                meta_objectives(instance, ft, fa1),
-                meta_objectives(instance, ft, fa2),
-            ) != 0:
+            if fast_nondominated_sort(
+                [meta_objectives(instance, ft, fa1), meta_objectives(instance, ft, fa2)]
+            ) != [[0, 1]]:
                 failures += 1
-        # (d) dominance equals its closed form
+        # (d) dominance, as the sort decides it, equals its closed form
         for _ in range(cases):
             instance = MmoInstance(shape, rng.choice(WEIGHT_SET))
             ft1, ft2 = sorted((rng.random(), rng.random()))
@@ -102,7 +97,7 @@ def test_criterion_2_meta_model_invariants():
             expected = (
                 abs(instance.phi(fa1) - instance.phi(fa2)) <= ft2 - ft1 and m1 != m2
             )
-            if (dominance(m1, m2) == 1) != expected:
+            if (fast_nondominated_sort([m1, m2]) == [[0], [1]]) != expected:
                 failures += 1
     report("2 (meta-model invariants, 10k cases each)", failures == 0)
 
@@ -144,15 +139,18 @@ def test_criterion_3_nsga2_kernel_oracles():
     ok = True
     for case in range(200):
         size = rng.randint(1, 500)
-        objectives = rng.choice((1, 2, 2, 2, 3))
         points = [
-            tuple(round(rng.random(), rng.choice((1, 3, 12))) for _ in range(objectives))
+            tuple(round(rng.random(), rng.choice((1, 3, 12))) for _ in range(2))
             for _ in range(size)
         ]
         if size > 4:
             points[1] = points[0]  # duplicates must be handled
         front_no, matrix = _front_numbers_by_dag(points)
-        got_fronts = [sorted(f) for f in fast_nondominated_sort(points)]
+        fronts = fast_nondominated_sort(points)
+        if fronts != sort_by_domination_counts(points):
+            ok = False  # front order, which crowding ties depend on
+            break
+        got_fronts = [sorted(f) for f in fronts]
         want_fronts = [
             sorted(i for i in range(size) if front_no[i] == level)
             for level in range(max(front_no) + 1)
@@ -163,7 +161,7 @@ def test_criterion_3_nsga2_kernel_oracles():
         filter_front = [
             i for i in range(size) if not any(matrix[j][i] for j in range(size))
         ]
-        if pareto_front(points) != filter_front:
+        if fronts[0] != filter_front:
             ok = False
             break
     # Hand-derived crowding fixtures.
@@ -193,8 +191,8 @@ def test_criterion_4_selection_scenario():
     instance = MmoInstance("linear", 0.5)
     meta = [meta_objectives(instance, ft, fa) for ft, fa in scenario.values()]
     plain = [pmo_objectives(ft, fa) for ft, fa in scenario.values()]
-    meta_front = {names[i] for i in pareto_front(meta)}
-    plain_front = {names[i] for i in pareto_front(plain)}
+    meta_front = {names[i] for i in fast_nondominated_sort(meta)[0]}
+    plain_front = {names[i] for i in fast_nondominated_sort(plain)[0]}
     ok = meta_front == {"A", "C"} and "D" in plain_front and "D" not in meta_front
     report("4 (four-configuration selection scenario)", ok)
 
@@ -335,14 +333,14 @@ def test_criterion_7_desk_scale_headline_behavior():
                 execute_run(
                     space, oracle, plan.budget, plan.population_size, model, None,
                     derive_seed(plan.master_seed, model, "-", run),
-                ).best_target()
+                ).summary().best_target
                 for run in range(plan.repeats)
             ]
         results["mmo:linear"] = [
             execute_run(
                 space, oracle, plan.budget, plan.population_size, "mmo:linear", weight,
                 derive_seed(plan.master_seed, "mmo:linear", repr(weight), run),
-            ).best_target()
+            ).summary().best_target
             for run in range(plan.repeats)
         ]
         counterpart = pick_best_counterpart({m: results[m] for m in SINGLE_MODELS})
@@ -414,6 +412,6 @@ def test_criterion_9_global_optimum_sanity():
         ("mmo:square", 0.5),
     ):
         trace = execute_run(space, oracle, 256, 10, model, weight, seed=5)
-        if trace.best_target() != planted_value or len(trace.entries) != 256:
+        if trace.summary().best_target != planted_value or len(trace.entries) != 256:
             ok = False
     report("9 (global-optimum sanity with exhaustive budget)", ok)

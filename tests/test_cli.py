@@ -485,11 +485,11 @@ def test_public_surface():
         "SyntheticLandscapeParams", "SyntheticOracle", "TabularOracle", "a12",
         "a12_magnitude", "boundary_mutation", "build_oracle", "build_report",
         "cached_measure", "compare_results", "crowding_distance",
-        "data_driven_weight_selection", "derive_seed", "dominance",
+        "data_driven_weight_selection", "derive_seed",
         "efficiency_ratio", "emit_trace", "execute_run", "fast_nondominated_sort",
         "harness", "load_space", "load_table", "load_trace", "measurement",
         "meta_objectives", "models", "normalized_gain", "optimizers",
-        "pareto_front", "parse_space", "pick_best_counterpart", "pmo_objectives",
+        "parse_space", "pick_best_counterpart", "pmo_objectives",
         "preliminary_weight_selection", "recompute_report", "run_campaign_traces",
         "run_nsga2", "run_rs", "run_sa", "run_shc_restart", "run_soga",
         "scott_knott", "space", "stats", "to_minimization", "trace",

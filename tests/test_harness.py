@@ -17,6 +17,7 @@ from statistics import fmean
 import pytest
 
 from mmo_tune.harness import (
+    ALL_MODELS,
     DEFAULT_WEIGHTS,
     PRESETS,
     CampaignError,
@@ -283,9 +284,9 @@ class TestCampaign:
             trace = load_trace(str(out / "traces" / name), binary8)
             distinct = {e.config for e in trace.entries}
             assert len(distinct) == len(trace.entries) <= plan.budget
-            assert [e.consumed_after for e in trace.entries] == list(
-                range(1, len(trace.entries) + 1)
-            )
+            with open(out / "traces" / name, encoding="utf-8", newline="") as fh:
+                consumed = [int(row["consumed"]) for row in csv.DictReader(fh)]
+            assert consumed == list(range(1, len(trace.entries) + 1))
 
     def test_counterpart_and_stats_populated(self, binary8, tmp_path):
         plan = synthetic_plan(
@@ -420,6 +421,36 @@ class TestStoredCampaignRebuild:
         assert [len(g["runs"]) for g in report["groups"]] == [20, 20, 20]
 
 
+class TestExecuteRun:
+    @pytest.mark.parametrize(
+        "directions",
+        [("minimize",), ("minimize", "minimize", "maximize")],
+        ids=["one", "three"],
+    )
+    def test_rejects_directions_that_are_not_a_pair(self, binary8, directions):
+        oracle = SyntheticOracle(SyntheticLandscapeParams(binary8, seed=1))
+        with pytest.raises(ValueError, match=rf"pair, got {len(directions)}$"):
+            execute_run(binary8, oracle, 10, 4, "single:rs", None, 1, directions)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_very_large_space(self, model):
+        # 110 binary and 110 ten-valued options: about 10^143 configurations.
+        space = OptionSpace(
+            tuple(
+                OptionSpec(f"o{i}", "binary", 0, 1)
+                if i % 2 == 0
+                else OptionSpec(f"o{i}", "integer", 0, 9)
+                for i in range(220)
+            )
+        )
+        oracle = SyntheticOracle(SyntheticLandscapeParams(space, seed=3))
+        weight = 0.5 if model.startswith("mmo:") else None
+        first = execute_run(space, oracle, 120, 10, model, weight, 11)
+        second = execute_run(space, oracle, 120, 10, model, weight, 11)
+        assert len({entry.config for entry in first.entries}) == len(first.entries) == 120
+        assert first.entries == second.entries
+
+
 class TestWeightSelection:
     def test_single_weight_plan_returns_it(self, binary8):
         plan = synthetic_plan(binary8, ("mmo:linear",), weights=(0.3,))
@@ -440,7 +471,7 @@ class TestWeightSelection:
                 trace = execute_run(
                     plan.space, oracle, budget, population, model, weight, seed
                 )
-                replay[weight] = trace.best_target()
+                replay[weight] = trace.summary().best_target
             best = min(replay.values())
             assert replay[picked] == best
 
@@ -527,7 +558,7 @@ class TestDataDrivenSelection:
                     execute_run(
                         space, table, plan.budget, plan.population_size,
                         "mmo:linear", weight, seed,
-                    ).best_target()
+                    ).summary().best_target
                 )
             groups[token] = results
         ranks = scott_knott(groups)

@@ -1,4 +1,5 @@
-"""Tests for direction conversion, scaling, meta-objectives, and dominance."""
+"""Tests for direction conversion, scaling, meta-objectives, and the
+nondominated sort's dominance relation."""
 
 from __future__ import annotations
 
@@ -15,9 +16,8 @@ from mmo_tune.measurement import MeasurementRecord
 from mmo_tune.models import (
     MmoInstance,
     NormalizationBounds,
-    dominance,
+    fast_nondominated_sort,
     meta_objectives,
-    pareto_front,
     pmo_objectives,
     to_minimization,
 )
@@ -157,20 +157,34 @@ class TestPmoObjectives:
         assert pmo_objectives(*pair) == pair
 
 
+def dominates(u, v):
+    """Whether u dominates v, as the nondominated sort decides it."""
+    return fast_nondominated_sort([u, v]) == [[0], [1]]
+
+
+def incomparable(u, v):
+    """Whether u and v are mutually nondominated, as the sort decides it."""
+    return fast_nondominated_sort([u, v]) == [[0, 1]]
+
+
 class TestDominance:
     def test_clear_domination(self):
-        assert dominance((0.1, 0.2), (0.3, 0.4)) == 1
-        assert dominance((0.3, 0.4), (0.1, 0.2)) == -1
+        assert dominates((0.1, 0.2), (0.3, 0.4))
+        assert fast_nondominated_sort([(0.3, 0.4), (0.1, 0.2)]) == [[1], [0]]
 
     def test_trade_off_is_nondominated(self):
-        assert dominance((0.1, 0.4), (0.3, 0.2)) == 0
+        assert incomparable((0.1, 0.4), (0.3, 0.2))
 
     def test_equal_points_nondominated(self):
-        assert dominance((0.1, 0.2), (0.1, 0.2)) == 0
+        assert incomparable((0.1, 0.2), (0.1, 0.2))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dominance((0.1,), (0.1, 0.2))
+    def test_sort_rejects_points_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match="must be a pair"):
+            fast_nondominated_sort([(0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError, match="must be a pair"):
+            fast_nondominated_sort([(0.1, 0.2), (0.1,)])
+        with pytest.raises(ValueError, match="must be a pair"):
+            fast_nondominated_sort([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
     def test_relation_properties_randomized(self):
         rng = random.Random(7)
@@ -178,10 +192,13 @@ class TestDominance:
             u = (rng.random(), rng.random())
             v = (rng.random(), rng.random())
             w = (rng.random(), rng.random())
-            assert dominance(u, u) == 0
-            assert dominance(u, v) == -dominance(v, u)
-            if dominance(u, v) == 1 and dominance(v, w) == 1:
-                assert dominance(u, w) == 1
+            assert incomparable(u, u)
+            # u dominates v, v dominates u, or neither; the same in either order
+            assert dominates(u, v) + dominates(v, u) + incomparable(u, v) == 1
+            assert dominates(u, v) == (fast_nondominated_sort([v, u]) == [[1], [0]])
+            assert incomparable(u, v) == incomparable(v, u)
+            if dominates(u, v) and dominates(v, w):
+                assert dominates(u, w)
 
 
 def brute_force_front(points):
@@ -212,11 +229,11 @@ SCENARIO = {
 
 class TestParetoFront:
     def test_single_point(self):
-        assert pareto_front([(1.0, 2.0)]) == [0]
+        assert fast_nondominated_sort([(1.0, 2.0)])[0] == [0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pareto_front([])
+            fast_nondominated_sort([])
 
     def test_meta_model_selection_scenario(self):
         instance = MmoInstance("linear", 0.5)
@@ -226,13 +243,13 @@ class TestParetoFront:
         assert meta[names.index("B")] == pytest.approx((0.275, 0.025))
         assert meta[names.index("C")] == pytest.approx((0.85, -0.05))
         assert meta[names.index("D")] == pytest.approx((0.975, 0.925))
-        front = {names[i] for i in pareto_front(meta)}
+        front = {names[i] for i in fast_nondominated_sort(meta)[0]}
         assert front == {"A", "C"}
 
     def test_plain_model_keeps_extreme_auxiliary_point(self):
         names = list(SCENARIO)
         plain = [pmo_objectives(ft, fa) for ft, fa in SCENARIO.values()]
-        front = {names[i] for i in pareto_front(plain)}
+        front = {names[i] for i in fast_nondominated_sort(plain)[0]}
         assert "D" in front
         assert "A" in front
 
@@ -243,7 +260,7 @@ class TestParetoFront:
             points = [(rng.random(), rng.random()) for _ in range(size)]
             if size > 3 and rng.random() < 0.5:
                 points[0] = points[1]  # inject duplicates
-            assert pareto_front(points) == brute_force_front(points)
+            assert fast_nondominated_sort(points)[0] == brute_force_front(points)
 
 
 def random_pairs(rng, count):
@@ -261,7 +278,7 @@ class TestMetaModelInvariants:
             pairs = [(rng.random(), rng.random()) for _ in range(rng.randint(2, 12))]
             meta = [meta_objectives(instance, ft, fa) for ft, fa in pairs]
             best = min(range(len(pairs)), key=lambda i: pairs[i][0])
-            assert best in pareto_front(meta)
+            assert best in fast_nondominated_sort(meta)[0]
 
     def test_worse_target_never_dominates(self):
         rng = random.Random(4)
@@ -272,7 +289,7 @@ class TestMetaModelInvariants:
                 continue
             m1 = meta_objectives(instance, ft1, rng.random())
             m2 = meta_objectives(instance, ft2, rng.random())
-            assert dominance(m2, m1) != 1
+            assert not dominates(m2, m1)
 
     def test_fixed_target_distinct_auxiliary_incomparable(self):
         rng = random.Random(5)
@@ -284,7 +301,7 @@ class TestMetaModelInvariants:
                 continue
             m1 = meta_objectives(instance, ft, fa1)
             m2 = meta_objectives(instance, ft, fa2)
-            assert dominance(m1, m2) == 0
+            assert incomparable(m1, m2)
 
     def test_dominance_matches_closed_form(self):
         rng = random.Random(6)
@@ -298,4 +315,4 @@ class TestMetaModelInvariants:
                 abs(instance.phi(fa1) - instance.phi(fa2)) <= ft2 - ft1
                 and m1 != m2
             )
-            assert (dominance(m1, m2) == 1) == expected
+            assert dominates(m1, m2) == expected

@@ -19,7 +19,7 @@ from mmo_tune.measurement import (
     UnmeasuredConfigError,
     load_table,
 )
-from mmo_tune.models import PMO, MmoInstance, _sort_by_domination_counts, dominance
+from mmo_tune.models import PMO, MmoInstance
 from mmo_tune.optimizers import (
     OptimizerConfig,
     _Run,
@@ -37,7 +37,7 @@ from mmo_tune.optimizers import (
 )
 from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec
 
-from conftest import make_binary_space, write_table
+from conftest import dominance, make_binary_space, sort_by_domination_counts, write_table
 
 
 def synthetic(space, seed=7, ruggedness=0.4, density=0.1, correlation=0.3):
@@ -178,8 +178,8 @@ class TestFastNondominatedSort:
 
     def test_two_objective_path_matches_counting_loop_order_exactly(self):
         # Crowding and truncation ties depend on the order inside each front,
-        # so the fast two-objective path must return the general loop's lists
-        # element for element, not merely the same sets.
+        # so the sort must return the counting loop's lists element for
+        # element, not merely the same sets.
         rng = random.Random(10)
         for _ in range(2500):
             size = rng.randint(1, 60)
@@ -190,7 +190,7 @@ class TestFastNondominatedSort:
             ]
             for _ in range(rng.randrange(4) if size > 1 else 0):
                 points[rng.randrange(size)] = points[rng.randrange(size)]
-            assert fast_nondominated_sort(points) == _sort_by_domination_counts(points)
+            assert fast_nondominated_sort(points) == sort_by_domination_counts(points)
 
     def test_later_fronts_follow_last_dominator_then_index(self):
         # Front 1 member 3 is dominated only by index 0, members 2 and 4 also
@@ -227,7 +227,7 @@ class TestEnvironmentalSelection:
             discarded = set(range(len(points))) - selected
             for d in discarded:
                 for s in selected:
-                    assert dominance(points[d], points[s]) != 1
+                    assert fast_nondominated_sort([points[d], points[s]]) != [[0], [1]]
 
     def test_protect_keeps_interior_best_target(self):
         # Front-0 meta points where the minimal-target member is interior on
@@ -276,10 +276,11 @@ class TestRunBehavior:
         space = make_binary_space(5)
         oracle = synthetic(space, seed=3)
         cfg = OptimizerConfig(population_size=4, seed=5)
-        trace = run_model(name, space, BudgetLedger(17), oracle, cfg)
+        ledger = BudgetLedger(17)
+        trace = run_model(name, space, ledger, oracle, cfg)
         assert 1 <= len(trace.entries) <= 17
-        consumed = [e.consumed_after for e in trace.entries]
-        assert consumed == list(range(1, len(consumed) + 1))
+        assert ledger.consumed == len(trace.entries)
+        assert [e.step for e in trace.entries] == list(range(1, len(trace.entries) + 1))
         best = [e.best_so_far for e in trace.entries]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -291,7 +292,7 @@ class TestRunBehavior:
         trace = run_model(name, space, BudgetLedger(100), oracle, cfg)
         assert len(trace.entries) == 64
         true_best = min(oracle.target(c) for c in space.enumerate_all())
-        assert trace.best_target() == true_best
+        assert trace.summary().best_target == true_best
 
     def test_rs_budget_one(self, binary8):
         trace = run_rs(binary8, BudgetLedger(1), synthetic(binary8), OptimizerConfig(seed=1))
@@ -301,7 +302,7 @@ class TestRunBehavior:
         trace = run_rs(binary8, BudgetLedger(0), synthetic(binary8), OptimizerConfig(seed=1))
         assert trace.entries == []
         with pytest.raises(ValueError):
-            trace.best_target()
+            trace.summary().best_target
 
 
 class TestShcRestart:
@@ -312,7 +313,7 @@ class TestShcRestart:
         trace = run_shc_restart(
             space, BudgetLedger(10), oracle, OptimizerConfig(seed=2)
         )
-        assert trace.best_target() == 1.0
+        assert trace.summary().best_target == 1.0
 
     def test_two_basin_landscape_triggers_restart(self):
         space = OptionSpace(
@@ -327,7 +328,7 @@ class TestShcRestart:
         # Two options: a restart after 8 rejections in a row.
         trace = run_shc_restart(space, BudgetLedger(9), oracle, OptimizerConfig(seed=1))
         assert trace.restarts >= 1
-        assert trace.best_target() == 0.0
+        assert trace.summary().best_target == 0.0
 
 
 class TestSaSchedule:
@@ -380,7 +381,7 @@ class TestNsga2:
             space, BudgetLedger(256), oracle, MmoInstance("linear", 0.5), cfg
         )
         planted = oracle.params.planted_optimum
-        assert trace.best_target() == oracle.target(planted)
+        assert trace.summary().best_target == oracle.target(planted)
 
     def test_rejects_bad_model(self, binary8):
         with pytest.raises(ValueError):
@@ -447,6 +448,15 @@ class TestOptimizerConfig:
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             OptimizerConfig(directions=("up", "minimize"))
+
+    @pytest.mark.parametrize(
+        "directions",
+        [("minimize",), ("minimize", "minimize", "maximize")],
+        ids=["one", "three"],
+    )
+    def test_rejects_directions_that_are_not_a_pair(self, directions):
+        with pytest.raises(ValueError, match=rf"pair, got {len(directions)}$"):
+            OptimizerConfig(directions=directions)
 
 
 class TestFreshUniform:
