@@ -13,7 +13,7 @@ from .harness import (
     execute_run,
     preliminary_weight_selection,
     recompute_report,
-    run_campaign_traces,
+    run_campaign,
     write_campaign,
 )
 from .measurement import (
@@ -60,6 +60,6 @@ from .stats import (
     utopian,
     wilcoxon_signed_rank,
 )
-from .trace import RunTrace, load_trace
+from .trace import RunTrace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

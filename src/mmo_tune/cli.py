@@ -180,7 +180,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         plan.directions,
     )
     emit_trace(trace, args.out)
-    best = trace.summary().best_target if trace.entries else None
     print(
         json.dumps(
             {
@@ -188,7 +187,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 "weight": weight,
                 "seed": seed,
                 "measurements": len(trace.entries),
-                "best_target": best,
+                "best_target": trace.summary().best_target,
                 "trace": args.out,
             }
         )

@@ -294,40 +294,53 @@ def _named_run(
         ) from exc
 
 
-def _campaign_task(
-    plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int]
-) -> RunTrace:
-    seed = plan.run_seed(*key)
-    return _named_run(plan, oracle, key, seed, plan.budget, plan.population_size)
+# A worker process's plan, oracle and campaign directory, set once by
+# _init_worker, so that a task carries only its run key.
+_worker_state: tuple[ExperimentPlan, Oracle, str | None] | None = None
 
 
-# A worker process's plan and oracle, set once by _init_worker, so that a
-# task carries only its run key.
-_worker_state: tuple[ExperimentPlan, Oracle] | None = None
-
-
-def _init_worker(plan: ExperimentPlan, oracle: Oracle) -> None:
+def _init_worker(plan: ExperimentPlan, oracle: Oracle, out_dir: str | None) -> None:
     global _worker_state
-    _worker_state = (plan, oracle)
+    _worker_state = (plan, oracle, out_dir)
 
 
-def _worker_task(key: tuple[str, float | None, int]) -> RunTrace:
-    return _campaign_task(*_worker_state, key)
+def _campaign_run(
+    plan: ExperimentPlan, oracle: Oracle, out_dir: str | None,
+    key: tuple[str, float | None, int],
+) -> RunSummary:
+    """Run ``key`` of a plan at its campaign seed; its trace goes to
+    ``out_dir`` as soon as it finishes, and only its summary is kept."""
+    seed = plan.run_seed(*key)
+    trace = _named_run(plan, oracle, key, seed, plan.budget, plan.population_size)
+    if out_dir is not None:
+        emit_trace(trace, _trace_path(out_dir, key))
+    return trace.summary()
 
 
-def run_campaign_traces(
-    plan: ExperimentPlan, jobs: int = 1, oracle: Oracle | None = None
-) -> dict[tuple[str, float | None, int], RunTrace]:
-    """Execute the full model-by-weight-by-repeat grid of a plan."""
+def _worker_run(key: tuple[str, float | None, int]) -> RunSummary:
+    return _campaign_run(*_worker_state, key)
+
+
+def run_campaign(
+    plan: ExperimentPlan,
+    jobs: int = 1,
+    oracle: Oracle | None = None,
+    out_dir: str | None = None,
+) -> dict[tuple[str, float | None, int], RunSummary]:
+    """Execute the full model-by-weight-by-repeat grid of a plan and return
+    the summary of every run. With ``out_dir``, each run writes its trace
+    under ``out_dir/traces`` as it finishes; with ``jobs`` > 1 the worker
+    writes it and sends back only the summary."""
     oracle = oracle if oracle is not None else build_oracle(plan)
     keys = plan.run_keys()
     if jobs <= 1:
-        return {key: _campaign_task(plan, oracle, key) for key in keys}
+        return {key: _campaign_run(plan, oracle, out_dir, key) for key in keys}
     try:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(plan, oracle)
+            max_workers=jobs, initializer=_init_worker,
+            initargs=(plan, oracle, out_dir),
         ) as pool:
-            return dict(zip(keys, pool.map(_worker_task, keys)))
+            return dict(zip(keys, pool.map(_worker_run, keys)))
     except CampaignError:
         raise
     except Exception as exc:  # the pool itself failed, e.g. a worker died
@@ -424,10 +437,6 @@ def build_report(
     }
 
 
-def _summaries(traces: dict[tuple, RunTrace]) -> dict[tuple, RunSummary]:
-    return {key: trace.summary() for key, trace in traces.items()}
-
-
 def best_weight_groups(report: dict) -> dict[str, dict]:
     """Per meta model, its report group with the lowest (Scott-Knott rank,
     mean, weight); the earlier group wins an exact tie."""
@@ -464,8 +473,6 @@ def preliminary_weight_selection(
     mmo_models = plan.mmo_models()
     if not mmo_models:
         raise ValueError("plan selects no meta models")
-    if not plan.weights:
-        raise ValueError("plan has no candidate weights")
     oracle = oracle if oracle is not None else build_oracle(plan)
     budget, population = _preliminary_scale(plan)
     chosen: dict[str, float] = {}
@@ -512,8 +519,7 @@ def data_driven_weight_selection(
     chosen = {}
     for model in plan.mmo_models():
         sub_plan = dataclasses.replace(plan, models=(model,))
-        traces = run_campaign_traces(sub_plan, oracle=table)
-        report = build_report(sub_plan, _summaries(traces))
+        report = build_report(sub_plan, run_campaign(sub_plan, oracle=table))
         chosen[model] = best_weight_groups(report)[model]["weight"]
     return chosen, time.perf_counter() - start
 
@@ -523,14 +529,15 @@ def data_driven_weight_selection(
 
 
 def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
-    """Run a campaign and persist plan, traces, report, and the flat summary."""
-    traces = run_campaign_traces(plan, jobs=jobs)
+    """Run a campaign and persist plan, traces, report, and the flat summary.
+
+    ``plan.json`` comes first and each trace lands as its run finishes; the
+    report and ``summary.csv`` are written only once every run has, so a
+    failed campaign leaves no report."""
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     with open(os.path.join(out_dir, "plan.json"), "w", encoding="utf-8") as fh:
         fh.write(plan.canonical_json() + "\n")
-    for key in plan.run_keys():
-        emit_trace(traces[key], _trace_path(out_dir, key))
-    report = build_report(plan, _summaries(traces))
+    report = build_report(plan, run_campaign(plan, jobs=jobs, out_dir=out_dir))
     write_report(report, out_dir)
     _write_summary(report, os.path.join(out_dir, "summary.csv"))
     return report

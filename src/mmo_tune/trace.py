@@ -2,30 +2,33 @@
 
 A trace is the ordered log of every distinct measurement of one run. Its CSV
 holds one row per measurement (step, option values, raw target and auxiliary,
-budget consumed, best-so-far) and reads back losslessly with ``load_trace``.
+budget consumed, best-so-far). A finished run is kept as that file and its
+``RunSummary``; ``emit_trace`` writes the file under a temporary name and
+renames it into place, so a file at a trace's name is always complete.
 
 A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
 ``RunSummary`` holds just these, the column as an ``array('d')``.
-``RunTrace.summary`` makes one of a trace in memory; ``load_summary`` reduces a
-trace file to one as it reads it, keeping one float per row.
+``RunTrace.summary`` makes one of a trace in memory; ``load_summary``, the one
+trace reader, reduces a trace file to one as it reads it, keeping one float
+per row.
 
-Both readers check every row with one parser. A malformed row raises
-ValueError starting with ``path:line:``: a wrong cell count, a number that
-does not parse, an option value outside the space, a non-finite target,
-auxiliary or best-so-far, a step or consumed count other than the row's
-number (a run consumes one unit of budget per distinct measurement), or a
-configuration that an earlier row holds.
+``load_summary`` checks every row. A malformed row raises ValueError starting
+with ``path:line:``: a wrong cell count, a number that does not parse, an
+option value outside the space, a non-finite target, auxiliary or
+best-so-far, a step or consumed count other than the row's number (a run
+consumes one unit of budget per distinct measurement), or a configuration that
+an earlier row holds.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import contains
-from typing import Iterator
 
 from .measurement import MeasurementRecord
 from .space import Configuration, OptionSpace
@@ -48,12 +51,11 @@ class RunTrace:
     """Ordered log of every distinct measurement in one tuning run."""
 
     space: OptionSpace
-    entries: list[TraceEntry] = field(default_factory=list)
-    restarts: int = 0
-    _recorded: set[Configuration] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._recorded = {entry.config for entry in self.entries}
+    entries: list[TraceEntry] = field(default_factory=list, init=False)
+    restarts: int = field(default=0, init=False)
+    _recorded: set[Configuration] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
 
     def record(
         self,
@@ -63,9 +65,9 @@ class RunTrace:
         target: float,
     ) -> None:
         """Append a distinct measurement; ``target`` is its direction-converted
-        target, which the best-so-far tracks. Raises ValueError, as the trace
-        readers do, when ``consumed`` is not the new row number or ``config``
-        is already recorded."""
+        target, which the best-so-far tracks. Raises ValueError, as
+        ``load_summary`` does, when ``consumed`` is not the new row number or
+        ``config`` is already recorded."""
         step = len(self.entries) + 1
         if consumed != step:
             raise ValueError(f"consumed {consumed} must be the row number {step}")
@@ -121,8 +123,11 @@ def emit_trace(trace: RunTrace, path: str) -> None:
     """Write a trace as CSV: step, option values, raw values, budget, best-so-far.
 
     A run consumes one unit of budget per distinct measurement, so the
-    consumed column repeats the step."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    consumed column repeats the step. The rows go to ``path + ".tmp"``, which
+    is then renamed to ``path``, so a writer killed partway leaves no short
+    trace at ``path``."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(trace.space))
         for entry in trace.entries:
@@ -136,14 +141,14 @@ def emit_trace(trace: RunTrace, path: str) -> None:
                     repr(entry.best_so_far),
                 ]
             )
+    os.replace(tmp, path)
 
 
-def _read_rows(
-    path: str, space: OptionSpace
-) -> Iterator[tuple[Configuration, float, float, float]]:
-    """Yield (configuration, target, auxiliary, best-so-far) of each row of a
-    trace file, whose step and consumed count are its row number; a malformed
-    row raises ValueError starting with ``path:line:``."""
+def load_summary(path: str, space: OptionSpace) -> RunSummary:
+    """The summary of a trace CSV, read without holding its rows, each row
+    checked: its step and consumed count are its row number; a malformed row
+    raises ValueError starting with ``path:line:``."""
+    column = array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -178,26 +183,7 @@ def _read_rows(
                 seen.add(config)
             except ValueError as exc:
                 raise ValueError(f"{path}:{row + 1}: {exc}") from exc
-            yield config, target, auxiliary, best
-
-
-def load_trace(path: str, space: OptionSpace) -> RunTrace:
-    """Read a trace CSV back; lossless against emit_trace. A malformed row
-    raises ValueError starting with ``path:line:``."""
-    return RunTrace(
-        space,
-        [
-            TraceEntry(step, config, target, auxiliary, best)
-            for step, (config, target, auxiliary, best) in enumerate(
-                _read_rows(path, space), start=1
-            )
-        ],
-    )
-
-
-def load_summary(path: str, space: OptionSpace) -> RunSummary:
-    """The summary of a trace CSV, read without holding its rows."""
-    column = array("d", (best for _, _, _, best in _read_rows(path, space)))
+            column.append(best)
     try:
         return RunSummary.of(column)
     except ValueError as exc:

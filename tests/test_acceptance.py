@@ -105,15 +105,11 @@ def test_criterion_2_meta_model_invariants():
 def _dominance_matrix(points):
     n = len(points)
     dominates_over = [[False] * n for _ in range(n)]
-    for i in range(n):
-        p = points[i]
-        for j in range(n):
-            if i == j:
-                continue
-            q = points[j]
-            le = all(a <= b for a, b in zip(p, q))
-            lt = any(a < b for a, b in zip(p, q))
-            dominates_over[i][j] = le and lt
+    for i, (p0, p1) in enumerate(points):
+        row = dominates_over[i]
+        for j, (q0, q1) in enumerate(points):
+            # False for i == j: a point does not dominate itself.
+            row[j] = p0 <= q0 and p1 <= q1 and (p0, p1) != (q0, q1)
     return dominates_over
 
 

@@ -205,6 +205,34 @@ class TestCampaignCli:
         assert run_cli("stats", "--dir", str(out)) == 0
         assert (out / "report.json").read_bytes() == original
 
+    def test_jobs_two_writes_the_same_directory_as_jobs_one(
+        self, space_file, table_file, tmp_path, capsys
+    ):
+        def campaign(jobs):
+            out = tmp_path / f"jobs{jobs}"
+            code = run_cli(
+                "campaign", "--space", space_file, "--table", table_file,
+                "--budget", "20", "--pop", "4", "--repeats", "3",
+                "--models", "single:rs,single:sa,pmo,mmo:linear",
+                "--weights", "0.1,0.9", "--seed", "3", "--jobs", str(jobs),
+                "--out", str(out),
+            )
+            assert code == 0
+            return {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            }
+
+        serial = campaign(1)
+        assert sorted(serial) == sorted(
+            ["plan.json", "report.json", "summary.csv"]
+            + [f"traces/{trace_filename(m, w, r)}"
+               for m, w in (("single:rs", None), ("single:sa", None), ("pmo", None),
+                            ("mmo:linear", 0.1), ("mmo:linear", 0.9))
+               for r in range(3)]
+        )
+        assert campaign(2) == serial
+
     def test_preset_sets_budget_and_population(self, space_file, tmp_path, capsys):
         out = tmp_path / "camp"
         code = run_cli(
@@ -487,10 +515,10 @@ def test_public_surface():
         "cached_measure", "compare_results", "crowding_distance",
         "data_driven_weight_selection", "derive_seed",
         "efficiency_ratio", "emit_trace", "execute_run", "fast_nondominated_sort",
-        "harness", "load_space", "load_table", "load_trace", "measurement",
+        "harness", "load_space", "load_table", "measurement",
         "meta_objectives", "models", "normalized_gain", "optimizers",
         "parse_space", "pick_best_counterpart", "pmo_objectives",
-        "preliminary_weight_selection", "recompute_report", "run_campaign_traces",
+        "preliminary_weight_selection", "recompute_report", "run_campaign",
         "run_nsga2", "run_rs", "run_sa", "run_shc_restart", "run_soga",
         "scott_knott", "space", "stats", "to_minimization", "trace",
         "uniform_crossover", "utopian", "wilcoxon_signed_rank", "write_campaign",

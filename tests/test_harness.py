@@ -16,6 +16,7 @@ from statistics import fmean
 
 import pytest
 
+from mmo_tune.cli import main
 from mmo_tune.harness import (
     ALL_MODELS,
     DEFAULT_WEIGHTS,
@@ -32,7 +33,7 @@ from mmo_tune.harness import (
     preliminary_weight_selection,
     recompute_report,
     report_bytes,
-    run_campaign_traces,
+    run_campaign,
     trace_filename,
     weight_token,
     write_campaign,
@@ -42,18 +43,15 @@ from mmo_tune.measurement import (
     MeasurementRecord,
     SyntheticLandscapeParams,
     SyntheticOracle,
+    UnmeasuredConfigError,
 )
 from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
 from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
 import mmo_tune.trace
-from mmo_tune.trace import load_summary, load_trace
+from mmo_tune.trace import load_summary
 
 from conftest import make_binary_space, write_table
-
-
-def summaries(traces):
-    return {key: trace.summary() for key, trace in traces.items()}
 
 
 def synthetic_plan(space, models, repeats=3, budget=40, pop=4, seed=5, weights=(0.1, 0.9)):
@@ -144,8 +142,15 @@ class TestTraceFiles:
         trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
-        loaded = load_trace(str(path), binary8)
-        assert loaded.entries == trace.entries
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [
+            [str(e.step), *map(str, e.config), repr(e.target_raw),
+             repr(e.auxiliary_raw), str(e.step), repr(e.best_so_far)]
+            for e in trace.entries
+        ]
+        assert load_summary(str(path), binary8) == trace.summary()
+        assert os.listdir(tmp_path) == ["trace.csv"]
 
     def test_record_rejects_what_the_reader_rejects(self, binary3, tmp_path):
         m = MeasurementRecord(1.0, 2.0)
@@ -161,10 +166,20 @@ class TestTraceFiles:
         trace.record((0, 0, 1), m, 2, 0.5)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
-        loaded = load_trace(str(path), binary3)
-        assert loaded == trace
+        assert load_summary(str(path), binary3) == trace.summary()
         with pytest.raises(ValueError, match="repeats an earlier row"):
-            loaded.record((0, 0, 1), m, 3, 0.5)
+            trace.record((0, 0, 1), m, 3, 0.5)
+
+    def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
+        oracle = SyntheticOracle(SyntheticLandscapeParams(space=binary8, seed=1))
+        trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, str(path))
+        complete = path.read_bytes()
+        trace.entries.insert(10, None)  # the writer dies after 10 good rows
+        with pytest.raises(AttributeError):
+            emit_trace(trace, str(path))
+        assert path.read_bytes() == complete
 
     def test_empty_trace_is_header_only(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"
@@ -207,9 +222,8 @@ class TestTraceFiles:
     )
     def test_malformed_trace_fails_as_before(self, binary3, tmp_path, line, edit, message):
         path = self._edited_trace(binary3, tmp_path, edit, line)
-        for read in (load_trace, load_summary):
-            with pytest.raises(ValueError, match=message):
-                read(path, binary3)
+        with pytest.raises(ValueError, match=message):
+            load_summary(path, binary3)
 
     @pytest.mark.parametrize(
         "lines, edit, message",
@@ -236,9 +250,8 @@ class TestTraceFiles:
     )
     def test_malformed_row_names_path_and_line(self, binary3, tmp_path, lines, edit, message):
         path = self._edited_trace(binary3, tmp_path, edit, *lines)
-        for read in (load_trace, load_summary):
-            with pytest.raises(ValueError, match=f"^{re.escape(path)}:{lines[-1]}: .*{message}"):
-                read(path, binary3)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{lines[-1]}: .*{message}"):
+            load_summary(path, binary3)
 
     def test_filename_scheme(self):
         assert trace_filename("single:shc-r", None, 3) == "single_shc_r__run003.csv"
@@ -281,12 +294,11 @@ class TestCampaign:
         out = tmp_path / "out"
         write_campaign(plan, str(out))
         for name in os.listdir(out / "traces"):
-            trace = load_trace(str(out / "traces" / name), binary8)
-            distinct = {e.config for e in trace.entries}
-            assert len(distinct) == len(trace.entries) <= plan.budget
             with open(out / "traces" / name, encoding="utf-8", newline="") as fh:
-                consumed = [int(row["consumed"]) for row in csv.DictReader(fh)]
-            assert consumed == list(range(1, len(trace.entries) + 1))
+                rows = list(csv.DictReader(fh))
+            distinct = {tuple(row[option] for option in binary8.names) for row in rows}
+            assert len(distinct) == len(rows) <= plan.budget
+            assert [int(row["consumed"]) for row in rows] == list(range(1, len(rows) + 1))
 
     def test_counterpart_and_stats_populated(self, binary8, tmp_path):
         plan = synthetic_plan(
@@ -295,7 +307,7 @@ class TestCampaign:
             repeats=4,
             budget=30,
         )
-        report = build_report(plan, summaries(run_campaign_traces(plan)))
+        report = build_report(plan, run_campaign(plan))
         assert report["best_counterpart"] in ("single:rs", "single:shc-r")
         by_label = {g["label"]: g for g in report["groups"]}
         for label, group in by_label.items():
@@ -318,7 +330,7 @@ class TestCampaign:
             master_seed=0,
         )
         with pytest.raises((CampaignError, FileNotFoundError)):
-            run_campaign_traces(plan)
+            run_campaign(plan)
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_failing_run_is_named_serial_and_parallel(self, binary3, tmp_path, jobs):
@@ -335,7 +347,70 @@ class TestCampaign:
             master_seed=0,
         )
         with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=0: unmeasured"):
-            run_campaign_traces(plan, jobs=jobs)
+            run_campaign(plan, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_failed_campaign_leaves_plan_and_complete_traces_only(
+        self, tmp_path, capsys, jobs
+    ):
+        space = make_binary_space(4)
+        rows = {c: (float(sum(c)), float(c[0])) for c in space.enumerate_all()}
+        del rows[(1, 1, 1, 1)]
+        plan = ExperimentPlan(
+            space=space,
+            oracle_spec={"kind": "table", "path": write_table(tmp_path / "t.csv", space, rows)},
+            budget=4,
+            population_size=2,
+            repeats=4,
+            models=("single:rs",),
+        )
+        oracle = build_oracle(plan)
+        failing = []
+        for key in plan.run_keys():
+            try:
+                execute_run(space, oracle, 4, 2, "single:rs", None, plan.run_seed(*key))
+            except UnmeasuredConfigError:
+                failing.append(key[2])
+        assert failing == [1]  # only run 1 measures the missing row
+        out = tmp_path / "out"
+        with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=1: unmeasured"):
+            write_campaign(plan, str(out), jobs=jobs)
+        assert sorted(os.listdir(out)) == ["plan.json", "traces"]
+        names = sorted(os.listdir(out / "traces"))
+        assert trace_filename("single:rs", None, 0) in names
+        assert trace_filename("single:rs", None, 1) not in names
+        for name in names:
+            assert name.endswith(".csv")
+            load_summary(str(out / "traces" / name), space)
+        capsys.readouterr()
+        assert main(["stats", "--dir", str(out)]) == 2
+        missing = out / "traces" / trace_filename("single:rs", None, 1)
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert sorted(os.listdir(out)) == ["plan.json", "traces"]
+
+    def test_peak_memory_does_not_grow_with_runs(self, tmp_path):
+        # Each finished run leaves its trace on disk and its summary (one
+        # float per measurement) in memory, so the peak is about one run's
+        # trace, and 30 more runs of 300 measurements add only their summaries.
+        def campaign(repeats):
+            plan = synthetic_plan(
+                make_binary_space(12), ("single:rs",), repeats=repeats, budget=300
+            )
+            write_campaign(plan, str(tmp_path / f"r{repeats}"))
+
+        def peak(repeats):
+            tracemalloc.start()
+            try:
+                campaign(repeats)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        campaign(1)  # first-call allocations stay out of either peak
+        small = peak(10)
+        assert peak(40) < 1.5 * small
 
     def test_parallel_sends_the_oracle_once_per_worker(self, tmp_path, monkeypatch):
         space = make_binary_space(10)
@@ -358,16 +433,16 @@ class TestCampaign:
             return data
 
         monkeypatch.setattr(ForkingPickler, "dumps", classmethod(counting_dumps))
-        parallel = run_campaign_traces(plan, jobs=2, oracle=oracle)
+        parallel = run_campaign(plan, jobs=2, oracle=oracle)
         monkeypatch.undo()
         assert len(parallel) == 40
         assert 0 < sum(pickled) < 2 * len(pickle.dumps(oracle))
-        assert parallel == run_campaign_traces(plan, jobs=1, oracle=oracle)
+        assert parallel == run_campaign(plan, jobs=1, oracle=oracle)
 
     def test_parallel_equals_sequential(self, binary8, tmp_path):
         plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)
-        sequential = build_report(plan, summaries(run_campaign_traces(plan, jobs=1)))
-        parallel = build_report(plan, summaries(run_campaign_traces(plan, jobs=2)))
+        sequential = build_report(plan, run_campaign(plan, jobs=1))
+        parallel = build_report(plan, run_campaign(plan, jobs=2))
         assert report_bytes(sequential) == report_bytes(parallel)
 
 
