@@ -136,12 +136,9 @@ class ExperimentPlan:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        for name, low in (("budget", 1), ("population_size", 2), ("repeats", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not self.models:
             raise ValueError("plan selects no models")
         object.__setattr__(
@@ -277,16 +274,20 @@ def execute_run(
 
 def _named_run(
     plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int],
-    seed: int, budget: int, population_size: int,
+    seed: int, budget: int, population_size: int, path: str | None = None,
 ) -> RunTrace:
-    """``execute_run`` for the run ``key`` of a plan; a failure raises
-    CampaignError naming the run."""
+    """``execute_run`` for the run ``key`` of a plan, its trace written to
+    ``path`` if one is given; a failure of either raises CampaignError naming
+    the run."""
     model, weight, run_index = key
     try:
-        return execute_run(
+        trace = execute_run(
             plan.space, oracle, budget, population_size, model, weight, seed,
             plan.directions,
         )
+        if path is not None:
+            emit_trace(trace, path)
+        return trace
     except Exception as exc:
         raise CampaignError(
             f"run failed: model={model} weight={weight_token(weight)} "
@@ -310,11 +311,11 @@ def _campaign_run(
 ) -> RunSummary:
     """Run ``key`` of a plan at its campaign seed; its trace goes to
     ``out_dir`` as soon as it finishes, and only its summary is kept."""
+    path = None if out_dir is None else _trace_path(out_dir, key)
     seed = plan.run_seed(*key)
-    trace = _named_run(plan, oracle, key, seed, plan.budget, plan.population_size)
-    if out_dir is not None:
-        emit_trace(trace, _trace_path(out_dir, key))
-    return trace.summary()
+    return _named_run(
+        plan, oracle, key, seed, plan.budget, plan.population_size, path
+    ).summary()
 
 
 def _worker_run(key: tuple[str, float | None, int]) -> RunSummary:
@@ -333,6 +334,8 @@ def run_campaign(
     writes it and sends back only the summary."""
     oracle = oracle if oracle is not None else build_oracle(plan)
     keys = plan.run_keys()
+    if out_dir is not None:
+        os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     if jobs <= 1:
         return {key: _campaign_run(plan, oracle, out_dir, key) for key in keys}
     try:
@@ -533,8 +536,13 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
 
     ``plan.json`` comes first and each trace lands as its run finishes; the
     report and ``summary.csv`` are written only once every run has, so a
-    failed campaign leaves no report."""
-    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+    failed campaign leaves no report. An earlier campaign's report, summary
+    and traces at this plan's names go first, never to be read as this one's."""
+    os.makedirs(out_dir, exist_ok=True)
+    stale = [os.path.join(out_dir, name) for name in ("report.json", "summary.csv")]
+    for path in stale + [_trace_path(out_dir, key) for key in plan.run_keys()]:
+        if os.path.lexists(path):
+            os.remove(path)
     with open(os.path.join(out_dir, "plan.json"), "w", encoding="utf-8") as fh:
         fh.write(plan.canonical_json() + "\n")
     report = build_report(plan, run_campaign(plan, jobs=jobs, out_dir=out_dir))

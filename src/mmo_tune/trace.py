@@ -4,7 +4,8 @@ A trace is the ordered log of every distinct measurement of one run. Its CSV
 holds one row per measurement (step, option values, raw target and auxiliary,
 budget consumed, best-so-far). A finished run is kept as that file and its
 ``RunSummary``; ``emit_trace`` writes the file under a temporary name and
-renames it into place, so a file at a trace's name is always complete.
+renames it into place, so a file at a trace's name is always complete (a
+symlink, device or FIFO there is written through).
 
 A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 from array import array
 from dataclasses import dataclass, field
 from math import isfinite
@@ -74,18 +76,11 @@ class RunTrace:
         if config in self._recorded:
             raise ValueError(f"configuration {config} repeats an earlier row")
         self._recorded.add(config)
-        best = target
-        if self.entries:
-            best = min(best, self.entries[-1].best_so_far)
-        self.entries.append(
-            TraceEntry(
-                step=step,
-                config=config,
-                target_raw=measurement.target_raw,
-                auxiliary_raw=measurement.auxiliary_raw,
-                best_so_far=best,
-            )
+        best = min(target, self.entries[-1].best_so_far) if self.entries else target
+        entry = TraceEntry(
+            step, config, measurement.target_raw, measurement.auxiliary_raw, best
         )
+        self.entries.append(entry)
 
     def summary(self) -> RunSummary:
         """The summary a report reads of this run."""
@@ -124,24 +119,24 @@ def emit_trace(trace: RunTrace, path: str) -> None:
 
     A run consumes one unit of budget per distinct measurement, so the
     consumed column repeats the step. The rows go to ``path + ".tmp"``, which
-    is then renamed to ``path``, so a writer killed partway leaves no short
-    trace at ``path``."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(trace.space))
-        for entry in trace.entries:
-            writer.writerow(
-                [
-                    entry.step,
-                    *entry.config,
-                    repr(entry.target_raw),
-                    repr(entry.auxiliary_raw),
-                    entry.step,
-                    repr(entry.best_so_far),
-                ]
-            )
-    os.replace(tmp, path)
+    is then renamed to ``path``, so a writer failing or killed partway leaves
+    no short trace at ``path``. A symlink, device or FIFO at ``path`` is
+    written through instead of replaced."""
+    regular = not os.path.lexists(path) or stat.S_ISREG(os.lstat(path).st_mode)
+    target = path + ".tmp" if regular else path
+    try:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_header(trace.space))
+            for e in trace.entries:
+                writer.writerow([e.step, *e.config, repr(e.target_raw),
+                                 repr(e.auxiliary_raw), e.step, repr(e.best_so_far)])
+        if regular:
+            os.replace(target, path)
+    except BaseException:
+        if regular and os.path.exists(target):
+            os.remove(target)
+        raise
 
 
 def load_summary(path: str, space: OptionSpace) -> RunSummary:

@@ -180,6 +180,19 @@ class TestTraceFiles:
         with pytest.raises(AttributeError):
             emit_trace(trace, str(path))
         assert path.read_bytes() == complete
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_symlink_is_written_through(self, binary8, tmp_path):
+        oracle = SyntheticOracle(SyntheticLandscapeParams(space=binary8, seed=1))
+        trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        emit_trace(trace, str(link))
+        assert link.is_symlink()
+        assert load_summary(str(target), binary8) == trace.summary()
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
 
     def test_empty_trace_is_header_only(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"
@@ -350,20 +363,41 @@ class TestCampaign:
             run_campaign(plan, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", (1, 2))
+    def test_run_campaign_creates_its_trace_directory(self, binary8, tmp_path, jobs):
+        plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)
+        out = tmp_path / "fresh"
+        runs = run_campaign(plan, jobs=jobs, out_dir=str(out))
+        assert sorted(os.listdir(out / "traces")) == sorted(
+            trace_filename(*key) for key in plan.run_keys()
+        )
+        for key, summary in runs.items():
+            path = str(out / "traces" / trace_filename(*key))
+            assert load_summary(path, binary8) == summary
+
+    @pytest.mark.parametrize("over_finished", (False, True), ids=("fresh", "over-finished"))
+    @pytest.mark.parametrize("jobs", (1, 2))
     def test_failed_campaign_leaves_plan_and_complete_traces_only(
-        self, tmp_path, capsys, jobs
+        self, tmp_path, capsys, jobs, over_finished
     ):
         space = make_binary_space(4)
         rows = {c: (float(sum(c)), float(c[0])) for c in space.enumerate_all()}
+
+        def table_plan(name):
+            return ExperimentPlan(
+                space=space,
+                oracle_spec={"kind": "table", "path": write_table(tmp_path / name, space, rows)},
+                budget=4,
+                population_size=2,
+                repeats=4,
+                models=("single:rs",),
+            )
+
+        out = tmp_path / "out"
+        if over_finished:  # none of a finished campaign's files outlives a failed rerun
+            write_campaign(table_plan("full.csv"), str(out))
+            assert (out / "report.json").exists()
         del rows[(1, 1, 1, 1)]
-        plan = ExperimentPlan(
-            space=space,
-            oracle_spec={"kind": "table", "path": write_table(tmp_path / "t.csv", space, rows)},
-            budget=4,
-            population_size=2,
-            repeats=4,
-            models=("single:rs",),
-        )
+        plan = table_plan("t.csv")
         oracle = build_oracle(plan)
         failing = []
         for key in plan.run_keys():
@@ -372,7 +406,6 @@ class TestCampaign:
             except UnmeasuredConfigError:
                 failing.append(key[2])
         assert failing == [1]  # only run 1 measures the missing row
-        out = tmp_path / "out"
         with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=1: unmeasured"):
             write_campaign(plan, str(out), jobs=jobs)
         assert sorted(os.listdir(out)) == ["plan.json", "traces"]
@@ -390,27 +423,35 @@ class TestCampaign:
         )
         assert sorted(os.listdir(out)) == ["plan.json", "traces"]
 
-    def test_peak_memory_does_not_grow_with_runs(self, tmp_path):
-        # Each finished run leaves its trace on disk and its summary (one
-        # float per measurement) in memory, so the peak is about one run's
-        # trace, and 30 more runs of 300 measurements add only their summaries.
-        def campaign(repeats):
-            plan = synthetic_plan(
-                make_binary_space(12), ("single:rs",), repeats=repeats, budget=300
-            )
-            write_campaign(plan, str(tmp_path / f"r{repeats}"))
+    def test_peak_memory_grows_by_summaries_not_traces(self, tmp_path):
+        # Each finished run leaves its trace on disk and only its summary (one
+        # float per measurement) in memory, so each further run raises the
+        # peak by far less than keeping its trace would.
+        space = make_binary_space(12)
 
-        def peak(repeats):
+        def plan(repeats):
+            return synthetic_plan(space, ("single:rs",), repeats=repeats, budget=300)
+
+        def traced(call):
             tracemalloc.start()
             try:
-                campaign(repeats)
-                return tracemalloc.get_traced_memory()[1]
+                result = call()
+                return result, tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
 
-        campaign(1)  # first-call allocations stay out of either peak
-        small = peak(10)
-        assert peak(40) < 1.5 * small
+        def peak(repeats):
+            out = str(tmp_path / f"r{repeats}")
+            return traced(lambda: write_campaign(plan(repeats), out))[1][1]
+
+        oracle = build_oracle(plan(1))
+        trace, (held, _) = traced(
+            lambda: execute_run(space, oracle, 300, 4, "single:rs", None, 0)
+        )
+        assert len(trace.entries) == 300
+        peak(1)  # first-call allocations stay out of either peak
+        per_run = (peak(40) - peak(10)) / 30
+        assert per_run < 0.25 * held
 
     def test_parallel_sends_the_oracle_once_per_worker(self, tmp_path, monkeypatch):
         space = make_binary_space(10)
