@@ -16,7 +16,8 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from statistics import fmean, stdev
 
@@ -272,6 +273,11 @@ def execute_run(
     raise ValueError(f"unknown model {model!r}")
 
 
+def _run_name(key: tuple[str, float | None, int]) -> str:
+    model, weight, run_index = key
+    return f"model={model} weight={weight_token(weight)} run={run_index}"
+
+
 def _named_run(
     plan: ExperimentPlan, oracle: Oracle, key: tuple[str, float | None, int],
     seed: int, budget: int, population_size: int, path: str | None = None,
@@ -279,7 +285,7 @@ def _named_run(
     """``execute_run`` for the run ``key`` of a plan, its trace written to
     ``path`` if one is given; a failure of either raises CampaignError naming
     the run."""
-    model, weight, run_index = key
+    model, weight, _ = key
     try:
         trace = execute_run(
             plan.space, oracle, budget, population_size, model, weight, seed,
@@ -289,10 +295,7 @@ def _named_run(
             emit_trace(trace, path)
         return trace
     except Exception as exc:
-        raise CampaignError(
-            f"run failed: model={model} weight={weight_token(weight)} "
-            f"run={run_index}: {exc}"
-        ) from exc
+        raise CampaignError(f"run failed: {_run_name(key)}: {exc}") from exc
 
 
 # A worker process's plan, oracle and campaign directory, set once by
@@ -338,16 +341,44 @@ def run_campaign(
         os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     if jobs <= 1:
         return {key: _campaign_run(plan, oracle, out_dir, key) for key in keys}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(plan, oracle, out_dir),
-        ) as pool:
-            return dict(zip(keys, pool.map(_worker_run, keys)))
-    except CampaignError:
-        raise
-    except Exception as exc:  # the pool itself failed, e.g. a worker died
-        raise CampaignError(f"campaign run failed: {exc}") from exc
+    return _pooled_runs(plan, oracle, out_dir, keys, jobs)
+
+
+def _pooled_runs(
+    plan: ExperimentPlan, oracle: Oracle, out_dir: str | None,
+    keys: list[tuple[str, float | None, int]], jobs: int,
+) -> dict[tuple[str, float | None, int], RunSummary]:
+    """``run_campaign``'s runs in ``jobs`` worker processes, one future per
+    key, each submitted only when a worker is free. So no run starts after
+    one has failed, and if a worker dies, the runs left unfinished are the
+    ones that were running; the error names them. Otherwise the first failed
+    run in plan order raises its CampaignError, as it would serially."""
+    futures: dict[Future, tuple[str, float | None, int]] = {}
+    with ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(plan, oracle, out_dir),
+    ) as pool:
+        running: set[Future] = set()
+        for key in keys:
+            if len(running) == jobs:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() for future in done):
+                    break
+            try:
+                future = pool.submit(_worker_run, key)
+            except BrokenProcessPool:
+                break
+            futures[future] = key
+            running.add(future)
+    failed = [(key, f.exception()) for f, key in futures.items() if f.exception()]
+    if not failed:
+        return {key: future.result() for future, key in futures.items()}
+    exc = failed[0][1]
+    if isinstance(exc, CampaignError):
+        raise exc
+    # The pool itself failed, e.g. a worker died: every run it was running
+    # holds the one error.
+    names = ", ".join(_run_name(key) for key, error in failed if error is exc)
+    raise CampaignError(f"campaign worker failed running {names}: {exc}") from exc
 
 
 def build_report(

@@ -11,15 +11,16 @@ A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
 ``RunSummary`` holds just these, the column as an ``array('d')``.
 ``RunTrace.summary`` makes one of a trace in memory; ``load_summary``, the one
-trace reader, reduces a trace file to one as it reads it, keeping one float
-per row.
+trace reader, reduces a trace file to one, holding the rows of that one file
+while it reads them.
 
 ``load_summary`` checks every row. A malformed row raises ValueError starting
 with ``path:line:``: a wrong cell count, a number that does not parse, an
 option value outside the space, a non-finite target, auxiliary or
 best-so-far, a step or consumed count other than the row's number (a run
 consumes one unit of budget per distinct measurement), or a configuration that
-an earlier row holds.
+an earlier row holds. The rules are checked on whole columns at once; only a
+file that fails them goes through the row-by-row loop that words each error.
 """
 
 from __future__ import annotations
@@ -140,49 +141,99 @@ def emit_trace(trace: RunTrace, path: str) -> None:
 
 
 def load_summary(path: str, space: OptionSpace) -> RunSummary:
-    """The summary of a trace CSV, read without holding its rows, each row
-    checked: its step and consumed count are its row number; a malformed row
-    raises ValueError starting with ``path:line:``."""
-    column = array("d")
+    """The summary of a trace CSV, every row checked: its step and consumed
+    count are its row number; a malformed row raises ValueError starting with
+    ``path:line:``.
+
+    The file's rows are checked on whole columns. A file that check refuses
+    goes to ``_row_column``, which words the error of its first malformed row,
+    or returns the column of a valid file spelled as no writer spells it
+    (``01`` for ``1``)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _header(space):
             raise ValueError(f"{path}: unexpected trace header {header}")
-        n = len(space.names)
-        # Built once per file: a value in its range skips space.validate,
-        # which words the error for one that is not.
-        ranges = tuple(range(opt.lower, opt.upper + 1) for opt in space.options)
-        seen: set[Configuration] = set()
-        for row, cells in enumerate(reader, start=1):
-            try:
-                if len(cells) != n + 5:
-                    raise ValueError(f"expected {n + 5} cells, got {len(cells)}")
-                step = int(cells[0])
-                config = tuple(map(int, cells[1 : 1 + n]))
-                if not all(map(contains, ranges, config)):
-                    space.validate(config)
-                target = float(cells[1 + n])
-                auxiliary = float(cells[2 + n])
-                consumed = int(cells[3 + n])
-                best = float(cells[4 + n])
-                if not (isfinite(target) and isfinite(auxiliary) and isfinite(best)):
-                    raise ValueError("non-finite target, auxiliary or best_so_far")
-                if step != row or consumed != row:
-                    raise ValueError(
-                        f"step {step} and consumed {consumed} must both be the "
-                        f"row number {row}"
-                    )
-                if config in seen:
-                    raise ValueError(f"configuration {config} repeats an earlier row")
-                seen.add(config)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{row + 1}: {exc}") from exc
-            column.append(best)
+        rows = list(reader)
+    try:
+        column = _checked_column(rows, space)
+    except ValueError:  # a cell that does not parse
+        column = None
+    if column is None:
+        column = _row_column(path, rows, space)
     try:
         return RunSummary.of(column)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _checked_column(rows: list[list[str]], space: OptionSpace) -> array | None:
+    """The best-so-far column of a trace's rows, every rule checked on whole
+    columns; None if a rule fails, ValueError if a cell does not parse.
+
+    Each distinct spelling in an option column is parsed once, and spellings
+    must map one-to-one to values, so configurations differ exactly when their
+    spellings do."""
+    n = len(space.names)
+    k = len(rows)
+    if set(map(len, rows)) != {n + 5}:
+        return None
+    columns = list(zip(*rows))
+    row_numbers = tuple(map(str, range(1, k + 1)))
+    for counts in (columns[0], columns[n + 3]):
+        if counts != row_numbers and tuple(map(int, counts)) != tuple(range(1, k + 1)):
+            return None
+    for opt, cells in zip(space.options, columns[1 : 1 + n]):
+        spellings = set(cells)
+        values = set(map(int, spellings))
+        if len(values) != len(spellings) or not (
+            opt.lower <= min(values) and max(values) <= opt.upper
+        ):
+            return None
+    if len(set(zip(*columns[1 : 1 + n]))) != k:
+        return None
+    measured = map(float, columns[n + 1] + columns[n + 2])
+    best = array("d", map(float, columns[n + 4]))
+    if not (all(map(isfinite, measured)) and all(map(isfinite, best))):
+        return None
+    return best
+
+
+def _row_column(path: str, rows: list[list[str]], space: OptionSpace) -> array:
+    """The best-so-far column of a trace's rows, checked row by row; the
+    first malformed row raises ValueError starting with ``path:line:``."""
+    column = array("d")
+    n = len(space.names)
+    # Built once per file: a value in its range skips space.validate,
+    # which words the error for one that is not.
+    ranges = tuple(range(opt.lower, opt.upper + 1) for opt in space.options)
+    seen: set[Configuration] = set()
+    for row, cells in enumerate(rows, start=1):
+        try:
+            if len(cells) != n + 5:
+                raise ValueError(f"expected {n + 5} cells, got {len(cells)}")
+            step = int(cells[0])
+            config = tuple(map(int, cells[1 : 1 + n]))
+            if not all(map(contains, ranges, config)):
+                space.validate(config)
+            target = float(cells[1 + n])
+            auxiliary = float(cells[2 + n])
+            consumed = int(cells[3 + n])
+            best = float(cells[4 + n])
+            if not (isfinite(target) and isfinite(auxiliary) and isfinite(best)):
+                raise ValueError("non-finite target, auxiliary or best_so_far")
+            if step != row or consumed != row:
+                raise ValueError(
+                    f"step {step} and consumed {consumed} must both be the "
+                    f"row number {row}"
+                )
+            if config in seen:
+                raise ValueError(f"configuration {config} repeats an earlier row")
+            seen.add(config)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row + 1}: {exc}") from exc
+        column.append(best)
+    return column
 
 
 def trace_filename(model: str, weight: float | None, run_index: int) -> str:

@@ -3,10 +3,28 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mmo_tune
 from mmo_tune.space import OptionSpace, OptionSpec
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` under ``python -O``, which strips assert statements, so
+    a check that must survive it can be seen to."""
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        timeout=60,
+    )
 
 
 def make_binary_space(n: int) -> OptionSpace:

@@ -48,10 +48,11 @@ from mmo_tune.measurement import (
 from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
 from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
+import mmo_tune.harness
 import mmo_tune.trace
-from mmo_tune.trace import load_summary
+from mmo_tune.trace import RunSummary, load_summary
 
-from conftest import make_binary_space, write_table
+from conftest import make_binary_space, run_optimized, write_table
 
 
 def synthetic_plan(space, models, repeats=3, budget=40, pop=4, seed=5, weights=(0.1, 0.9)):
@@ -266,6 +267,94 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:{lines[-1]}: .*{message}"):
             load_summary(path, binary3)
 
+    @staticmethod
+    def _outcome(read, path, space):
+        """What reading ``path`` gives: its summary or its error message."""
+        try:
+            return read(path, space)
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _row_loop(path, space):
+        """The reference reader: every data row through the row loop."""
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return RunSummary.of(mmo_tune.trace._row_column(path, rows, space))
+
+    def test_reads_every_cell_edit_as_the_row_loop(self, tmp_path, monkeypatch):
+        space = OptionSpace((
+            OptionSpec("a", "binary", 0, 1),
+            OptionSpec("b", "integer", 0, 12),
+            OptionSpec("c", "integer", -2, 3),
+        ))
+        oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=1))
+        trace = run_rs(space, BudgetLedger(6), oracle, OptimizerConfig(seed=3))
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, str(path))
+        original = path.read_text().splitlines()
+        with monkeypatch.context() as m:  # the writer's own file takes no row loop
+            m.setattr(mmo_tune.trace, "_row_column", None)
+            assert load_summary(str(path), space) == trace.summary()
+        outcomes = set()
+        for line in (2, 4, len(original)):
+            for column in range(len(space.names) + 5):
+                for spelling in ("01", "+1", " 1", "1_0", "1.0", "-0", "", "nan", "1e999"):
+                    text = list(original)
+                    cells = text[line - 1].split(",")
+                    cells[column] = spelling
+                    text[line - 1] = ",".join(cells)
+                    path.write_text("\n".join(text) + "\n")
+                    expected = self._outcome(self._row_loop, str(path), space)
+                    assert self._outcome(load_summary, str(path), space) == expected
+                    outcomes.add(type(expected))
+        assert outcomes == {RunSummary, str}
+
+    def test_header_only_trace_has_no_best_target(self, binary8, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_trace(RunTrace(binary8), str(path))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty trace has no best target$"):
+            load_summary(str(path), binary8)
+
+    def test_repeat_spelled_two_ways_is_a_repeat(self, binary8, tmp_path):
+        path = self._edited_trace(binary8, tmp_path, lambda cells: cells)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        first, second = lines[1].split(","), lines[2].split(",")
+        second[1:9] = ["0" + first[1], *first[2:9]]  # row 1's configuration
+        lines[2] = ",".join(second)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        config = tuple(map(int, first[1:9]))
+        message = re.escape(f"{path}:3: configuration {config} repeats an earlier row")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_summary(path, binary8)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cells: [*cells[:4], "nan", *cells[5:]],
+            lambda cells: [cells[0], "2", *cells[2:]],
+            lambda cells: [cells[0], "0.5", *cells[2:]],
+        ],
+        ids=["nan-target", "out-of-range-value", "non-integer-value"],
+    )
+    def test_malformed_trace_fails_alike_under_optimize_flag(self, binary3, tmp_path, edit):
+        # `python -O` strips assert statements; every check must survive it.
+        path = self._edited_trace(binary3, tmp_path, edit, 2)
+        with pytest.raises(ValueError) as raised:
+            load_summary(path, binary3)
+        proc = run_optimized(
+            "from mmo_tune.space import OptionSpace, OptionSpec\n"
+            "from mmo_tune.trace import load_summary\n"
+            "space = OptionSpace(tuple(\n"
+            "    OptionSpec(f'o{i}', 'binary', 0, 1) for i in range(3)))\n"
+            f"load_summary({path!r}, space)\n"
+        )
+        assert proc.returncode == 1
+        error = f"{type(raised.value).__name__}: {raised.value}"
+        assert proc.stderr.splitlines()[-1] == error
+
     def test_filename_scheme(self):
         assert trace_filename("single:shc-r", None, 3) == "single_shc_r__run003.csv"
         assert trace_filename("mmo:linear", 0.5, 0) == "mmo_linear__w0.5__run000.csv"
@@ -422,6 +511,56 @@ class TestCampaign:
             f"error: [Errno 2] No such file or directory: '{missing}'\n"
         )
         assert sorted(os.listdir(out)) == ["plan.json", "traces"]
+
+    def test_parallel_campaign_stops_at_the_first_failed_run(self, tmp_path):
+        space = make_binary_space(10)
+        rows = {c: (float(sum(c)), float(c[0])) for c in space.enumerate_all()}
+        table = str(tmp_path / "full.csv")
+        plan = ExperimentPlan(
+            space=space,
+            oracle_spec={"kind": "table", "path": write_table(table, space, rows)},
+            budget=200,
+            population_size=2,
+            repeats=8,
+            models=("single:rs",),
+        )
+        seed = plan.run_seed("single:rs", None, 1)
+        first = execute_run(space, build_oracle(plan), 1, 2, "single:rs", None, seed)
+        del rows[first.entries[0].config]  # run 1 fails at its first measurement
+        write_table(table, space, rows)
+        oracle = build_oracle(plan)
+        failing = []
+        for key in plan.run_keys():
+            try:
+                execute_run(space, oracle, 200, 2, "single:rs", None, plan.run_seed(*key))
+            except UnmeasuredConfigError:
+                failing.append(key[2])
+        assert failing == [1]
+        out = tmp_path / "out"
+        with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=1: unmeasured"):
+            write_campaign(plan, str(out), jobs=2)
+        names = set(os.listdir(out / "traces"))
+        assert trace_filename("single:rs", None, 0) in names
+        later = {trace_filename("single:rs", None, run) for run in range(2, 8)}
+        assert not later <= names
+
+    def test_dead_worker_names_its_runs(self, binary8, tmp_path, monkeypatch):
+        campaign_run = mmo_tune.harness._campaign_run
+
+        def dying(plan, oracle, out_dir, key):
+            if key[2] == 1:
+                os._exit(3)
+            return campaign_run(plan, oracle, out_dir, key)
+
+        # Linux forks the workers, so they inherit the patch.
+        monkeypatch.setattr(mmo_tune.harness, "_campaign_run", dying)
+        plan = synthetic_plan(binary8, ("single:rs",), repeats=4)
+        with pytest.raises(
+            CampaignError,
+            match=r"^campaign worker failed running (.*, )?model=single:rs weight=- run=1(, .*)?: "
+                  r"A process in the process pool was terminated abruptly",
+        ):
+            run_campaign(plan, jobs=2, out_dir=str(tmp_path / "out"))
 
     def test_peak_memory_grows_by_summaries_not_traces(self, tmp_path):
         # Each finished run leaves its trace on disk and only its summary (one

@@ -4,14 +4,10 @@ nondominated sort's dominance relation."""
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import mmo_tune
 from mmo_tune.measurement import MeasurementRecord
 from mmo_tune.models import (
     MmoInstance,
@@ -22,10 +18,10 @@ from mmo_tune.models import (
     to_minimization,
 )
 
+from conftest import run_optimized
+
 WEIGHTS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 10.0)
 SHAPES = ("linear", "sqrt", "square")
-
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
 
 
 class TestToMinimization:
@@ -103,13 +99,7 @@ class TestNormalizationBounds:
             "b.observe((0.0, 0.0))\n"
             "b.normalize(1.0, 0)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
-            timeout=60,
-        )
+        proc = run_optimized(script)
         assert proc.returncode == 1
         assert "ValueError: value 1.0 outside bounds" in proc.stderr
 
