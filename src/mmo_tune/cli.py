@@ -132,6 +132,8 @@ def _master_seed(args: argparse.Namespace) -> int:
 
 
 def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be >= 1")
     space = load_space(args.space)
     budget, population = args.budget, args.pop
     if args.preset:
@@ -288,12 +290,9 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*space.names, "target", "auxiliary"])
         for config in space.enumerate_all():
+            record = oracle.measure(config)
             writer.writerow(
-                [
-                    *config,
-                    f"{oracle.target(config):.2f}",
-                    f"{oracle.auxiliary(config):.2f}",
-                ]
+                [*config, f"{record.target_raw:.2f}", f"{record.auxiliary_raw:.2f}"]
             )
     print(
         json.dumps(

@@ -325,6 +325,11 @@ def _worker_run(key: tuple[str, float | None, int]) -> RunSummary:
     return _campaign_run(*_worker_state, key)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def run_campaign(
     plan: ExperimentPlan,
     jobs: int = 1,
@@ -334,12 +339,14 @@ def run_campaign(
     """Execute the full model-by-weight-by-repeat grid of a plan and return
     the summary of every run. With ``out_dir``, each run writes its trace
     under ``out_dir/traces`` as it finishes; with ``jobs`` > 1 the worker
-    writes it and sends back only the summary."""
+    writes it and sends back only the summary. ``jobs`` below 1 raises
+    ValueError."""
+    _check_jobs(jobs)
     oracle = oracle if oracle is not None else build_oracle(plan)
     keys = plan.run_keys()
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
-    if jobs <= 1:
+    if jobs == 1:
         return {key: _campaign_run(plan, oracle, out_dir, key) for key in keys}
     return _pooled_runs(plan, oracle, out_dir, keys, jobs)
 
@@ -568,7 +575,9 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
     ``plan.json`` comes first and each trace lands as its run finishes; the
     report and ``summary.csv`` are written only once every run has, so a
     failed campaign leaves no report. An earlier campaign's report, summary
-    and traces at this plan's names go first, never to be read as this one's."""
+    and traces at this plan's names go first, never to be read as this one's.
+    ``jobs`` below 1 raises ValueError before anything is touched."""
+    _check_jobs(jobs)
     os.makedirs(out_dir, exist_ok=True)
     stale = [os.path.join(out_dir, name) for name in ("report.json", "summary.csv")]
     for path in stale + [_trace_path(out_dir, key) for key in plan.run_keys()]:

@@ -305,11 +305,16 @@ class SyntheticOracle:
         return base + noise + pit
 
     def auxiliary(self, config: Configuration) -> float:
+        return self._auxiliary(config, self.target(config))
+
+    def _auxiliary(self, config: Configuration, target: float) -> float:
+        """The auxiliary value of ``config``, whose target is ``target``."""
         p = self.params
         rho = p.correlation
         noise = _unit_hash(p.seed, b"aux", config)
-        return rho * self.target(config) + (1.0 - abs(rho)) * noise
+        return rho * target + (1.0 - abs(rho)) * noise
 
     def measure(self, config: Configuration) -> MeasurementRecord:
         self.space.validate(config)
-        return MeasurementRecord(self.target(config), self.auxiliary(config))
+        target = self.target(config)
+        return MeasurementRecord(target, self._auxiliary(config, target))

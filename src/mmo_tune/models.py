@@ -125,10 +125,14 @@ def pmo_objectives(ft_norm: float, fa_norm: float) -> ObjectivePoint:
     return (ft_norm, fa_norm)
 
 
-def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
+def fast_nondominated_sort(
+    points: list[ObjectivePoint], capacity: int | None = None
+) -> list[list[int]]:
     """Partition the indices of objective pairs into fronts: front 0 is the
     nondominated set, front k is nondominated once fronts < k are removed.
     A point that is not a pair raises ValueError; equal points share a front.
+    With ``capacity``, only the first fronts that together hold at least
+    ``capacity`` points are returned: all a selection of that many reads.
 
     Front 0 lists its indices ascending. Front k >= 1 lists them in the order
     the counting loop of Deb et al. 2002 discovers them: by the position in
@@ -140,23 +144,28 @@ def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
     one has no larger second objective and differs from it. Within a front
     the second objective falls in lexicographic order, so the front's last
     member decides, and the first front it does not dominate is found by
-    binary search.
+    binary search. A point equal to the one before it joins that one's front.
     """
     if not points:
         raise ValueError("cannot sort an empty point set")
-    if not all(len(p) == 2 for p in points):
+    if set(map(len, points)) != {2}:
         raise ValueError("every objective point must be a pair")
     lex_fronts: list[list[int]] = []
+    previous = None
+    lo = 0
     for i in sorted(range(len(points)), key=points.__getitem__):
         p = points[i]
-        lo, hi = 0, len(lex_fronts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            last = points[lex_fronts[mid][-1]]
-            if last[1] <= p[1] and last != p:
-                lo = mid + 1
-            else:
-                hi = mid
+        if p != previous:
+            # Every earlier point differs from p: only its second objective
+            # decides.
+            previous = p
+            lo, hi = 0, len(lex_fronts)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if points[lex_fronts[mid][-1]][1] <= p[1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
         if lo == len(lex_fronts):
             lex_fronts.append([i])
         else:
@@ -168,8 +177,11 @@ def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
     # member advances through front k. A monotone deque then yields the
     # largest output position in each run: the member's last dominator.
     fronts = [sorted(lex_fronts[0])]
+    held = len(fronts[0])
     position = [0] * len(points)
     for above, front in zip(lex_fronts, lex_fronts[1:]):
+        if capacity is not None and held >= capacity:
+            break
         for pos, i in enumerate(fronts[-1]):
             position[i] = pos
         window: deque[int] = deque()  # members of `above`, positions falling
@@ -188,5 +200,5 @@ def fast_nondominated_sort(points: list[ObjectivePoint]) -> list[list[int]]:
             keyed.append((position[window[0]], i))
         keyed.sort()
         fronts.append([i for _, i in keyed])
+        held += len(front)
     return fronts
-

@@ -69,6 +69,11 @@ class OptimizerConfig:
         check_directions(self.directions)
 
 
+# A measured configuration: (configuration, target, auxiliary), both values
+# converted for minimization.
+Individual = tuple[Configuration, float, float]
+
+
 class _Run:
     """Per-run plumbing: generator, cached measurement, trace recording,
     progress checks."""
@@ -79,6 +84,7 @@ class _Run:
         ledger: BudgetLedger,
         oracle: Oracle,
         cfg: OptimizerConfig,
+        observe: Callable[[Individual], object] | None = None,
     ):
         self.space = space
         self.ledger = ledger
@@ -89,20 +95,32 @@ class _Run:
         self._space_size = space.size()
         # The ledger count at which no distinct measurement is left to make.
         self._stop = min(ledger.limit, self._space_size)
+        # The measured individual of every configuration this run has
+        # proposed. The run owns its ledger, so a configuration's first
+        # proposal is its measurement.
+        self._measured: dict[Configuration, Individual] = {}
+        self._observe = observe
 
-    def measure(self, config: Configuration) -> tuple[float, float]:
-        """Measure through the cache and return the (target, auxiliary) pair
-        converted for minimization; a new measurement joins the trace."""
-        before = self.ledger.consumed
+    def measure(self, config: Configuration) -> Individual:
+        """Measure through the cache and return (configuration, target,
+        auxiliary), both values converted for minimization.
+
+        A configuration's first proposal records its measurement in the
+        trace and hands the individual to ``observe``; a later one is served
+        from the run's individuals."""
         record = cached_measure(self.ledger, self.oracle, config)
-        converted = to_minimization(record, self.directions)
-        if self.ledger.consumed > before:
-            self.trace.record(config, record, self.ledger.consumed, converted[0])
-        return converted
+        measured = self._measured.get(config)
+        if measured is None:
+            measured = (config, *to_minimization(record, self.directions))
+            self._measured[config] = measured
+            self.trace.record(config, record, self.ledger.consumed, measured[1])
+            if self._observe is not None:
+                self._observe(measured)
+        return measured
 
     def target(self, config: Configuration) -> float:
         """Measure and return the minimization-oriented target."""
-        return self.measure(config)[0]
+        return self.measure(config)[1]
 
     def random_start(self) -> tuple[Configuration, float]:
         config = self.space.random_config(self.rng)
@@ -143,11 +161,14 @@ def boundary_mutation(
     """Independently reset each option to its lower or upper bound with probability ``rate``."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
-    values = list(config)
-    for i, opt in enumerate(space.options):
-        if rng.random() < rate:
-            values[i] = opt.lower if rng.random() < 0.5 else opt.upper
-    return tuple(values)
+    draw = rng.random
+    values = None  # copied at the first mutation
+    for i, (lower, upper) in enumerate(space.bounds):
+        if draw() < rate:
+            if values is None:
+                values = list(config)
+            values[i] = lower if draw() < 0.5 else upper
+    return config if values is None else tuple(values)
 
 
 def uniform_crossover(
@@ -156,12 +177,13 @@ def uniform_crossover(
     """Swap each position between the children via a fair coin, with probability ``rate``."""
     if len(a) != len(b):
         raise ValueError("parents come from different spaces")
-    if rng.random() >= rate:
+    draw = rng.random
+    if draw() >= rate:
         return a, b
     left = list(a)
     right = list(b)
     for i in range(len(left)):
-        if rng.random() < 0.5:
+        if draw() < 0.5:
             left[i], right[i] = right[i], left[i]
     return tuple(left), tuple(right)
 
@@ -179,16 +201,16 @@ def crowding_distance(points: list[ObjectivePoint]) -> list[float]:
         raise ValueError("empty front")
     distances = [0.0] * k
     for m in (0, 1):
-        order = sorted(range(k), key=lambda i: points[i][m])
+        values = [p[m] for p in points]
+        order = sorted(range(k), key=values.__getitem__)
+        ordered = [values[i] for i in order]
         distances[order[0]] = math.inf
         distances[order[-1]] = math.inf
-        span = points[order[-1]][m] - points[order[0]][m]
+        span = ordered[-1] - ordered[0]
         if span == 0.0:
             continue
-        for pos in range(1, k - 1):
-            distances[order[pos]] += (
-                points[order[pos + 1]][m] - points[order[pos - 1]][m]
-            ) / span
+        for i, prev, nxt in zip(order[1:-1], ordered, ordered[2:]):
+            distances[i] += (nxt - prev) / span
     return distances
 
 
@@ -206,14 +228,14 @@ def environmental_selection(
     """
     if capacity >= len(points):
         return list(range(len(points)))
-    fronts = fast_nondominated_sort(points)
+    fronts = fast_nondominated_sort(points, capacity)
     selected: list[int] = []
     for front in fronts:
         if len(selected) + len(front) <= capacity:
             selected.extend(front)
             continue
         dist = crowding_distance([points[i] for i in front])
-        order = sorted(range(len(front)), key=lambda j: -dist[j])
+        order = sorted(range(len(front)), key=dist.__getitem__, reverse=True)
         take = [front[j] for j in order[: capacity - len(selected)]]
         if protect is not None and protect in front and protect not in take and take:
             take[-1] = protect
@@ -378,42 +400,41 @@ def _tournament(keys: list, rng: random.Random) -> int:
 def _generational(
     run: _Run,
     cfg: OptimizerConfig,
-    evaluate: Callable[[Configuration], tuple],
-    rank: Callable[[list[tuple]], list],
-    survivors: Callable[[list[tuple], list[tuple]], list[tuple]],
+    rank: Callable[[list[Individual]], list],
+    survivors: Callable[[list[Individual], list[Individual]], list[Individual]],
 ) -> RunTrace:
-    """Evolve a population of ``evaluate`` results, tuples of (configuration,
-    minimization target, ...): binary tournaments on the ``rank`` keys of each
-    generation, uniform crossover, boundary mutation, then the ``survivors`` of
-    parents and offspring. After a few generations without a new distinct
-    measurement one offspring is replaced by a uniform draw over the unmeasured
-    space."""
+    """Evolve a population of measured individuals: binary tournaments on the
+    ``rank`` keys of each generation, uniform crossover, boundary mutation,
+    then the ``survivors`` of parents and offspring. After a few generations
+    without a new distinct measurement one offspring is replaced by a uniform
+    draw over the unmeasured space."""
     if cfg.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
-    space, ledger, rng = run.space, run.ledger, run.rng
+    space, ledger, rng, measure = run.space, run.ledger, run.rng, run.measure
     with contextlib.suppress(BudgetExhausted):
         population = [
-            evaluate(c) for c in _sample_distinct(space, rng, cfg.population_size)
+            measure(c) for c in _sample_distinct(space, rng, cfg.population_size)
         ]
+        size = len(population)
         stalled_generations = 0
         while not run.finished():
             keys = rank(population)
-            offspring: list[tuple] = []
+            offspring: list[Individual] = []
             before = ledger.consumed
-            while len(offspring) < len(population):
+            while len(offspring) < size:
                 p1 = population[_tournament(keys, rng)][0]
                 p2 = population[_tournament(keys, rng)][0]
                 for child in uniform_crossover(p1, p2, CROSSOVER_RATE, rng):
-                    if len(offspring) < len(population):
+                    if len(offspring) < size:
                         mutated = boundary_mutation(space, child, MUTATION_RATE, rng)
-                        offspring.append(evaluate(mutated))
+                        offspring.append(measure(mutated))
             if ledger.consumed == before:
                 stalled_generations += 1
                 if stalled_generations >= STALL_GENERATIONS:
                     fresh = run.fresh_uniform()
                     if fresh is None:
                         break
-                    offspring[rng.randrange(len(offspring))] = evaluate(fresh)
+                    offspring[rng.randrange(size)] = measure(fresh)
                     stalled_generations = 0
             else:
                 stalled_generations = 0
@@ -421,11 +442,13 @@ def _generational(
     return run.trace
 
 
-def _targets(population: list[tuple]) -> list[float]:
+def _targets(population: list[Individual]) -> list[float]:
     return [individual[1] for individual in population]
 
 
-def _elitist(population: list[tuple], offspring: list[tuple]) -> list[tuple]:
+def _elitist(
+    population: list[Individual], offspring: list[Individual]
+) -> list[Individual]:
     """The offspring replace the parents, but the best individual always survives."""
     best = min(population + offspring, key=lambda cv: cv[1])
     if best[1] < min(offspring, key=lambda cv: cv[1])[1]:
@@ -440,7 +463,7 @@ def run_soga(
     """Generational GA on the scalar target: binary tournaments, uniform
     crossover, boundary mutation, elitist replacement."""
     run = _Run(space, ledger, oracle, cfg)
-    return _generational(run, cfg, lambda c: (c, run.target(c)), _targets, _elitist)
+    return _generational(run, cfg, _targets, _elitist)
 
 
 def run_nsga2(
@@ -460,45 +483,62 @@ def run_nsga2(
     """
     if model != PMO and not isinstance(model, MmoInstance):
         raise ValueError(f"model must be {PMO!r} or an MmoInstance, got {model!r}")
-    run = _Run(space, ledger, oracle, cfg)
+    plain = model == PMO
     bounds = NormalizationBounds()
     points: dict[Configuration, ObjectivePoint] = {}  # under the current bounds
 
-    def evaluate(config: Configuration) -> tuple[Configuration, float, float]:
-        ft, fa = run.measure(config)
-        if bounds.observe((ft, fa)):
+    def observe(measured: Individual) -> None:
+        # Only a configuration's first measurement can move a bound.
+        if bounds.observe(measured[1:]):
             points.clear()
-        return config, ft, fa
 
-    def objective_point(individual: tuple[Configuration, float, float]) -> ObjectivePoint:
+    run = _Run(space, ledger, oracle, cfg, observe)
+
+    def objective_point(individual: Individual) -> ObjectivePoint:
         config, ft, fa = individual
         point = points.get(config)
         if point is None:
             ft_n = bounds.normalize(ft, 0)
             fa_n = bounds.normalize(fa, 1)
-            if model == PMO:
+            if plain:
                 point = pmo_objectives(ft_n, fa_n)
             else:
                 point = meta_objectives(model, ft_n, fa_n)
             points[config] = point
         return point
 
-    def rank(population: list[tuple]) -> list[tuple[int, float]]:
+    def objective_points(individuals: list[Individual]) -> list[ObjectivePoint]:
+        # A point is a pair, never false: only a missing one is computed.
+        return [points.get(ind[0]) or objective_point(ind) for ind in individuals]
+
+    # The keys are a function of the population's objective points alone, so
+    # a generation whose points equal the last ranked ones reuses its keys.
+    ranked: list[ObjectivePoint] = []
+    keys: list[tuple[int, float]] = []
+
+    def rank(population: list[Individual]) -> list[tuple[int, float]]:
         """(front, -crowding distance) per individual."""
-        points = [objective_point(ind) for ind in population]
+        nonlocal ranked, keys
+        current = objective_points(population)
+        if current == ranked:
+            return keys
+        ranked = current
         keys = [(0, 0.0)] * len(population)
-        for level, front in enumerate(fast_nondominated_sort(points)):
-            dist = crowding_distance([points[i] for i in front])
+        for level, front in enumerate(fast_nondominated_sort(current)):
+            dist = crowding_distance([current[i] for i in front])
             for j, i in enumerate(front):
                 keys[i] = (level, -dist[j])
         return keys
 
-    def select(population: list[tuple], offspring: list[tuple]) -> list[tuple]:
+    def select(
+        population: list[Individual], offspring: list[Individual]
+    ) -> list[Individual]:
         pool = population + offspring
         protect = None
-        if model != PMO:
-            protect = min(range(len(pool)), key=lambda i: pool[i][1])
-        points = [objective_point(ind) for ind in pool]
-        return [pool[i] for i in environmental_selection(points, len(population), protect)]
+        if not plain:
+            targets = [ind[1] for ind in pool]
+            protect = targets.index(min(targets))
+        chosen = environmental_selection(objective_points(pool), len(population), protect)
+        return [pool[i] for i in chosen]
 
-    return _generational(run, cfg, evaluate, rank, select)
+    return _generational(run, cfg, rank, select)

@@ -93,6 +93,11 @@ class OptionSpace:
         and the document form see only ``options``."""
         return tuple(i for i, opt in enumerate(self.options) if opt.cardinality > 1)
 
+    @cached_property
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        """(lower, upper) per option, computed once like ``_mutable``."""
+        return tuple((opt.lower, opt.upper) for opt in self.options)
+
     def size(self) -> int:
         """Number of distinct configurations (product of option cardinalities)."""
         n = 1
@@ -119,7 +124,7 @@ class OptionSpace:
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Uniform independent draw per option; deterministic for a seeded rng."""
-        return tuple(rng.randint(opt.lower, opt.upper) for opt in self.options)
+        return tuple(rng.randint(lower, upper) for lower, upper in self.bounds)
 
     def neighbors(
         self,
@@ -163,8 +168,8 @@ class OptionSpace:
         return out
 
     def _resample_excluding(self, index: int, current: int, rng: random.Random) -> int:
-        opt = self.options[index]
-        value = rng.randint(opt.lower, opt.upper - 1)
+        lower, upper = self.bounds[index]
+        value = rng.randint(lower, upper - 1)
         if value >= current:
             value += 1
         return value

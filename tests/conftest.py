@@ -83,6 +83,31 @@ def sort_by_domination_counts(points):
     return fronts
 
 
+def reference_boundary_mutation(space, config, rate, rng):
+    """Reference boundary mutation: one coin per option, then for a mutated
+    option a second coin between its lower and upper bound.
+
+    The draw order the optimizers' operator must keep, draw for draw."""
+    values = list(config)
+    for i, opt in enumerate(space.options):
+        if rng.random() < rate:
+            values[i] = opt.lower if rng.random() < 0.5 else opt.upper
+    return tuple(values)
+
+
+def reference_uniform_crossover(a, b, rate, rng):
+    """Reference uniform crossover: one coin for whether to cross, then a fair
+    coin per position for whether to swap it."""
+    if rng.random() >= rate:
+        return a, b
+    left = list(a)
+    right = list(b)
+    for i in range(len(left)):
+        if rng.random() < 0.5:
+            left[i], right[i] = right[i], left[i]
+    return tuple(left), tuple(right)
+
+
 @pytest.fixture
 def binary3() -> OptionSpace:
     return make_binary_space(3)

@@ -233,6 +233,19 @@ class TestCampaignCli:
         )
         assert campaign(2) == serial
 
+    @pytest.mark.parametrize("command", ("campaign", "sweep-weights"))
+    @pytest.mark.parametrize("jobs", ("0", "-2"))
+    def test_jobs_below_one_is_refused(self, space_file, tmp_path, capsys, command, jobs):
+        out = tmp_path / "camp"
+        code = run_cli(
+            command, "--space", space_file, "--synthetic", "--budget", "8",
+            "--pop", "4", "--repeats", "1", "--models", "mmo:linear",
+            "--weights", "0.1", "--jobs", jobs, "--out", str(out),
+        )
+        assert code == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_preset_sets_budget_and_population(self, space_file, tmp_path, capsys):
         out = tmp_path / "camp"
         code = run_cli(

@@ -451,6 +451,19 @@ class TestCampaign:
         with pytest.raises(CampaignError, match=r"^run failed: model=single:rs weight=- run=0: unmeasured"):
             run_campaign(plan, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", (0, -2))
+    def test_jobs_below_one_is_refused(self, binary8, tmp_path, jobs):
+        plan = synthetic_plan(binary8, ("single:rs",), repeats=1)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_campaign(plan, jobs=jobs, out_dir=str(out))
+        assert not out.exists()
+        write_campaign(plan, str(out))
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            write_campaign(plan, str(out), jobs=jobs)
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_run_campaign_creates_its_trace_directory(self, binary8, tmp_path, jobs):
         plan = synthetic_plan(binary8, ("single:rs", "mmo:linear"), repeats=2)

@@ -275,6 +275,22 @@ class TestSyntheticOracle:
             config = binary8.random_config(rng)
             assert oracle.auxiliary(config) == oracle.target(config)
 
+    @pytest.mark.parametrize("correlation", (-1.0, 0.0, 0.3, 1.0))
+    def test_measure_is_target_and_auxiliary(self, correlation):
+        space = OptionSpace(
+            (OptionSpec("a", "integer", 0, 3), *make_binary_space(4).options)
+        )
+        params = SyntheticLandscapeParams(
+            space=space, seed=5, ruggedness=0.4, correlation=correlation
+        )
+        oracle = SyntheticOracle(params)
+        for config in space.enumerate_all():
+            record = oracle.measure(config)
+            assert (record.target_raw, record.auxiliary_raw) == (
+                oracle.target(config),
+                oracle.auxiliary(config),
+            )
+
     def test_negative_correlation_is_monotone_decreasing(self, binary8):
         params = SyntheticLandscapeParams(
             space=binary8, seed=4, correlation=-1.0, ruggedness=0.5

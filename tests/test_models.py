@@ -18,7 +18,7 @@ from mmo_tune.models import (
     to_minimization,
 )
 
-from conftest import run_optimized
+from conftest import run_optimized, sort_by_domination_counts
 
 WEIGHTS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 10.0)
 SHAPES = ("linear", "sqrt", "square")
@@ -251,6 +251,36 @@ class TestParetoFront:
             if size > 3 and rng.random() < 0.5:
                 points[0] = points[1]  # inject duplicates
             assert fast_nondominated_sort(points)[0] == brute_force_front(points)
+
+
+class TestHeavyDuplicates:
+    def test_front_order_matches_counting_loop(self):
+        """Pairs drawn from at most five values: the shape an NSGA-II
+        population collapses to, where most points equal another."""
+        rng = random.Random(14)
+        for _ in range(200):
+            values = [rng.random() for _ in range(rng.randint(1, 5))]
+            points = [
+                (rng.choice(values), rng.choice(values))
+                for _ in range(rng.randint(2, 60))
+            ]
+            assert fast_nondominated_sort(points) == sort_by_domination_counts(points)
+
+    def test_capacity_keeps_the_fronts_that_first_hold_it(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            values = [rng.random() for _ in range(rng.randint(1, 5))]
+            points = [
+                (rng.choice(values), rng.choice(values))
+                for _ in range(rng.randint(2, 40))
+            ]
+            fronts = sort_by_domination_counts(points)
+            for capacity in range(1, len(points) + 2):
+                held, kept = 0, 0
+                while kept < len(fronts) and held < capacity:
+                    held += len(fronts[kept])
+                    kept += 1
+                assert fast_nondominated_sort(points, capacity) == fronts[:kept]
 
 
 def random_pairs(rng, count):

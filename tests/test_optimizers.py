@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 import statistics
@@ -10,6 +11,7 @@ import statistics
 import pytest
 
 from mmo_tune import optimizers
+from mmo_tune.harness import derive_seed, emit_trace
 from mmo_tune.measurement import (
     BudgetLedger,
     MeasurementRecord,
@@ -37,7 +39,14 @@ from mmo_tune.optimizers import (
 )
 from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec
 
-from conftest import dominance, make_binary_space, sort_by_domination_counts, write_table
+from conftest import (
+    dominance,
+    make_binary_space,
+    reference_boundary_mutation,
+    reference_uniform_crossover,
+    sort_by_domination_counts,
+    write_table,
+)
 
 
 def synthetic(space, seed=7, ruggedness=0.4, density=0.1, correlation=0.3):
@@ -98,6 +107,59 @@ class TestBoundaryMutation:
         )
         sigma = math.sqrt(trials * rate * (1 - rate))
         assert abs(flipped - trials * rate) <= 3 * sigma
+
+
+# Spaces for the draw-for-draw checks: binary options, integer options, and
+# options with a single value mixed in with both.
+VARIATION_SPACES = {
+    "binary": make_binary_space(7),
+    "integer": OptionSpace(
+        (
+            OptionSpec("a", "integer", 1, 8),
+            OptionSpec("b", "integer", -3, 2),
+            OptionSpec("c", "integer", 0, 9),
+        )
+    ),
+    "single": OptionSpace(
+        (
+            OptionSpec("s0", "integer", 3, 3),
+            OptionSpec("b0", "binary", 0, 1),
+            OptionSpec("s1", "integer", -1, -1),
+            OptionSpec("i0", "integer", 0, 4),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("rate", (0.0, 0.1, 1.0))
+@pytest.mark.parametrize("kind", sorted(VARIATION_SPACES))
+class TestVariationDrawForDraw:
+    """The operators return what the reference operators return and leave
+    the generator where they leave it, so every later draw is the same."""
+
+    def test_boundary_mutation(self, kind, rate):
+        space = VARIATION_SPACES[kind]
+        for seed in range(40):
+            config = space.random_config(random.Random(seed + 1000))
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = boundary_mutation(space, config, rate, rng)
+                want = reference_boundary_mutation(space, config, rate, ref)
+                assert got == want
+                assert rng.getstate() == ref.getstate()
+                config = got
+
+    def test_uniform_crossover(self, kind, rate):
+        space = VARIATION_SPACES[kind]
+        for seed in range(40):
+            setup = random.Random(seed + 2000)
+            a, b = space.random_config(setup), space.random_config(setup)
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got = uniform_crossover(a, b, rate, rng)
+                assert got == reference_uniform_crossover(a, b, rate, ref)
+                assert rng.getstate() == ref.getstate()
+                a, b = got
 
 
 class TestUniformCrossover:
@@ -398,6 +460,48 @@ class TestNsga2:
                 PMO,
                 OptimizerConfig(population_size=1),
             )
+
+
+# Digests of runs of population 20 on the 64 configurations of a 6-bit space,
+# with a budget of 60 that leaves the population repeating a few points for
+# many generations: the meta-model run ranks an unchanged population in about
+# 40 of its 48 generations, and its sorts see about 5 points per distinct one.
+# Pinned before NSGA-II reused the keys of an unchanged population.
+GOLDEN_COLLAPSED = {
+    "pmo": "dc1b07f469fda38d067a396870594e35ccb02a4d5e5c7b7ee17c6a0a87cb7719",
+    "mmo-linear-0.1": "89befedfc19949e4b8ec2eb91344c3c2f14289ca91a2b70707fdbd4855e2931f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COLLAPSED))
+def test_collapsed_population_trace_digest(name, tmp_path):
+    model = PMO if name == "pmo" else MmoInstance("linear", 0.1)
+    space = make_binary_space(6)
+    oracle = SyntheticOracle(
+        SyntheticLandscapeParams(space=space, seed=6, ruggedness=0.5, correlation=0.2)
+    )
+    cfg = OptimizerConfig(
+        population_size=20, seed=derive_seed(2024, "bits6-collapse", name)
+    )
+    trace = run_nsga2(space, BudgetLedger(60), oracle, model, cfg)
+    path = tmp_path / "trace.csv"
+    emit_trace(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COLLAPSED[name]
+
+
+class TestRunMeasure:
+    def test_each_configuration_is_converted_recorded_and_observed_once(self, binary8):
+        oracle = synthetic(binary8)
+        observed = []
+        cfg = OptimizerConfig(directions=("maximize", "minimize"))
+        run = _Run(binary8, BudgetLedger(10), oracle, cfg, observed.append)
+        a, b = (0,) * 8, (1,) * 8
+        measured = [run.measure(c) for c in (a, b, a, b, a)]
+        expected = {c: (c, -oracle.target(c), oracle.auxiliary(c)) for c in (a, b)}
+        assert measured == [expected[c] for c in (a, b, a, b, a)]
+        assert run.target(b) == expected[b][1]
+        assert [entry.config for entry in run.trace.entries] == [a, b]
+        assert observed == [expected[a], expected[b]]
 
 
 class TestTrustedProposals:
