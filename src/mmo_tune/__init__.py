@@ -21,7 +21,6 @@ from .measurement import (
     BudgetLedger,
     CommandOracle,
     MeasurementRecord,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
     cached_measure,

@@ -20,17 +20,16 @@ from .harness import (
     ExperimentPlan,
     best_weight_groups,
     build_oracle,
-    canonical_model,
     data_driven_weight_selection,
     emit_trace,
     execute_run,
     preliminary_weight_selection,
     recompute_report,
-    synthetic_oracle,
     weight_token,
     write_campaign,
     write_report,
 )
+from .measurement import SyntheticOracle
 from .models import DIRECTIONS
 from .space import load_space
 
@@ -110,20 +109,20 @@ def _oracle_spec(args: argparse.Namespace) -> dict:
             "samples": args.samples,
             "timeout": args.timeout,
         }
-    return _landscape_spec(args)
+    return {"kind": "synthetic", **_landscape_fields(args)}
 
 
-def _landscape_spec(args: argparse.Namespace) -> dict:
-    spec: dict = {
-        "kind": "synthetic",
+def _landscape_fields(args: argparse.Namespace) -> dict:
+    """``SyntheticOracle``'s arguments other than the space, from the flags."""
+    fields: dict = {
         "seed": args.landscape_seed,
         "density": args.density,
         "ruggedness": args.ruggedness,
         "correlation": args.correlation,
     }
     if args.planted:
-        spec["planted"] = [int(v) for v in args.planted.split(",")]
-    return spec
+        fields["planted"] = [int(v) for v in args.planted.split(",")]
+    return fields
 
 
 def _master_seed(args: argparse.Namespace) -> int:
@@ -131,41 +130,45 @@ def _master_seed(args: argparse.Namespace) -> int:
     return int(env) if env else args.seed
 
 
+def _run_plan(args: argparse.Namespace, **fields) -> ExperimentPlan:
+    """The plan of the run flags every subcommand shares (space, oracle,
+    seed, directions), with ``fields`` for the rest."""
+    return ExperimentPlan(
+        space=load_space(args.space),
+        oracle_spec=_oracle_spec(args),
+        master_seed=_master_seed(args),
+        target_direction=args.target_direction,
+        auxiliary_direction=args.auxiliary_direction,
+        **fields,
+    )
+
+
 def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    space = load_space(args.space)
     budget, population = args.budget, args.pop
     if args.preset:
         population, budget = PRESETS[args.preset]
     if budget is None:
         raise _UsageError("--budget is required (or use --preset)")
-    return ExperimentPlan(
-        space=space,
-        oracle_spec=_oracle_spec(args),
+    return _run_plan(
+        args,
         budget=budget,
         population_size=population,
         repeats=args.repeats,
         models=tuple(m for m in args.models.split(",") if m),
         weights=tuple(float(w) for w in args.weights.split(",") if w),
-        master_seed=_master_seed(args),
-        target_direction=args.target_direction,
-        auxiliary_direction=args.auxiliary_direction,
     )
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    plan = ExperimentPlan(
-        space=load_space(args.space),
-        oracle_spec=_oracle_spec(args),
+    plan = _run_plan(
+        args,
         budget=args.budget,
         population_size=args.pop,
         repeats=1,
-        models=(canonical_model(args.model),),
+        models=(args.model,),
         weights=(args.weight,) if args.weight is not None else DEFAULT_WEIGHTS,
-        master_seed=_master_seed(args),
-        target_direction=args.target_direction,
-        auxiliary_direction=args.auxiliary_direction,
     )
     model = plan.models[0]
     # Only meta models take a weight; the others are seeded as a campaign
@@ -255,7 +258,7 @@ def _cmd_select_weight(args: argparse.Namespace) -> int:
     if not args.table:
         raise _UsageError("data-driven selection needs --table")
     chosen, elapsed = data_driven_weight_selection(
-        build_oracle(plan), plan, mode=args.scale
+        build_oracle(plan), plan, mode=args.scale, jobs=args.jobs
     )
     print(
         json.dumps(
@@ -285,7 +288,7 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
             f"space has {space.size()} configurations; refusing to enumerate "
             f"more than {MAX_TABLE_ROWS}"
         )
-    oracle = synthetic_oracle(space, _landscape_spec(args))
+    oracle = SyntheticOracle(space, **_landscape_fields(args))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*space.names, "target", "auxiliary"])
@@ -299,7 +302,7 @@ def _cmd_gen_landscape(args: argparse.Namespace) -> int:
             {
                 "out": args.out,
                 "rows": space.size(),
-                "planted": oracle.params.planted_optimum,
+                "planted": oracle.planted,
             }
         )
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from .measurement import (
     BudgetLedger,
     CommandOracle,
     Oracle,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
     load_table,
@@ -206,36 +206,30 @@ def plan_from_doc(doc: dict) -> ExperimentPlan:
     )
 
 
+def _oracle_constructors() -> dict:
+    # Looked up at each call, so that a wrapper put in place of one is called.
+    return {"table": load_table, "command": CommandOracle, "synthetic": SyntheticOracle}
+
+
+_ORACLE_SIGNATURES = {
+    kind: inspect.signature(constructor)
+    for kind, constructor in _oracle_constructors().items()
+}
+
+
 def build_oracle(plan: ExperimentPlan) -> Oracle:
-    """The oracle of a plan's oracle spec; it reports raw values."""
-    spec = plan.oracle_spec
-    kind = spec.get("kind")
-    if kind == "table":
-        return load_table(spec["path"], space=plan.space)
-    if kind == "command":
-        return CommandOracle(
-            spec["command"],
-            plan.space,
-            samples=spec.get("samples", 5),
-            timeout=spec.get("timeout", 60.0),
-        )
-    if kind == "synthetic":
-        return synthetic_oracle(plan.space, spec)
-    raise ValueError(f"unknown oracle kind {kind!r}")
-
-
-def synthetic_oracle(space: OptionSpace, spec: dict) -> SyntheticOracle:
-    """The synthetic landscape of a ``{"kind": "synthetic", ...}`` oracle spec."""
-    planted = spec.get("planted")
-    params = SyntheticLandscapeParams(
-        space=space,
-        seed=spec["seed"],
-        local_optima_density=spec.get("density", 0.05),
-        ruggedness=spec.get("ruggedness", 0.3),
-        correlation=spec.get("correlation", 0.0),
-        planted_optimum=space.config(planted) if planted is not None else None,
-    )
-    return SyntheticOracle(params)
+    """The oracle of a plan's oracle spec; it reports raw values. The spec
+    holds ``kind`` plus the arguments of that kind's constructor other than
+    the space; a missing or unknown field raises ValueError naming it."""
+    fields = dict(plan.oracle_spec)
+    kind = fields.pop("kind", None)
+    if kind not in _ORACLE_SIGNATURES:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    try:
+        _ORACLE_SIGNATURES[kind].bind(space=plan.space, **fields)
+    except TypeError as exc:
+        raise ValueError(f"{kind} oracle spec: {exc}") from None
+    return _oracle_constructors()[kind](space=plan.space, **fields)
 
 
 def execute_run(
@@ -541,15 +535,17 @@ def data_driven_weight_selection(
     table: TabularOracle,
     plan: ExperimentPlan,
     mode: str = "preliminary",
+    jobs: int = 1,
 ) -> tuple[dict[str, float], float]:
     """Choose weights by replaying tuning against pre-measured data only.
 
     ``mode="preliminary"`` reuses the preliminary-selection computation path
     (identical choice for equal seeds). ``mode="full"`` runs the campaign of
-    each meta instance alone over all weights (campaign seeds) and picks the
-    weight of ``best_weight_groups`` in its report, where Scott-Knott ranks
-    that instance's weights only. Returns the chosen weights and the elapsed
-    seconds.
+    the plan's meta instances over all weights (campaign seeds; in ``jobs``
+    worker processes) and, per instance, picks the weight of
+    ``best_weight_groups`` in a report built from that instance's runs alone,
+    where Scott-Knott ranks that instance's weights only. Returns the chosen
+    weights and the elapsed seconds.
     """
     if mode not in ("preliminary", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -557,10 +553,14 @@ def data_driven_weight_selection(
     if mode == "preliminary":
         chosen = preliminary_weight_selection(plan, oracle=table)
         return chosen, time.perf_counter() - start
+    mmo_models = plan.mmo_models()
+    if not mmo_models:
+        raise ValueError("plan selects no meta models")
+    meta_plan = dataclasses.replace(plan, models=mmo_models)
+    runs = run_campaign(meta_plan, jobs=jobs, oracle=table)
     chosen = {}
-    for model in plan.mmo_models():
-        sub_plan = dataclasses.replace(plan, models=(model,))
-        report = build_report(sub_plan, run_campaign(sub_plan, oracle=table))
+    for model in mmo_models:
+        report = build_report(dataclasses.replace(plan, models=(model,)), runs)
         chosen[model] = best_weight_groups(report)[model]["weight"]
     return chosen, time.perf_counter() - start
 
@@ -576,8 +576,10 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
     report and ``summary.csv`` are written only once every run has, so a
     failed campaign leaves no report. An earlier campaign's report, summary
     and traces at this plan's names go first, never to be read as this one's.
-    ``jobs`` below 1 raises ValueError before anything is touched."""
+    ``jobs`` below 1, or an oracle spec that builds no oracle, raises before
+    anything is touched."""
     _check_jobs(jobs)
+    oracle = build_oracle(plan)
     os.makedirs(out_dir, exist_ok=True)
     stale = [os.path.join(out_dir, name) for name in ("report.json", "summary.csv")]
     for path in stale + [_trace_path(out_dir, key) for key in plan.run_keys()]:
@@ -585,7 +587,8 @@ def write_campaign(plan: ExperimentPlan, out_dir: str, jobs: int = 1) -> dict:
             os.remove(path)
     with open(os.path.join(out_dir, "plan.json"), "w", encoding="utf-8") as fh:
         fh.write(plan.canonical_json() + "\n")
-    report = build_report(plan, run_campaign(plan, jobs=jobs, out_dir=out_dir))
+    runs = run_campaign(plan, jobs=jobs, oracle=oracle, out_dir=out_dir)
+    report = build_report(plan, runs)
     write_report(report, out_dir)
     _write_summary(report, os.path.join(out_dir, "summary.csv"))
     return report

@@ -238,30 +238,6 @@ def _transcript(stdout: str, stderr: str) -> str:
     return f"\nstdout: {stdout!r}\nstderr: {stderr!r}"
 
 
-@dataclass(frozen=True)
-class SyntheticLandscapeParams:
-    """Knobs for a planted-optimum landscape with tunable ruggedness."""
-
-    space: OptionSpace
-    seed: int
-    local_optima_density: float = 0.05
-    ruggedness: float = 0.3
-    correlation: float = 0.0
-    planted_optimum: Configuration | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.local_optima_density <= 1.0:
-            raise ValueError("local_optima_density must be in (0, 1]")
-        if self.ruggedness < 0.0:
-            raise ValueError("ruggedness must be >= 0")
-        if not -1.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must be in [-1, 1]")
-        planted = self.planted_optimum
-        if planted is None:
-            planted = self.space.random_config(random.Random(self.seed))
-        object.__setattr__(self, "planted_optimum", self.space.config(planted))
-
-
 def _unit_hash(seed: int, tag: bytes, values: tuple[int, ...]) -> float:
     """Stable pseudo-random uniform in [0, 1) from (seed, tag, values)."""
     h = hashlib.blake2b(digest_size=8)
@@ -276,32 +252,48 @@ class SyntheticOracle:
 
     The target is a normalized distance-to-planted slope plus seeded per-config
     noise of amplitude ``ruggedness``, with pits of depth ``2 * ruggedness``
-    carved at ``local_optima_density`` of the configurations. The planted
-    optimum sits strictly below every other value. With ruggedness 0 the
-    landscape has a single basin; once ruggedness exceeds the per-step slope,
-    isolated pit centers become strict Hamming-1 local minima. The auxiliary value mixes
-    the target with independent seeded noise via ``correlation``, so extreme
-    auxiliary values can coexist with similar target values.
+    carved at ``density`` of the configurations. The planted optimum
+    (``planted``, or a configuration drawn from ``seed``) sits strictly below
+    every other value. With ruggedness 0 the landscape has a single basin; once
+    ruggedness exceeds the per-step slope, isolated pit centers become strict
+    Hamming-1 local minima. The auxiliary value mixes the target with
+    independent seeded noise via ``correlation``, so extreme auxiliary values
+    can coexist with similar target values.
     """
 
-    def __init__(self, params: SyntheticLandscapeParams):
-        self.params = params
-        self.space = params.space
-        spans = sum(opt.upper - opt.lower for opt in self.space.options)
+    def __init__(
+        self, space: OptionSpace, seed: int, density: float = 0.05,
+        ruggedness: float = 0.3, correlation: float = 0.0,
+        planted: Iterable[int] | None = None,
+    ):
+        if not 0.0 < density <= 1.0:
+            raise ValueError("density must be in (0, 1]")
+        if ruggedness < 0.0:
+            raise ValueError("ruggedness must be >= 0")
+        if not -1.0 <= correlation <= 1.0:
+            raise ValueError("correlation must be in [-1, 1]")
+        self.space = space
+        self.seed = seed
+        self.density = density
+        self.ruggedness = ruggedness
+        self.correlation = correlation
+        if planted is None:
+            planted = space.random_config(random.Random(seed))
+        self.planted = space.config(planted)
+        spans = sum(opt.upper - opt.lower for opt in space.options)
         self._distance_scale = float(spans) if spans else 1.0
 
     def target(self, config: Configuration) -> float:
-        p = self.params
-        if config == p.planted_optimum:
-            return -2.0 * p.ruggedness - 0.5
+        if config == self.planted:
+            return -2.0 * self.ruggedness - 0.5
         base = (
-            sum(abs(v - pv) for v, pv in zip(config, p.planted_optimum))
+            sum(abs(v - pv) for v, pv in zip(config, self.planted))
             / self._distance_scale
         )
-        noise = p.ruggedness * _unit_hash(p.seed, b"noise", config)
+        noise = self.ruggedness * _unit_hash(self.seed, b"noise", config)
         pit = 0.0
-        if _unit_hash(p.seed, b"pit", config) < p.local_optima_density:
-            pit = -2.0 * p.ruggedness
+        if _unit_hash(self.seed, b"pit", config) < self.density:
+            pit = -2.0 * self.ruggedness
         return base + noise + pit
 
     def auxiliary(self, config: Configuration) -> float:
@@ -309,9 +301,8 @@ class SyntheticOracle:
 
     def _auxiliary(self, config: Configuration, target: float) -> float:
         """The auxiliary value of ``config``, whose target is ``target``."""
-        p = self.params
-        rho = p.correlation
-        noise = _unit_hash(p.seed, b"aux", config)
+        rho = self.correlation
+        noise = _unit_hash(self.seed, b"aux", config)
         return rho * target + (1.0 - abs(rho)) * noise
 
     def measure(self, config: Configuration) -> MeasurementRecord:

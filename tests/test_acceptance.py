@@ -24,7 +24,6 @@ from mmo_tune.measurement import (
     BudgetExhausted,
     BudgetLedger,
     MeasurementRecord,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     cached_measure,
 )
@@ -280,9 +279,7 @@ def test_criterion_6_budget_and_caching_law(tmp_path):
         if oracle.calls != len(seen):
             ok = False
     # Byte-identical traces for repeated seeded executions.
-    plan_oracle = SyntheticOracle(
-        SyntheticLandscapeParams(space=space, seed=9, correlation=0.3)
-    )
+    plan_oracle = SyntheticOracle(space, seed=9, correlation=0.3)
     for model in ("single:rs", "mmo:linear"):
         paths = []
         for tag in ("x", "y"):
@@ -357,10 +354,7 @@ def test_criterion_7_desk_scale_headline_behavior():
 def test_criterion_8_data_driven_weight_selection(tmp_path):
     space = make_binary_space(12)  # 4096-configuration table
     landscape = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space, seed=88, local_optima_density=0.05, ruggedness=0.4,
-            correlation=0.3,
-        )
+        space, seed=88, density=0.05, ruggedness=0.4, correlation=0.3
     )
     rows = {
         c: (landscape.target(c), landscape.auxiliary(c))
@@ -390,12 +384,9 @@ def test_criterion_8_data_driven_weight_selection(tmp_path):
 def test_criterion_9_global_optimum_sanity():
     space = make_binary_space(8)
     oracle = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space, seed=99, local_optima_density=0.1, ruggedness=0.6,
-            correlation=0.3,
-        )
+        space, seed=99, density=0.1, ruggedness=0.6, correlation=0.3
     )
-    planted_value = oracle.target(oracle.params.planted_optimum)
+    planted_value = oracle.target(oracle.planted)
     ok = True
     for model, weight in (
         ("single:rs", None),

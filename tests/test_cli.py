@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,9 @@ import sys
 import pytest
 
 import mmo_tune
+import mmo_tune.harness
 from mmo_tune.cli import _build_parser, main
+from mmo_tune.measurement import CommandOracle, SyntheticOracle
 from mmo_tune.trace import trace_filename
 
 from conftest import make_binary_space, write_table
@@ -398,6 +401,28 @@ class TestOtherSubcommands:
         err = capsys.readouterr().err
         assert "--scale full" in err and "--method data-driven" in err
 
+    def test_select_weight_full_scale_passes_jobs(self, space_file, table_file, capsys,
+                                                  monkeypatch):
+        calls = []
+        real_run_campaign = mmo_tune.harness.run_campaign
+
+        def spy(plan, jobs=1, **kwargs):
+            calls.append((plan.models, jobs))
+            return real_run_campaign(plan, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(mmo_tune.harness, "run_campaign", spy)
+        code = run_cli(
+            "select-weight", "--space", space_file, "--table", table_file,
+            "--budget", "30", "--pop", "4", "--repeats", "2",
+            "--models", "mmo:linear,mmo:sqrt", "--weights", "0.1,0.9",
+            "--method", "data-driven", "--scale", "full", "--jobs", "2",
+        )
+        assert code == 0
+        assert calls == [(("mmo:linear", "mmo:sqrt"), 2)]
+        assert set(json.loads(capsys.readouterr().out)["weights"]) == {
+            "mmo:linear", "mmo:sqrt"
+        }
+
     def test_sweep_weights_emits_grid(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = run_cli(
@@ -499,6 +524,27 @@ def test_subcommand_options_and_defaults():
     assert found == OPTIONS
 
 
+@pytest.mark.parametrize(
+    "constructor, names",
+    (
+        (SyntheticOracle, ("density", "ruggedness", "correlation")),
+        (CommandOracle, ("samples", "timeout")),
+    ),
+)
+def test_flag_defaults_are_the_oracle_defaults(constructor, names):
+    # An oracle's defaults live in its constructor and in the CLI flags only.
+    parameters = inspect.signature(constructor).parameters
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for subparser in sub.choices.values():
+        for name in names:
+            if f"--{name}" in subparser._option_string_actions:
+                assert subparser.get_default(name) == parameters[name].default
+                checked += 1
+    assert checked >= len(names)
+
+
 def test_runtime_imports_neither_scipy_nor_numpy():
     # The runtime needs only the standard library; scipy is a test reference.
     script = (
@@ -523,7 +569,7 @@ def test_public_surface():
         "Configuration", "DEFAULT_WEIGHTS", "ExperimentPlan", "MeasurementRecord",
         "MmoInstance", "NormalizationBounds", "OptimizerConfig", "OptionSpace",
         "OptionSpec", "PMO", "PRESETS", "RunTrace", "StatResult",
-        "SyntheticLandscapeParams", "SyntheticOracle", "TabularOracle", "a12",
+        "SyntheticOracle", "TabularOracle", "a12",
         "a12_magnitude", "boundary_mutation", "build_oracle", "build_report",
         "cached_measure", "compare_results", "crowding_distance",
         "data_driven_weight_selection", "derive_seed",

@@ -26,7 +26,6 @@ import pytest
 from mmo_tune.harness import derive_seed, emit_trace, execute_run, weight_token
 from mmo_tune.measurement import (
     BudgetLedger,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     load_table,
 )
@@ -116,19 +115,9 @@ def _table_space() -> OptionSpace:
 @pytest.fixture(scope="module")
 def landscapes(tmp_path_factory):
     space12 = make_binary_space(12)
-    synth_a = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space12, seed=101, ruggedness=0.35, correlation=0.3
-        )
-    )
+    synth_a = SyntheticOracle(space12, seed=101, ruggedness=0.35, correlation=0.3)
     synth_b = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space12,
-            seed=7,
-            local_optima_density=0.1,
-            ruggedness=0.6,
-            correlation=-0.5,
-        )
+        space12, seed=7, density=0.1, ruggedness=0.6, correlation=-0.5
     )
     space = _table_space()
     rng = random.Random(11)
@@ -274,11 +263,7 @@ def test_non_default_trace_digest(case, tmp_path):
     bits, budget = NON_DEFAULT_SCALE[scale]
     optimizer, model, population = NON_DEFAULT[name]
     space = make_binary_space(bits)
-    oracle = SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space, seed=bits, ruggedness=0.5, correlation=0.2
-        )
-    )
+    oracle = SyntheticOracle(space, seed=bits, ruggedness=0.5, correlation=0.2)
     seed = derive_seed(2024, scale, SEED_LABELS.get(name, name))
     cfg = OptimizerConfig(population_size=population, seed=seed)
     if model is None:

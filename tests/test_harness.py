@@ -41,7 +41,6 @@ from mmo_tune.harness import (
 from mmo_tune.measurement import (
     BudgetLedger,
     MeasurementRecord,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     UnmeasuredConfigError,
 )
@@ -137,9 +136,7 @@ class TestPlan:
 
 class TestTraceFiles:
     def test_round_trip(self, binary8, tmp_path):
-        oracle = SyntheticOracle(
-            SyntheticLandscapeParams(space=binary8, seed=1, correlation=0.3)
-        )
+        oracle = SyntheticOracle(binary8, seed=1, correlation=0.3)
         trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
@@ -172,7 +169,7 @@ class TestTraceFiles:
             trace.record((0, 0, 1), m, 3, 0.5)
 
     def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space=binary8, seed=1))
+        oracle = SyntheticOracle(binary8, seed=1)
         trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
@@ -184,7 +181,7 @@ class TestTraceFiles:
         assert os.listdir(tmp_path) == ["trace.csv"]
 
     def test_symlink_is_written_through(self, binary8, tmp_path):
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space=binary8, seed=1))
+        oracle = SyntheticOracle(binary8, seed=1)
         trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
         target = tmp_path / "target.csv"
         target.write_text("old\n")
@@ -204,7 +201,7 @@ class TestTraceFiles:
 
     def test_long_trace_line_count(self, tmp_path):
         space = make_binary_space(12)
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=2))
+        oracle = SyntheticOracle(space, seed=2)
         trace = run_rs(space, BudgetLedger(1000), oracle, OptimizerConfig(seed=4))
         assert len(trace.entries) == 1000
         path = tmp_path / "long.csv"
@@ -215,7 +212,7 @@ class TestTraceFiles:
     def _edited_trace(space, tmp_path, edit, *lines):
         """A short RS trace with each of its ``lines`` (1 is the header) passed
         through ``edit``."""
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=1))
+        oracle = SyntheticOracle(space, seed=1)
         trace = run_rs(space, BudgetLedger(5), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
@@ -288,7 +285,7 @@ class TestTraceFiles:
             OptionSpec("b", "integer", 0, 12),
             OptionSpec("c", "integer", -2, 3),
         ))
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space=space, seed=1))
+        oracle = SyntheticOracle(space, seed=1)
         trace = run_rs(space, BudgetLedger(6), oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
@@ -689,6 +686,62 @@ class TestStoredCampaignRebuild:
         assert [len(g["runs"]) for g in report["groups"]] == [20, 20, 20]
 
 
+class TestBuildOracle:
+    """An oracle spec is ``kind`` plus its constructor's arguments bar the space."""
+
+    SPECS = {
+        "table": {"kind": "table", "path": "t.csv"},
+        "command": {"kind": "command", "command": "true", "samples": 1},
+        "synthetic": {"kind": "synthetic", "seed": 1, "density": 0.1},
+    }
+    REQUIRED = {"table": "path", "command": "command", "synthetic": "seed"}
+
+    @staticmethod
+    def plan(space, spec):
+        return ExperimentPlan(
+            space=space, oracle_spec=spec, budget=4, population_size=2,
+            repeats=1, models=("single:rs",),
+        )
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("field", ("densty", "space"))
+    def test_unknown_field_is_named(self, binary3, kind, field):
+        spec = {**self.SPECS[kind], field: 0.5}
+        with pytest.raises(ValueError, match=f"^{kind} oracle spec: .*'{field}'"):
+            build_oracle(self.plan(binary3, spec))
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_missing_field_is_named(self, binary3, kind):
+        field = self.REQUIRED[kind]
+        spec = {k: v for k, v in self.SPECS[kind].items() if k != field}
+        with pytest.raises(ValueError, match=f"^{kind} oracle spec: .*'{field}'"):
+            build_oracle(self.plan(binary3, spec))
+
+    def test_fields_are_the_constructor_arguments(self, binary3):
+        spec = {"kind": "synthetic", "seed": 4, "density": 0.1, "ruggedness": 0.4,
+                "correlation": 0.3, "planted": [1, 0, 1]}
+        oracle = build_oracle(self.plan(binary3, spec))
+        expected = SyntheticOracle(
+            binary3, seed=4, density=0.1, ruggedness=0.4, correlation=0.3,
+            planted=(1, 0, 1),
+        )
+        for config in binary3.enumerate_all():
+            assert oracle.measure(config) == expected.measure(config)
+        command = build_oracle(self.plan(binary3, self.SPECS["command"]))
+        assert (command.command, command.samples, command.timeout) == ("true", 1, 60.0)
+
+    def test_unknown_kind_is_named(self, binary3):
+        with pytest.raises(ValueError, match="unknown oracle kind 'tabel'"):
+            build_oracle(self.plan(binary3, {"kind": "tabel", "path": "t.csv"}))
+
+    def test_campaign_with_a_bad_spec_writes_nothing(self, binary3, tmp_path):
+        out = tmp_path / "out"
+        spec = {**self.SPECS["synthetic"], "densty": 0.5}
+        with pytest.raises(ValueError, match="'densty'"):
+            write_campaign(self.plan(binary3, spec), str(out))
+        assert not out.exists()
+
+
 class TestExecuteRun:
     @pytest.mark.parametrize(
         "directions",
@@ -696,7 +749,7 @@ class TestExecuteRun:
         ids=["one", "three"],
     )
     def test_rejects_directions_that_are_not_a_pair(self, binary8, directions):
-        oracle = SyntheticOracle(SyntheticLandscapeParams(binary8, seed=1))
+        oracle = SyntheticOracle(binary8, seed=1)
         with pytest.raises(ValueError, match=rf"pair, got {len(directions)}$"):
             execute_run(binary8, oracle, 10, 4, "single:rs", None, 1, directions)
 
@@ -711,7 +764,7 @@ class TestExecuteRun:
                 for i in range(220)
             )
         )
-        oracle = SyntheticOracle(SyntheticLandscapeParams(space, seed=3))
+        oracle = SyntheticOracle(space, seed=3)
         weight = 0.5 if model.startswith("mmo:") else None
         first = execute_run(space, oracle, 120, 10, model, weight, 11)
         second = execute_run(space, oracle, 120, 10, model, weight, 11)
@@ -754,10 +807,7 @@ class TestDataDrivenSelection:
     def complete_table(self, tmp_path):
         space = make_binary_space(8)
         oracle = SyntheticOracle(
-            SyntheticLandscapeParams(
-                space=space, seed=31, local_optima_density=0.1, ruggedness=0.6,
-                correlation=0.3,
-            )
+            space, seed=31, density=0.1, ruggedness=0.6, correlation=0.3
         )
         rows = {
             c: (oracle.target(c), oracle.auxiliary(c))
@@ -834,6 +884,55 @@ class TestDataDrivenSelection:
             groups, key=lambda t: (ranks[t], fmean(groups[t]), float(t))
         )
         assert weight_token(chosen["mmo:linear"]) == expected_token
+
+    def test_full_mode_runs_every_instance_in_one_campaign(
+        self, complete_table, monkeypatch
+    ):
+        space, path = complete_table
+        plan = ExperimentPlan(
+            space=space,
+            oracle_spec={"kind": "table", "path": path},
+            budget=30,
+            population_size=6,
+            repeats=3,
+            models=("single:rs", "mmo:linear", "mmo:square"),
+            weights=(0.1, 0.9, 10.0),
+            master_seed=23,
+        )
+        table = build_oracle(plan)
+        # Each instance's campaign alone chooses what the shared one does.
+        expected = {}
+        for model in plan.mmo_models():
+            alone = dataclasses.replace(plan, models=(model,))
+            report = build_report(alone, run_campaign(alone, oracle=table))
+            expected[model] = min(
+                report["groups"], key=lambda g: (g["sk_rank"], g["mean"], g["weight"])
+            )["weight"]
+        serial, _ = data_driven_weight_selection(table, plan, mode="full")
+        calls = []
+        real_run_campaign = mmo_tune.harness.run_campaign
+
+        def spy(sub_plan, jobs=1, **kwargs):
+            calls.append((sub_plan.models, jobs))
+            return real_run_campaign(sub_plan, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(mmo_tune.harness, "run_campaign", spy)
+        parallel, _ = data_driven_weight_selection(table, plan, mode="full", jobs=2)
+        assert serial == parallel == expected
+        assert calls == [(("mmo:linear", "mmo:square"), 2)]
+
+    def test_full_mode_without_meta_models_rejected(self, complete_table):
+        space, path = complete_table
+        plan = ExperimentPlan(
+            space=space,
+            oracle_spec={"kind": "table", "path": path},
+            budget=20,
+            population_size=4,
+            repeats=1,
+            models=("single:rs",),
+        )
+        with pytest.raises(ValueError, match="no meta models"):
+            data_driven_weight_selection(build_oracle(plan), plan, mode="full")
 
     def test_unknown_mode_rejected(self, complete_table):
         space, path = complete_table

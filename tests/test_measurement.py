@@ -18,7 +18,6 @@ from mmo_tune.measurement import (
     CommandOracle,
     CommandOracleError,
     MeasurementRecord,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     TableFormatError,
     UnmeasuredConfigError,
@@ -266,10 +265,7 @@ def _process_running(pid: int) -> bool:
 
 class TestSyntheticOracle:
     def test_full_correlation_aux_equals_target(self, binary8):
-        params = SyntheticLandscapeParams(
-            space=binary8, seed=4, correlation=1.0, ruggedness=0.5
-        )
-        oracle = SyntheticOracle(params)
+        oracle = SyntheticOracle(binary8, seed=4, correlation=1.0, ruggedness=0.5)
         rng = random.Random(0)
         for _ in range(50):
             config = binary8.random_config(rng)
@@ -280,10 +276,7 @@ class TestSyntheticOracle:
         space = OptionSpace(
             (OptionSpec("a", "integer", 0, 3), *make_binary_space(4).options)
         )
-        params = SyntheticLandscapeParams(
-            space=space, seed=5, ruggedness=0.4, correlation=correlation
-        )
-        oracle = SyntheticOracle(params)
+        oracle = SyntheticOracle(space, seed=5, ruggedness=0.4, correlation=correlation)
         for config in space.enumerate_all():
             record = oracle.measure(config)
             assert (record.target_raw, record.auxiliary_raw) == (
@@ -292,10 +285,7 @@ class TestSyntheticOracle:
             )
 
     def test_negative_correlation_is_monotone_decreasing(self, binary8):
-        params = SyntheticLandscapeParams(
-            space=binary8, seed=4, correlation=-1.0, ruggedness=0.5
-        )
-        oracle = SyntheticOracle(params)
+        oracle = SyntheticOracle(binary8, seed=4, correlation=-1.0, ruggedness=0.5)
         rng = random.Random(0)
         for _ in range(50):
             config = binary8.random_config(rng)
@@ -303,12 +293,10 @@ class TestSyntheticOracle:
 
     def test_planted_is_strict_global_minimum_exhaustively(self):
         space = make_binary_space(10)
-        params = SyntheticLandscapeParams(
-            space=space, seed=9, local_optima_density=0.1, ruggedness=0.8,
-            correlation=0.3,
+        oracle = SyntheticOracle(
+            space, seed=9, density=0.1, ruggedness=0.8, correlation=0.3
         )
-        oracle = SyntheticOracle(params)
-        planted = params.planted_optimum
+        planted = oracle.planted
         planted_value = oracle.target(planted)
         for config in space.enumerate_all():
             if config != planted:
@@ -316,10 +304,7 @@ class TestSyntheticOracle:
 
     def test_zero_ruggedness_single_local_minimum(self):
         space = make_binary_space(8)
-        params = SyntheticLandscapeParams(
-            space=space, seed=21, local_optima_density=0.2, ruggedness=0.0
-        )
-        oracle = SyntheticOracle(params)
+        oracle = SyntheticOracle(space, seed=21, density=0.2, ruggedness=0.0)
         values = {c: oracle.target(c) for c in space.enumerate_all()}
         local_minima = []
         for config, value in values.items():
@@ -331,20 +316,17 @@ class TestSyntheticOracle:
             ]
             if all(value < values[n] for n in flips):
                 local_minima.append(config)
-        assert local_minima == [params.planted_optimum]
+        assert local_minima == [oracle.planted]
 
     def test_measures_a_plain_tuple(self, binary3):
-        params = SyntheticLandscapeParams(
-            space=binary3, seed=1, ruggedness=0.3, planted_optimum=[1, 0, 1]
-        )
-        assert params.planted_optimum == (1, 0, 1)
-        oracle = SyntheticOracle(params)
+        oracle = SyntheticOracle(binary3, seed=1, ruggedness=0.3, planted=[1, 0, 1])
+        assert oracle.planted == (1, 0, 1)
         assert oracle.measure((1, 0, 1)).target_raw == -2.0 * 0.3 - 0.5
         assert oracle.measure((0, 0, 1)).target_raw > oracle.measure((1, 0, 1)).target_raw
 
     def test_referentially_transparent(self, binary8):
-        params = SyntheticLandscapeParams(space=binary8, seed=13, ruggedness=0.4)
-        a, b = SyntheticOracle(params), SyntheticOracle(params)
+        a = SyntheticOracle(binary8, seed=13, ruggedness=0.4)
+        b = SyntheticOracle(binary8, seed=13, ruggedness=0.4)
         rng = random.Random(2)
         for _ in range(50):
             config = binary8.random_config(rng)
@@ -352,21 +334,19 @@ class TestSyntheticOracle:
 
     def test_value_stable_across_sessions(self, binary8):
         # Frozen from an earlier process; guards hash stability across restarts.
-        params = SyntheticLandscapeParams(
-            space=binary8, seed=42, local_optima_density=0.05, ruggedness=0.25,
-            correlation=0.3,
+        oracle = SyntheticOracle(
+            binary8, seed=42, density=0.05, ruggedness=0.25, correlation=0.3
         )
-        oracle = SyntheticOracle(params)
         config = binary8.config([0, 1, 0, 1, 0, 1, 0, 1])
         assert oracle.target(config) == pytest.approx(FROZEN_TARGET_SEED42, abs=0.0)
 
     def test_param_validation(self, binary8):
         with pytest.raises(ValueError):
-            SyntheticLandscapeParams(space=binary8, seed=0, local_optima_density=0.0)
+            SyntheticOracle(binary8, seed=0, density=0.0)
         with pytest.raises(ValueError):
-            SyntheticLandscapeParams(space=binary8, seed=0, ruggedness=-0.1)
+            SyntheticOracle(binary8, seed=0, ruggedness=-0.1)
         with pytest.raises(ValueError):
-            SyntheticLandscapeParams(space=binary8, seed=0, correlation=2.0)
+            SyntheticOracle(binary8, seed=0, correlation=2.0)
 
 
 FROZEN_TARGET_SEED42 = 0.7421990449434765

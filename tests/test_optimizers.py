@@ -15,7 +15,6 @@ from mmo_tune.harness import derive_seed, emit_trace
 from mmo_tune.measurement import (
     BudgetLedger,
     MeasurementRecord,
-    SyntheticLandscapeParams,
     SyntheticOracle,
     TabularOracle,
     UnmeasuredConfigError,
@@ -51,13 +50,8 @@ from conftest import (
 
 def synthetic(space, seed=7, ruggedness=0.4, density=0.1, correlation=0.3):
     return SyntheticOracle(
-        SyntheticLandscapeParams(
-            space=space,
-            seed=seed,
-            local_optima_density=density,
-            ruggedness=ruggedness,
-            correlation=correlation,
-        )
+        space, seed=seed, density=density, ruggedness=ruggedness,
+        correlation=correlation,
     )
 
 
@@ -442,7 +436,7 @@ class TestNsga2:
         trace = run_nsga2(
             space, BudgetLedger(256), oracle, MmoInstance("linear", 0.5), cfg
         )
-        planted = oracle.params.planted_optimum
+        planted = oracle.planted
         assert trace.summary().best_target == oracle.target(planted)
 
     def test_rejects_bad_model(self, binary8):
@@ -477,9 +471,7 @@ GOLDEN_COLLAPSED = {
 def test_collapsed_population_trace_digest(name, tmp_path):
     model = PMO if name == "pmo" else MmoInstance("linear", 0.1)
     space = make_binary_space(6)
-    oracle = SyntheticOracle(
-        SyntheticLandscapeParams(space=space, seed=6, ruggedness=0.5, correlation=0.2)
-    )
+    oracle = SyntheticOracle(space, seed=6, ruggedness=0.5, correlation=0.2)
     cfg = OptimizerConfig(
         population_size=20, seed=derive_seed(2024, "bits6-collapse", name)
     )
