@@ -17,8 +17,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from statistics import fmean, stdev
 
@@ -217,10 +215,12 @@ _ORACLE_SIGNATURES = {
 }
 
 
-def build_oracle(plan: ExperimentPlan) -> Oracle:
-    """The oracle of a plan's oracle spec; it reports raw values. The spec
-    holds ``kind`` plus the arguments of that kind's constructor other than
-    the space; a missing or unknown field raises ValueError naming it."""
+def _bind_oracle_spec(plan: ExperimentPlan) -> tuple[str, dict]:
+    """The kind and the constructor arguments of a plan's oracle spec,
+    checked against that kind's constructor without calling it (a table spec
+    does not read its table). The spec holds ``kind`` plus the arguments of
+    the constructor other than the space; a missing or unknown field raises
+    ValueError naming it."""
     fields = dict(plan.oracle_spec)
     kind = fields.pop("kind", None)
     if kind not in _ORACLE_SIGNATURES:
@@ -229,6 +229,13 @@ def build_oracle(plan: ExperimentPlan) -> Oracle:
         _ORACLE_SIGNATURES[kind].bind(space=plan.space, **fields)
     except TypeError as exc:
         raise ValueError(f"{kind} oracle spec: {exc}") from None
+    return kind, fields
+
+
+def build_oracle(plan: ExperimentPlan) -> Oracle:
+    """The oracle of a plan's oracle spec (see ``_bind_oracle_spec``); it
+    reports raw values."""
+    kind, fields = _bind_oracle_spec(plan)
     return _oracle_constructors()[kind](space=plan.space, **fields)
 
 
@@ -354,6 +361,11 @@ def _pooled_runs(
     one has failed, and if a worker dies, the runs left unfinished are the
     ones that were running; the error names them. Otherwise the first failed
     run in plan order raises its CampaignError, as it would serially."""
+    # Imported here: the pool brings in multiprocessing, which a serial
+    # campaign and every other command never need.
+    from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     futures: dict[Future, tuple[str, float | None, int]] = {}
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(plan, oracle, out_dir),
@@ -615,9 +627,11 @@ def _write_summary(report: dict, path: str) -> None:
 
 def recompute_report(out_dir: str) -> dict:
     """Rebuild the report purely from the stored plan and traces, each trace
-    reduced to its summary as it is read."""
+    reduced to its summary as it is read. The stored oracle spec must be one
+    that ``campaign`` would run; the oracle itself is not built."""
     with open(os.path.join(out_dir, "plan.json"), "r", encoding="utf-8") as fh:
         plan = plan_from_doc(json.load(fh))
+    _bind_oracle_spec(plan)
     runs = {
         key: load_summary(_trace_path(out_dir, key), plan.space)
         for key in plan.run_keys()

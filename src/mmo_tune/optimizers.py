@@ -36,7 +36,7 @@ from .models import (
     pmo_objectives,
     to_minimization,
 )
-from .space import Configuration, OptionSpace
+from .space import Configuration, OptionSpace, randbelow
 from .trace import RunTrace
 
 # Consecutive proposals (or generations, for the population methods) without a
@@ -143,7 +143,8 @@ class _Run:
             config = self.space.random_config(rng)
             if config not in cache:
                 return config
-        index = rng.randrange(self._space_size - len(cache))
+        left = self._space_size - len(cache)
+        index = randbelow(rng.getrandbits, left, left.bit_length())
         for measured in sorted(map(self.space.index, cache)):
             if measured > index:
                 break
@@ -265,10 +266,12 @@ def _local_search(
     current_value, spent)`` holds, where ``spent`` counts the distinct
     measurements made since the start before this one. ``restart_after``
     rejections in a row restart the walk from a uniform configuration."""
-    rng, ledger = run.rng, run.ledger
+    # One cache entry per distinct measurement: its length is what
+    # ``ledger.consumed`` reads, without the property call per proposal.
+    rng, cache = run.rng, run.ledger.cache
     with contextlib.suppress(BudgetExhausted):
         current, current_value = (start or run.random_start)()
-        start_consumed = ledger.consumed
+        start_consumed = len(cache)
         stalled = rejected = 0
         while not run.finished():
             if stalled >= STALL_PROPOSALS:
@@ -277,9 +280,9 @@ def _local_search(
                     break
             else:
                 candidate = run.space.neighbors(current, radius, rng, 1)[0]
-            before = ledger.consumed
+            before = len(cache)
             value = run.target(candidate)
-            stalled = stalled + 1 if ledger.consumed == before else 0
+            stalled = stalled + 1 if len(cache) == before else 0
             if accept(value, current_value, before - start_consumed):
                 current, current_value = candidate, value
                 rejected = 0
@@ -368,7 +371,9 @@ def _sample_distinct(
     size = space.size()
     if size <= count:
         population = list(space.enumerate_all())
-        rng.shuffle(population)
+        for i in range(size - 1, 0, -1):  # rng.shuffle's swaps
+            j = randbelow(rng.getrandbits, i + 1, (i + 1).bit_length())
+            population[i], population[j] = population[j], population[i]
         while len(population) < count:
             population.append(space.random_config(rng))
         return population
@@ -388,8 +393,10 @@ def _sample_distinct(
 def _tournament(keys: list, rng: random.Random) -> int:
     """Binary tournament over the population: the lower key wins, ties fall to
     a fair coin."""
-    i = rng.randrange(len(keys))
-    j = rng.randrange(len(keys))
+    getrandbits, size = rng.getrandbits, len(keys)
+    bits = size.bit_length()
+    i = randbelow(getrandbits, size, bits)
+    j = randbelow(getrandbits, size, bits)
     if keys[i] < keys[j]:
         return i
     if keys[j] < keys[i]:
@@ -411,11 +418,13 @@ def _generational(
     if cfg.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
     space, ledger, rng, measure = run.space, run.ledger, run.rng, run.measure
+    getrandbits = rng.getrandbits
     with contextlib.suppress(BudgetExhausted):
         population = [
             measure(c) for c in _sample_distinct(space, rng, cfg.population_size)
         ]
         size = len(population)
+        size_bits = size.bit_length()
         stalled_generations = 0
         while not run.finished():
             keys = rank(population)
@@ -434,7 +443,7 @@ def _generational(
                     fresh = run.fresh_uniform()
                     if fresh is None:
                         break
-                    offspring[rng.randrange(size)] = measure(fresh)
+                    offspring[randbelow(getrandbits, size, size_bits)] = measure(fresh)
                     stalled_generations = 0
             else:
                 stalled_generations = 0

@@ -10,6 +10,14 @@ or ``validate`` the table loader, the trace readers, the oracles'
 (``neighbors``, ``index``) trust it to be one of this space, as every
 configuration that ``random_config``, ``neighbors`` and ``config_at`` build
 is; a local search therefore pays for nothing but its random draws.
+
+Integer draws are made straight from ``rng.getrandbits`` by CPython's own
+rejection rule (``randbelow``): the draws that ``random.Random``'s
+``randint``, ``randrange``, ``shuffle`` and ``sample`` would make, in the
+same order. So the generator ends in the same state, and a trace depends
+only on the Mersenne Twister's bit stream, not on how a Python version writes
+those methods. Only ``neighbors`` on more than 21 changeable options still
+calls ``rng.sample``.
 """
 
 from __future__ import annotations
@@ -20,11 +28,21 @@ import logging
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
 OPTION_KINDS = ("binary", "integer")
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int, bits: int) -> int:
+    """A uniform integer in [0, n) drawn as ``random.Random._randbelow(n)``
+    draws it: ``getrandbits(bits)``, with ``bits`` the ``n.bit_length()``,
+    until the value is below ``n``. ``n == 1`` draws too."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 class SpaceError(ValueError):
@@ -98,6 +116,24 @@ class OptionSpace:
         """(lower, upper) per option, computed once like ``_mutable``."""
         return tuple((opt.lower, opt.upper) for opt in self.options)
 
+    @cached_property
+    def _uniform_draws(self) -> tuple[tuple[int, int, int], ...]:
+        """(lower, width, bits) per option: ``randint(lower, upper)`` is
+        ``lower + randbelow(width)``."""
+        return tuple(
+            (opt.lower, opt.cardinality, opt.cardinality.bit_length())
+            for opt in self.options
+        )
+
+    @cached_property
+    def _other_draws(self) -> tuple[tuple[int, int, int], ...]:
+        """As ``_uniform_draws`` over one value fewer, for a value other than
+        the current one: ``randint(lower, upper - 1)``, shifted past it."""
+        return tuple(
+            (lower, width - 1, (width - 1).bit_length())
+            for lower, width, _ in self._uniform_draws
+        )
+
     def size(self) -> int:
         """Number of distinct configurations (product of option cardinalities)."""
         n = 1
@@ -124,7 +160,11 @@ class OptionSpace:
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Uniform independent draw per option; deterministic for a seeded rng."""
-        return tuple(rng.randint(lower, upper) for lower, upper in self.bounds)
+        getrandbits = rng.getrandbits
+        return tuple(
+            [lower + randbelow(getrandbits, width, bits)
+             for lower, width, bits in self._uniform_draws]
+        )
 
     def neighbors(
         self,
@@ -156,23 +196,44 @@ class OptionSpace:
         if not mutable:
             # Space of size 1: the input is its only configuration.
             return [config] * count
-        most = min(radius, len(mutable))
+        getrandbits = rng.getrandbits
+        size = len(mutable)
+        most = min(radius, size)
+        most_bits = most.bit_length()
+        other = self._other_draws
         out: list[Configuration] = []
         for _ in range(count):
-            k = rng.randint(1, most)
-            positions = rng.sample(mutable, k)
+            # randint(1, most), then sample(mutable, k), then one value per
+            # chosen position: each a ``randbelow`` loop, written out here
+            # because a frame per draw costs this hot path measurable time.
+            k = getrandbits(most_bits)
+            while k >= most:
+                k = getrandbits(most_bits)
+            k += 1
+            if size <= 21:
+                # sample's pool swap, which it uses on at most 21 items for
+                # every k; on more it may reject repeats from a set instead.
+                pool = list(mutable)
+                positions = []
+                for left in range(size, size - k, -1):
+                    left_bits = left.bit_length()
+                    j = getrandbits(left_bits)
+                    while j >= left:
+                        j = getrandbits(left_bits)
+                    positions.append(pool[j])
+                    pool[j] = pool[left - 1]
+            else:
+                positions = rng.sample(mutable, k)
             values = list(config)
             for i in positions:
-                values[i] = self._resample_excluding(i, values[i], rng)
+                lower, width, bits = other[i]
+                value = getrandbits(bits)
+                while value >= width:
+                    value = getrandbits(bits)
+                value += lower
+                values[i] = value + 1 if value >= values[i] else value
             out.append(tuple(values))
         return out
-
-    def _resample_excluding(self, index: int, current: int, rng: random.Random) -> int:
-        lower, upper = self.bounds[index]
-        value = rng.randint(lower, upper - 1)
-        if value >= current:
-            value += 1
-        return value
 
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic order. Small spaces only."""

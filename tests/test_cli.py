@@ -19,7 +19,7 @@ from mmo_tune.cli import _build_parser, main
 from mmo_tune.measurement import CommandOracle, SyntheticOracle
 from mmo_tune.trace import trace_filename
 
-from conftest import make_binary_space, write_table
+from conftest import SRC_DIR, make_binary_space, write_table
 
 
 @pytest.fixture
@@ -338,6 +338,50 @@ class TestPlanFileChecked:
         assert run_cli("stats", "--dir", str(out)) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda oracle: oracle.update(densty=0.5), "densty"),
+            (lambda oracle: oracle.pop("seed"), "seed"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_stats_names_a_bad_oracle_field(self, space_file, tmp_path, capsys, edit, field):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic", "--budget", "8",
+            "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 0
+        plan = json.loads((out / "plan.json").read_text())
+        edit(plan["oracle"])
+        (out / "plan.json").write_text(json.dumps(plan))
+        (out / "report.json").unlink()
+        capsys.readouterr()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        err = capsys.readouterr().err
+        # The text a campaign on the same spec refuses it with.
+        with pytest.raises(ValueError, match=f"'{field}'") as refused:
+            mmo_tune.harness.build_oracle(mmo_tune.harness.plan_from_doc(plan))
+        assert err == f"error: {refused.value}\n"
+        assert not (out / "report.json").exists()
+
+    def test_stats_rebuilds_a_table_campaign_without_its_table(
+        self, space_file, table_file, tmp_path, capsys
+    ):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "8", "--repeats", "2", "--models", "single:rs,single:sa",
+            "--out", str(out),
+        )
+        assert code == 0
+        original = (out / "report.json").read_bytes()
+        os.unlink(table_file)
+        (out / "report.json").unlink()
+        assert run_cli("stats", "--dir", str(out)) == 0
+        assert (out / "report.json").read_bytes() == original
+
 
 class TestOtherSubcommands:
     def test_gen_landscape_then_tune(self, space_file, tmp_path, capsys):
@@ -557,6 +601,24 @@ def test_runtime_imports_neither_scipy_nor_numpy():
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_serial_commands_do_not_import_multiprocessing():
+    # Only a campaign with --jobs above 1 starts a process pool; loading it
+    # on every call would add its import time to each command.
+    script = (
+        "import sys, mmo_tune.cli\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from mmo_tune.measurement import BudgetLedger
+from mmo_tune.optimizers import OptimizerConfig, _Run, _sample_distinct, _tournament
 from mmo_tune.space import (
     Configuration,
     InvalidConfigurationError,
@@ -17,6 +19,7 @@ from mmo_tune.space import (
     OptionSpec,
     SpaceError,
     parse_space,
+    randbelow,
     space_to_doc,
 )
 
@@ -252,6 +255,149 @@ class TestNeighbors:
         assert restored.neighbors((1, 3), 1, random.Random(0), 5) == used.neighbors(
             (1, 3), 1, random.Random(0), 5
         )
+
+
+# Options of widths 1, 2, 3, 5, 8 and 9. Changing the binary option draws its
+# new value from a range of one, which still draws.
+DRAW_SPACE = OptionSpace(
+    (
+        OptionSpec("w1", "integer", 4, 4),
+        OptionSpec("w2", "binary", 0, 1),
+        OptionSpec("w3", "integer", -1, 1),
+        OptionSpec("w5", "integer", 0, 4),
+        OptionSpec("w8", "integer", 1, 8),
+        OptionSpec("w9", "integer", 10, 18),
+    )
+)
+
+
+def reference_random_config(space, rng):
+    return tuple(rng.randint(lower, upper) for lower, upper in space.bounds)
+
+
+def reference_neighbor(space, config, radius, rng):
+    """One neighbor drawn by ``random.Random``'s own methods: randint for the
+    number of changes, sample for the positions, randint for each new value
+    over the range less the current one."""
+    mutable = [i for i, (lower, upper) in enumerate(space.bounds) if upper > lower]
+    k = rng.randint(1, min(radius, len(mutable)))
+    values = list(config)
+    for i in rng.sample(mutable, k):
+        lower, upper = space.bounds[i]
+        value = rng.randint(lower, upper - 1)
+        values[i] = value + 1 if value >= values[i] else value
+    return tuple(values)
+
+
+def reference_tournament(keys, rng):
+    i = rng.randrange(len(keys))
+    j = rng.randrange(len(keys))
+    if keys[i] < keys[j]:
+        return i
+    if keys[j] < keys[i]:
+        return j
+    return i if rng.random() < 0.5 else j
+
+
+def reference_fresh_uniform(space, measured, rng):
+    """(configuration, whether the fallback drew it), by ``randint`` and
+    ``randrange``."""
+    for _ in range(64):
+        config = reference_random_config(space, rng)
+        if config not in measured:
+            return config, False
+    unmeasured = [c for c in space.enumerate_all() if c not in measured]
+    return unmeasured[rng.randrange(len(unmeasured))], True
+
+
+class TestDrawsMatchRandom:
+    """Each integer draw made from ``getrandbits`` returns what the
+    ``random.Random`` method it replaces returns, and leaves the generator
+    where that method leaves it, so every later draw is the same."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 9, 20, 33, 50, 2**40 + 3))
+    def test_randbelow_is_randrange(self, n):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = [randbelow(rng.getrandbits, n, n.bit_length()) for _ in range(30)]
+            assert got == [ref.randrange(n) for _ in range(30)]
+            assert rng.getstate() == ref.getstate()
+
+    def test_random_config_is_randint(self):
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert DRAW_SPACE.random_config(rng) == reference_random_config(
+                    DRAW_SPACE, ref
+                )
+                assert rng.getstate() == ref.getstate()
+
+    # Radii below, at and above the option count (six options, five mutable).
+    @pytest.mark.parametrize("radius", (1, 2, 5, 6, 9))
+    def test_neighbors(self, radius):
+        for seed in range(40):
+            config = DRAW_SPACE.random_config(random.Random(seed + 1000))
+            rng, ref = random.Random(seed), random.Random(seed)
+            for count in (1, 3):
+                got = DRAW_SPACE.neighbors(config, radius, rng, count)
+                want = [
+                    reference_neighbor(DRAW_SPACE, config, radius, ref)
+                    for _ in range(count)
+                ]
+                assert got == want
+                assert rng.getstate() == ref.getstate()
+                config = got[-1]
+
+    # Over 21 mutable options the positions come from sample itself, which
+    # swaps in a pool (30 options: k above 5; 220: k from 22) or rejects
+    # repeats from a set (smaller k).
+    @pytest.mark.parametrize("options", (30, 220))
+    def test_neighbors_over_both_sample_branches(self, options):
+        space = make_binary_space(options)
+        for seed in range(10):
+            config = space.random_config(random.Random(seed + 2000))
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = space.neighbors(config, options, rng, 40)
+            want = [reference_neighbor(space, config, options, ref) for _ in range(40)]
+            assert got == want
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("size", (2, 20, 33, 50))
+    def test_tournament(self, size):
+        for seed in range(20):
+            setup = random.Random(seed + 3000)
+            keys = [(setup.randrange(3), setup.randrange(2)) for _ in range(size)]
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                assert _tournament(keys, rng) == reference_tournament(keys, ref)
+                assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("options", (1, 3, 5))
+    def test_sample_distinct_shuffles_a_small_space(self, options):
+        space = make_binary_space(options)
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            want = list(space.enumerate_all())
+            ref.shuffle(want)
+            want += [reference_random_config(space, ref) for _ in range(40 - len(want))]
+            assert _sample_distinct(space, rng, 40) == want
+            assert rng.getstate() == ref.getstate()
+
+    def test_fresh_uniform(self):
+        every = list(DRAW_SPACE.enumerate_all())
+        fallbacks = 0
+        for seed in range(30):
+            setup = random.Random(seed + 4000)
+            measured = set(setup.sample(every, len(every) - setup.randint(1, 3)))
+            ledger = BudgetLedger(len(every))
+            ledger.cache.update(dict.fromkeys(measured))
+            run = _Run(DRAW_SPACE, ledger, None, OptimizerConfig(seed=seed))
+            ref = random.Random(seed)
+            want, fell_back = reference_fresh_uniform(DRAW_SPACE, measured, ref)
+            assert run.fresh_uniform() == want
+            assert run.rng.getstate() == ref.getstate()
+            fallbacks += fell_back
+        assert fallbacks > 15
 
 
 class TestLexicographicIndex:
