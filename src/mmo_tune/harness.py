@@ -485,13 +485,18 @@ def build_report(
 
 
 def best_weight_groups(report: dict) -> dict[str, dict]:
-    """Per meta model, its report group with the lowest (Scott-Knott rank,
-    mean, weight); the earlier group wins an exact tie."""
+    """Per meta model, its report group of least (mean, weight); the earlier
+    group wins an exact tie.
+
+    This is the paper's pick, the model's best-ranked weight: Scott-Knott
+    gives groups in (mean, label) order rising ranks, so among one model's
+    groups the least mean has the least rank, and groups of equal mean share
+    one rank, leaving the weight to decide."""
     meta = [group for group in report["groups"] if group["model"] in MMO_MODELS]
     return {
         model: min(
             (group for group in meta if group["model"] == model),
-            key=lambda group: (group["sk_rank"], group["mean"], group["weight"]),
+            key=lambda group: (group["mean"], group["weight"]),
         )
         for model in dict.fromkeys(group["model"] for group in meta)
     }
@@ -555,8 +560,7 @@ def data_driven_weight_selection(
     (identical choice for equal seeds). ``mode="full"`` runs the campaign of
     the plan's meta instances over all weights (campaign seeds; in ``jobs``
     worker processes) and, per instance, picks the weight of
-    ``best_weight_groups`` in a report built from that instance's runs alone,
-    where Scott-Knott ranks that instance's weights only. Returns the chosen
+    ``best_weight_groups`` in the report of that campaign. Returns the chosen
     weights and the elapsed seconds.
     """
     if mode not in ("preliminary", "full"):
@@ -570,10 +574,8 @@ def data_driven_weight_selection(
         raise ValueError("plan selects no meta models")
     meta_plan = dataclasses.replace(plan, models=mmo_models)
     runs = run_campaign(meta_plan, jobs=jobs, oracle=table)
-    chosen = {}
-    for model in mmo_models:
-        report = build_report(dataclasses.replace(plan, models=(model,)), runs)
-        chosen[model] = best_weight_groups(report)[model]["weight"]
+    best = best_weight_groups(build_report(meta_plan, runs))
+    chosen = {model: group["weight"] for model, group in best.items()}
     return chosen, time.perf_counter() - start
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from statistics import fmean
 from typing import Sequence
 
@@ -251,33 +251,13 @@ def f1_sf(x: float, nu: int) -> float:
     return 0.0 if tail < 0.0 else tail
 
 
-def _split_significant(left: list[float], right: list[float]) -> bool:
-    """One-way F-test between two candidate clusters at ALPHA."""
-    n_left, n_right = len(left), len(right)
-    total = n_left + n_right
-    grand = fmean(left + right)
-    mean_left = fmean(left)
-    mean_right = fmean(right)
-    between = n_left * (mean_left - grand) ** 2 + n_right * (mean_right - grand) ** 2
-    if between == 0.0:
-        return False
-    within = sum((v - mean_left) ** 2 for v in left) + sum(
-        (v - mean_right) ** 2 for v in right
-    )
-    if total - 2 <= 0:
-        return False
-    if within == 0.0:
-        return True
-    statistic = between / (within / (total - 2))
-    return f1_sf(statistic, total - 2) < ALPHA
-
-
 def scott_knott(groups: dict[str, Sequence[float]]) -> dict[str, int]:
     """Rank groups by recursive mean-ordered binary partitioning.
 
     The split maximizing the between-group sum of squares is accepted only if
     an F-test rejects homogeneity; members of one cluster share a rank, and
-    rank 1 is the best (smallest-mean) cluster.
+    rank 1 is the best (smallest-mean) cluster. Groups holding one value
+    between them always share a rank.
     """
     if not groups:
         raise ValueError("scott_knott needs at least one group")
@@ -296,36 +276,43 @@ def _partition(
     rank: int,
     out: dict[str, int],
 ) -> int:
-    if len(labels) == 1:
-        out[labels[0]] = rank
-        return rank + 1
-    best_split = None
-    best_between = -1.0
     flat = [v for label in labels for v in groups[label]]
-    grand = fmean(flat)
-    for i in range(1, len(labels)):
-        left = [v for label in labels[:i] for v in groups[label]]
-        right = [v for label in labels[i:] for v in groups[label]]
-        between = len(left) * (fmean(left) - grand) ** 2 + len(right) * (
-            fmean(right) - grand
-        ) ** 2
-        if between > best_between:
-            best_between = between
-            best_split = i
-    left = [v for label in labels[:best_split] for v in groups[label]]
-    right = [v for label in labels[best_split:] for v in groups[label]]
-    if _split_significant(left, right):
-        rank = _partition(labels[:best_split], groups, rank, out)
-        return _partition(labels[best_split:], groups, rank, out)
+    total = len(flat)
+    # fmean's rounding can make one value look split: it is never split.
+    if len(labels) > 1 and min(flat) != max(flat):
+        grand = fmean(flat)
+        between, split, cut = -1.0, 0, 0
+        sizes = accumulate(len(groups[label]) for label in labels[:-1])
+        for i, size in enumerate(sizes, start=1):
+            candidate = size * (fmean(flat[:size]) - grand) ** 2 + (total - size) * (
+                fmean(flat[size:]) - grand
+            ) ** 2
+            if candidate > between:
+                between, split, cut = candidate, i, size
+        # The split is kept if a one-way F-test between its two sides
+        # rejects homogeneity at ALPHA.
+        if between != 0.0 and total > 2:
+            left, right = flat[:cut], flat[cut:]
+            mean_left, mean_right = fmean(left), fmean(right)
+            within = sum((v - mean_left) ** 2 for v in left) + sum(
+                (v - mean_right) ** 2 for v in right
+            )
+            nu = total - 2
+            if within == 0.0 or f1_sf(between / (within / nu), nu) < ALPHA:
+                rank = _partition(labels[:split], groups, rank, out)
+                return _partition(labels[split:], groups, rank, out)
     for label in labels:
         out[label] = rank
     return rank + 1
 
 
 def pick_best_counterpart(per_optimizer_results: dict[str, Sequence[float]]) -> str:
-    """Best-ranked optimizer; rank ties fall to the best mean, then the label."""
-    ranks = scott_knott(per_optimizer_results)
+    """The optimizer of least mean result, ties to the smaller label.
+
+    This is the paper's pick, the first optimizer of Scott-Knott's best rank:
+    ``scott_knott`` orders groups by (mean, label) and gives that order
+    rising ranks, so its first group has the least key here and rank 1."""
     return min(
         per_optimizer_results,
-        key=lambda label: (ranks[label], fmean(per_optimizer_results[label]), label),
+        key=lambda label: (fmean(per_optimizer_results[label]), label),
     )

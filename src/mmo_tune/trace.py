@@ -31,7 +31,6 @@ import stat
 from array import array
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import contains
 
 from .measurement import MeasurementRecord
 from .space import Configuration, OptionSpace
@@ -204,18 +203,13 @@ def _row_column(path: str, rows: list[list[str]], space: OptionSpace) -> array:
     first malformed row raises ValueError starting with ``path:line:``."""
     column = array("d")
     n = len(space.names)
-    # Built once per file: a value in its range skips space.validate,
-    # which words the error for one that is not.
-    ranges = tuple(range(opt.lower, opt.upper + 1) for opt in space.options)
     seen: set[Configuration] = set()
     for row, cells in enumerate(rows, start=1):
         try:
             if len(cells) != n + 5:
                 raise ValueError(f"expected {n + 5} cells, got {len(cells)}")
             step = int(cells[0])
-            config = tuple(map(int, cells[1 : 1 + n]))
-            if not all(map(contains, ranges, config)):
-                space.validate(config)
+            config = space.config(cells[1 : 1 + n])
             target = float(cells[1 + n])
             auxiliary = float(cells[2 + n])
             consumed = int(cells[3 + n])

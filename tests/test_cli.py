@@ -482,6 +482,22 @@ class TestOtherSubcommands:
         best_flags = [line.split(",")[-1] for line in lines[1:]]
         assert best_flags.count("1") == 2
 
+    def test_sweep_csv_bytes(self, space_file, table_file, tmp_path, capsys):
+        # mmo:linear ties at mean 1.0 on every weight, and the repr order of
+        # its weights (10.0, 2.0, 20.0) is not their numeric order: the pin
+        # fixes which row carries best_weight = 1.
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep-weights", "--space", space_file, "--table", table_file,
+            "--budget", "20", "--pop", "4", "--repeats", "3",
+            "--models", "single:rs,mmo:linear,mmo:sqrt",
+            "--weights", "2,10,20", "--seed", "8", "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+            "59cffb7b3fbbbe02d0dfc6de7c32cad8bb4723c92e5c719e119da6dadaa3bbaf"
+        )
+
     def test_gen_landscape_table_bytes(self, space_file, tmp_path, capsys):
         digests = {}
         for name, extra in (

@@ -10,7 +10,8 @@ from statistics import fmean
 
 import pytest
 
-from mmo_tune.trace import RunSummary
+from mmo_tune.harness import MMO_MODELS, SINGLE_MODELS, best_weight_groups
+from mmo_tune.trace import RunSummary, weight_token
 from mmo_tune.stats import (
     ALPHA,
     a12,
@@ -282,7 +283,8 @@ def oracle_scott_knott(groups):
                 fmean(right) - grand
             ) ** 2
             splits.append((between, i))
-        _, best = max(splits)
+        # The first of equal maxima, as a strict > scan finds it.
+        _, best = max(splits, key=lambda split: split[0])
         left_labels, right_labels = labels[:best], labels[best:]
         left = [v for label in left_labels for v in groups[label]]
         right = [v for label in right_labels for v in groups[label]]
@@ -325,6 +327,41 @@ class TestScottKnott:
                 for k in range(rng.randint(1, 5))
             }
             assert scott_knott(groups) == oracle_scott_knott(groups)
+        # Equally spaced shifts of one dyadic sample: the sums are exact, so
+        # mirror-image splits tie exactly and the first one must win.
+        for _ in range(100):
+            base = [rng.randrange(8) / 8 for _ in range(rng.randint(2, 6))]
+            step = rng.randrange(1, 8) / 8
+            groups = {
+                f"g{k}": [v + k * step for v in base] for k in range(rng.randint(3, 5))
+            }
+            assert scott_knott(groups) == oracle_scott_knott(groups)
+
+    def test_mirror_image_tie_takes_the_first_split(self):
+        a = [0.0, 0.5, 0.0, 0.5, 0.0]
+        groups = {
+            "a": a,
+            "b": [v + 0.25 for v in a],
+            "c": [v + 0.5 for v in a],
+        }
+        assert scott_knott(groups) == {"a": 1, "b": 2, "c": 2}
+        assert oracle_scott_knott(groups) == {"a": 1, "b": 2, "c": 2}
+
+    # Each value has group counts and sizes where the rounding of fmean once
+    # split a set of equal values.
+    @pytest.mark.parametrize("value", (0.1, 0.9, 1 / 3, 3.3, -7.7, 1234.567))
+    def test_one_value_never_splits(self, value):
+        for n in range(1, 31):
+            for k in range(2, 8):
+                groups = {f"g{i}": [value] * n for i in range(k)}
+                assert set(scott_knott(groups).values()) == {1}, (n, k)
+
+    def test_one_value_cluster_shares_a_rank(self):
+        assert scott_knott({"a": [0.1], "b": [0.1], "c": [0.1]}) == {
+            "a": 1, "b": 1, "c": 1
+        }
+        groups = {"a": [0.1] * 3, "b": [0.1] * 3, "c": [0.1] * 3, "d": [5.0] * 3}
+        assert scott_knott(groups) == {"a": 1, "b": 1, "c": 1, "d": 2}
 
     def test_ranks_contiguous_and_mean_consistent(self):
         rng = random.Random(48)
@@ -366,6 +403,95 @@ class TestPickBestCounterpart:
         }
         assert scott_knott(groups)["best"] == 1
         assert pick_best_counterpart(groups) == "best"
+
+
+def rank_first_counterpart(groups):
+    """The counterpart pick read off a Scott-Knott ranking: best rank, then
+    best mean, then label."""
+    ranks = scott_knott(groups)
+    return min(groups, key=lambda label: (ranks[label], fmean(groups[label]), label))
+
+
+def rank_first_weights(report):
+    """Per meta model, the weight of its best-ranked group, then best mean,
+    then smallest weight."""
+    meta = [group for group in report["groups"] if group["model"] in MMO_MODELS]
+    return {
+        model: min(
+            (g["sk_rank"], g["mean"], g["weight"]) for g in meta if g["model"] == model
+        )[2]
+        for model in dict.fromkeys(g["model"] for g in meta)
+    }
+
+
+def mixed_model_report(rng):
+    """The groups of a sweep-weights report: a few single-objective models and
+    two meta models over weights whose repr order differs from their numeric
+    order, ranked together as ``build_report`` ranks them. Values come from a
+    small pool, so ties, equal means and one-value groups are common."""
+    repeats = rng.randint(1, 6)
+    pool = (0.1, 0.2, 0.7, 1.0, 1.3, 3.3)
+
+    def results():
+        shape = rng.random()
+        if shape < 0.3:
+            return [rng.choice(pool)] * repeats
+        if shape < 0.7:
+            return [rng.choice(pool) for _ in range(repeats)]
+        return [rng.gauss(1.0, 0.5) for _ in range(repeats)]
+
+    weights = sorted(rng.sample((0.1, 0.5, 2.0, 10.0, 20.0), rng.randint(2, 5)))
+    keys = [(model, None) for model in rng.sample(SINGLE_MODELS, rng.randint(1, 4))]
+    keys += [(model, w) for model in rng.sample(MMO_MODELS, 2) for w in weights]
+    values = {}
+    for key in keys:
+        if values and rng.random() < 0.2:
+            values[key] = list(values[rng.choice(list(values))])
+        else:
+            values[key] = results()
+    labels = {
+        key: key[0] if key[1] is None else f"{key[0]}@{weight_token(key[1])}"
+        for key in keys
+    }
+    ranks = scott_knott({labels[key]: values[key] for key in keys})
+    return {
+        "groups": [
+            {
+                "model": model,
+                "weight": weight,
+                "mean": fmean(values[(model, weight)]),
+                "sk_rank": ranks[labels[(model, weight)]],
+            }
+            for model, weight in keys
+        ]
+    }
+
+
+class TestPicksMatchScottKnott:
+    """Both picks equal the picks read off the Scott-Knott ranking."""
+
+    def test_counterpart_pick(self):
+        rng = random.Random(50)
+        pool = (0.1, 0.2, 0.7, 1.0, 3.3)
+        for _ in range(3000):
+            repeats = rng.randint(1, 6)
+            groups = {}
+            for label in rng.sample(SINGLE_MODELS, rng.randint(1, 4)):
+                shape = rng.random()
+                if shape < 0.3:
+                    groups[label] = [rng.choice(pool)] * repeats
+                elif shape < 0.5 and groups:
+                    groups[label] = list(groups[rng.choice(list(groups))])
+                else:
+                    groups[label] = [rng.choice(pool) for _ in range(repeats)]
+            assert pick_best_counterpart(groups) == rank_first_counterpart(groups), groups
+
+    def test_weight_pick_on_mixed_model_rankings(self):
+        rng = random.Random(51)
+        for _ in range(3000):
+            report = mixed_model_report(rng)
+            picks = {model: g["weight"] for model, g in best_weight_groups(report).items()}
+            assert picks == rank_first_weights(report), report
 
 
 def step_trace(best_values):
