@@ -194,9 +194,19 @@ class ExperimentPlan:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def plan_from_doc(doc: dict) -> ExperimentPlan:
+def plan_from_doc(doc: object) -> ExperimentPlan:
     """Rebuild a plan from ``to_doc``'s form; the space and the directions are
-    checked as on input."""
+    checked as on input. The document must hold exactly ``to_doc``'s fields;
+    a missing or unknown one raises ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"plan must be a JSON object, got {type(doc).__name__}")
+    fields = ("space", "oracle", *_DOC_FIELDS)
+    for name in fields:
+        if name not in doc:
+            raise ValueError(f"plan field {name!r} is missing")
+    for name in doc:
+        if name not in fields:
+            raise ValueError(f"plan field {name!r} is unknown")
     return ExperimentPlan(
         space=space_from_doc(doc["space"]),
         oracle_spec=doc["oracle"],
@@ -221,6 +231,8 @@ def _bind_oracle_spec(plan: ExperimentPlan) -> tuple[str, dict]:
     does not read its table). The spec holds ``kind`` plus the arguments of
     the constructor other than the space; a missing or unknown field raises
     ValueError naming it."""
+    if not isinstance(plan.oracle_spec, dict):
+        raise ValueError(f"oracle spec must be a JSON object, got {plan.oracle_spec!r}")
     fields = dict(plan.oracle_spec)
     kind = fields.pop("kind", None)
     if kind not in _ORACLE_SIGNATURES:

@@ -267,28 +267,30 @@ def _local_search(
     measurements made since the start before this one. ``restart_after``
     rejections in a row restart the walk from a uniform configuration."""
     # One cache entry per distinct measurement: its length is what
-    # ``ledger.consumed`` reads, without the property call per proposal.
-    rng, cache = run.rng, run.ledger.cache
+    # ``ledger.consumed`` reads, so ``len(cache) < stop`` is ``not
+    # run.finished()`` without the two calls per proposal.
+    rng, cache, stop, measure = run.rng, run.ledger.cache, run._stop, run.measure
+    neighbor = run.space.neighbor_sampler(radius)
     with contextlib.suppress(BudgetExhausted):
         current, current_value = (start or run.random_start)()
         start_consumed = len(cache)
         stalled = rejected = 0
-        while not run.finished():
+        while len(cache) < stop:
             if stalled >= STALL_PROPOSALS:
                 candidate = run.fresh_uniform()
                 if candidate is None:
                     break
             else:
-                candidate = run.space.neighbors(current, radius, rng, 1)[0]
+                candidate = neighbor(current, rng)
             before = len(cache)
-            value = run.target(candidate)
+            value = measure(candidate)[1]
             stalled = stalled + 1 if len(cache) == before else 0
             if accept(value, current_value, before - start_consumed):
                 current, current_value = candidate, value
                 rejected = 0
             else:
                 rejected += 1
-            if rejected == restart_after and not run.finished():
+            if rejected == restart_after and len(cache) < stop:
                 run.trace.restarts += 1
                 current, current_value = run.random_start()
                 rejected = 0

@@ -6,18 +6,19 @@ validated one from any values; every other method takes and returns tuples.
 
 Validation guards input from outside the space: ``config``, and through it
 or ``validate`` the table loader, the trace readers, the oracles'
-``measure`` and a planted optimum. The methods that take a configuration
-(``neighbors``, ``index``) trust it to be one of this space, as every
-configuration that ``random_config``, ``neighbors`` and ``config_at`` build
-is; a local search therefore pays for nothing but its random draws.
+``measure`` and a planted optimum. What takes a configuration (a
+``neighbor_sampler``'s ``neighbor``, ``index``) trusts it to be one of this
+space, as every configuration that ``random_config``, ``neighbor`` and
+``config_at`` build is. A sampler checks its radius once, when it is built,
+so a local-search proposal pays for nothing but its random draws.
 
 Integer draws are made straight from ``rng.getrandbits`` by CPython's own
 rejection rule (``randbelow``): the draws that ``random.Random``'s
 ``randint``, ``randrange``, ``shuffle`` and ``sample`` would make, in the
 same order. So the generator ends in the same state, and a trace depends
 only on the Mersenne Twister's bit stream, not on how a Python version writes
-those methods. Only ``neighbors`` on more than 21 changeable options still
-calls ``rng.sample``.
+those methods. Only a neighbor that changes two or more of more than 21
+changeable options still calls ``rng.sample``.
 """
 
 from __future__ import annotations
@@ -166,25 +167,21 @@ class OptionSpace:
              for lower, width, bits in self._uniform_draws]
         )
 
-    def neighbors(
-        self,
-        config: Configuration,
-        radius: int,
-        rng: random.Random,
-        count: int,
-    ) -> list[Configuration]:
-        """Draw ``count`` configurations within ``radius`` changed option positions.
+    def neighbor_sampler(
+        self, radius: int
+    ) -> Callable[[Configuration, random.Random], Configuration]:
+        """``neighbor(config, rng)``: one configuration within ``radius``
+        changed option positions of ``config``.
 
         Each neighbor changes between 1 and ``radius`` positions; a changed value
         is drawn uniformly from the option range excluding the current value.
-        A radius above the option count is clamped (reported, not fatal).
-        ``config`` must be a configuration of this space, as with ``index``:
-        it is not validated.
+        The radius is checked here, once per sampler: below 1 it raises, above
+        the option count it is clamped (reported, not fatal). ``config`` must
+        be a configuration of this space, as with ``index``: it is not
+        validated.
         """
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
         if radius > len(self.options):
             log.warning(
                 "neighborhood radius %d exceeds option count %d; clamped",
@@ -195,27 +192,34 @@ class OptionSpace:
         mutable = self._mutable
         if not mutable:
             # Space of size 1: the input is its only configuration.
-            return [config] * count
-        getrandbits = rng.getrandbits
+            return lambda config, rng: config
         size = len(mutable)
+        size_bits = size.bit_length()
         most = min(radius, size)
         most_bits = most.bit_length()
         other = self._other_draws
-        out: list[Configuration] = []
-        for _ in range(count):
-            # randint(1, most), then sample(mutable, k), then one value per
-            # chosen position: each a ``randbelow`` loop, written out here
-            # because a frame per draw costs this hot path measurable time.
+
+        def neighbor(config: Configuration, rng: random.Random) -> Configuration:
+            # randint(1, most) changes (k + 1 below), then sample(mutable,
+            # k + 1), then one value per chosen position: each a ``randbelow``
+            # loop, written out here because a frame per draw costs this hot
+            # path measurable time.
+            getrandbits = rng.getrandbits
             k = getrandbits(most_bits)
             while k >= most:
                 k = getrandbits(most_bits)
-            k += 1
-            if size <= 21:
+            if k == 0:
+                # One change: both of sample's branches draw one position.
+                j = getrandbits(size_bits)
+                while j >= size:
+                    j = getrandbits(size_bits)
+                positions = (mutable[j],)
+            elif size <= 21:
                 # sample's pool swap, which it uses on at most 21 items for
                 # every k; on more it may reject repeats from a set instead.
                 pool = list(mutable)
                 positions = []
-                for left in range(size, size - k, -1):
+                for left in range(size, size - k - 1, -1):
                     left_bits = left.bit_length()
                     j = getrandbits(left_bits)
                     while j >= left:
@@ -223,7 +227,7 @@ class OptionSpace:
                     positions.append(pool[j])
                     pool[j] = pool[left - 1]
             else:
-                positions = rng.sample(mutable, k)
+                positions = rng.sample(mutable, k + 1)
             values = list(config)
             for i in positions:
                 lower, width, bits = other[i]
@@ -232,8 +236,9 @@ class OptionSpace:
                     value = getrandbits(bits)
                 value += lower
                 values[i] = value + 1 if value >= values[i] else value
-            out.append(tuple(values))
-        return out
+            return tuple(values)
+
+        return neighbor
 
     def enumerate_all(self) -> Iterator[Configuration]:
         """Yield every configuration in lexicographic order. Small spaces only."""

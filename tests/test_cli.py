@@ -366,6 +366,39 @@ class TestPlanFileChecked:
         assert err == f"error: {refused.value}\n"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda plan: [1, 2], "plan must be a JSON object, got list"),
+            (
+                lambda plan: {k: v for k, v in plan.items() if k != "budget"},
+                "plan field 'budget' is missing",
+            ),
+            (lambda plan: dict(plan, budgt=10), "plan field 'budgt' is unknown"),
+            (
+                lambda plan: dict(plan, oracle="synthetic"),
+                "oracle spec must be a JSON object, got 'synthetic'",
+            ),
+        ],
+        ids=["not-an-object", "missing-field", "unknown-field", "string-oracle"],
+    )
+    def test_stats_names_what_is_wrong_with_the_plan(
+        self, space_file, tmp_path, capsys, edit, message
+    ):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic", "--budget", "8",
+            "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 0
+        plan = edit(json.loads((out / "plan.json").read_text()))
+        (out / "plan.json").write_text(json.dumps(plan))
+        (out / "report.json").unlink()
+        capsys.readouterr()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "report.json").exists()
+
     def test_stats_rebuilds_a_table_campaign_without_its_table(
         self, space_file, table_file, tmp_path, capsys
     ):

@@ -730,6 +730,13 @@ class TestBuildOracle:
         command = build_oracle(self.plan(binary3, self.SPECS["command"]))
         assert (command.command, command.samples, command.timeout) == ("true", 1, 60.0)
 
+    @pytest.mark.parametrize("spec", ("synthetic", ["kind", "synthetic"], None))
+    def test_a_spec_that_is_not_an_object_is_named(self, binary3, spec):
+        with pytest.raises(
+            ValueError, match=re.escape(f"oracle spec must be a JSON object, got {spec!r}")
+        ):
+            build_oracle(self.plan(binary3, spec))
+
     def test_unknown_kind_is_named(self, binary3):
         with pytest.raises(ValueError, match="unknown oracle kind 'tabel'"):
             build_oracle(self.plan(binary3, {"kind": "tabel", "path": "t.csv"}))

@@ -528,7 +528,8 @@ class TestTrustedProposals:
     ):
         rows = {c: (0.0, 0.0) for c in binary3.enumerate_all()}
         table = load_table(write_table(tmp_path / "t.csv", binary3, rows), binary3)
-        neighbors = binary3.neighbors((7, 0, 0), 1, random.Random(0), 20)
+        sampler, rng = binary3.neighbor_sampler(1), random.Random(0)
+        neighbors = [sampler((7, 0, 0), rng) for _ in range(20)]
         neighbor = next(n for n in neighbors if n[0] == 7)
         with pytest.raises(InvalidConfigurationError):
             synthetic(binary3).measure(neighbor)

@@ -175,15 +175,18 @@ class TestNeighbors:
     def test_radius_one_exact_distance(self, binary3):
         rng = random.Random(9)
         config = binary3.config([0, 1, 0])
-        for neighbor in binary3.neighbors(config, 1, rng, 200):
-            assert hamming(config, neighbor) == 1
+        neighbor = binary3.neighbor_sampler(1)
+        for _ in range(200):
+            assert hamming(config, neighbor(config, rng)) == 1
 
     def test_full_radius_never_returns_input(self, binary8):
         rng = random.Random(10)
         config = binary8.random_config(rng)
-        for neighbor in binary8.neighbors(config, 8, rng, 300):
-            assert neighbor != config
-            binary8.validate(neighbor)
+        neighbor = binary8.neighbor_sampler(8)
+        for _ in range(300):
+            drawn = neighbor(config, rng)
+            assert drawn != config
+            binary8.validate(drawn)
 
     def test_distance_distribution_covers_range(self):
         space = OptionSpace(
@@ -191,24 +194,28 @@ class TestNeighbors:
         )
         rng = random.Random(3)
         config = space.config([2, 2])
-        distances = {
-            hamming(config, n) for n in space.neighbors(config, 2, rng, 400)
-        }
+        neighbor = space.neighbor_sampler(2)
+        distances = {hamming(config, neighbor(config, rng)) for _ in range(400)}
         assert distances == {1, 2}
 
     def test_radius_clamped_with_warning(self, binary3, caplog):
         rng = random.Random(4)
         config = binary3.config([0, 0, 0])
         with caplog.at_level("WARNING"):
-            neighbors = binary3.neighbors(config, 99, rng, 50)
-        assert "clamped" in caplog.text
+            neighbor = binary3.neighbor_sampler(99)
+            neighbors = [neighbor(config, rng) for _ in range(50)]
+        # Checked once, when the sampler is built: one warning for 50 draws.
+        assert [r.getMessage() for r in caplog.records] == [
+            "neighborhood radius 99 exceeds option count 3; clamped"
+        ]
         assert all(1 <= hamming(config, n) <= 3 for n in neighbors)
 
     def test_changed_value_excludes_current(self):
         space = OptionSpace((OptionSpec("a", "integer", 0, 9),))
         rng = random.Random(11)
         config = space.config([4])
-        values = {n[0] for n in space.neighbors(config, 1, rng, 500)}
+        neighbor = space.neighbor_sampler(1)
+        values = {neighbor(config, rng)[0] for _ in range(500)}
         assert 4 not in values
         assert values == set(range(10)) - {4}
 
@@ -216,11 +223,14 @@ class TestNeighbors:
         space = OptionSpace((OptionSpec("only", "integer", 2, 2),))
         rng = random.Random(0)
         config = space.config([2])
-        assert space.neighbors(config, 1, rng, 3) == [config, config, config]
+        neighbor = space.neighbor_sampler(1)
+        assert [neighbor(config, rng) for _ in range(3)] == [config, config, config]
+        assert rng.getstate() == random.Random(0).getstate()
 
     def test_bad_radius(self, binary3):
-        with pytest.raises(ValueError):
-            binary3.neighbors(binary3.config([0, 0, 0]), 0, random.Random(0), 1)
+        # Refused when the sampler is built, before any draw.
+        with pytest.raises(ValueError, match="radius must be >= 1, got 0"):
+            binary3.neighbor_sampler(0)
 
     def test_single_value_options_never_change(self):
         space = OptionSpace(
@@ -232,7 +242,9 @@ class TestNeighbors:
             )
         )
         config = space.config([1, 5, 0, 2])
-        neighbors = space.neighbors(config, 4, random.Random(5), 400)
+        rng = random.Random(5)
+        neighbor = space.neighbor_sampler(4)
+        neighbors = [neighbor(config, rng) for _ in range(400)]
         assert all((n[1], n[3]) == (5, 2) for n in neighbors)
         # k is drawn up to the two mutable positions, not up to the radius.
         assert {hamming(config, n) for n in neighbors} == {1, 2}
@@ -244,7 +256,7 @@ class TestNeighbors:
             )
 
         used, fresh = build(), build()
-        used.neighbors((1, 3), 1, random.Random(0), 5)
+        used.neighbor_sampler(1)((1, 3), random.Random(0))
         assert [f.name for f in dataclasses.fields(OptionSpace)] == ["options"]
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -252,9 +264,11 @@ class TestNeighbors:
         assert space_to_doc(used) == space_to_doc(fresh)
         restored = pickle.loads(pickle.dumps(used))
         assert restored == used
-        assert restored.neighbors((1, 3), 1, random.Random(0), 5) == used.neighbors(
-            (1, 3), 1, random.Random(0), 5
-        )
+        draws = []
+        for space in (restored, used):
+            neighbor, rng = space.neighbor_sampler(1), random.Random(0)
+            draws.append([neighbor((1, 3), rng) for _ in range(5)])
+        assert draws[0] == draws[1]
 
 
 # Options of widths 1, 2, 3, 5, 8 and 9. Changing the binary option draws its
@@ -335,11 +349,12 @@ class TestDrawsMatchRandom:
     # Radii below, at and above the option count (six options, five mutable).
     @pytest.mark.parametrize("radius", (1, 2, 5, 6, 9))
     def test_neighbors(self, radius):
+        neighbor = DRAW_SPACE.neighbor_sampler(radius)
         for seed in range(40):
             config = DRAW_SPACE.random_config(random.Random(seed + 1000))
             rng, ref = random.Random(seed), random.Random(seed)
             for count in (1, 3):
-                got = DRAW_SPACE.neighbors(config, radius, rng, count)
+                got = [neighbor(config, rng) for _ in range(count)]
                 want = [
                     reference_neighbor(DRAW_SPACE, config, radius, ref)
                     for _ in range(count)
@@ -348,19 +363,30 @@ class TestDrawsMatchRandom:
                 assert rng.getstate() == ref.getstate()
                 config = got[-1]
 
-    # Over 21 mutable options the positions come from sample itself, which
-    # swaps in a pool (30 options: k above 5; 220: k from 22) or rejects
-    # repeats from a set (smaller k).
+    # Over 21 mutable options the positions of two or more changes come from
+    # sample itself, which swaps in a pool (30 options: k above 5; 220: k
+    # from 22) or rejects repeats from a set (smaller k). Radius 1 makes one
+    # change: one position draw, as in sample's set branch here and in its
+    # pool swap on DRAW_SPACE's five (``test_neighbors``).
     @pytest.mark.parametrize("options", (30, 220))
     def test_neighbors_over_both_sample_branches(self, options):
+        class OneChangeNeverSamples(random.Random):
+            def sample(self, population, k, **kwargs):
+                assert k > 1, "one change draws its position without sample"
+                return super().sample(population, k, **kwargs)
+
         space = make_binary_space(options)
-        for seed in range(10):
-            config = space.random_config(random.Random(seed + 2000))
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = space.neighbors(config, options, rng, 40)
-            want = [reference_neighbor(space, config, options, ref) for _ in range(40)]
-            assert got == want
-            assert rng.getstate() == ref.getstate()
+        for radius in (1, options):
+            neighbor = space.neighbor_sampler(radius)
+            for seed in range(10):
+                config = space.random_config(random.Random(seed + 2000))
+                rng, ref = OneChangeNeverSamples(seed), random.Random(seed)
+                got = [neighbor(config, rng) for _ in range(40)]
+                want = [
+                    reference_neighbor(space, config, radius, ref) for _ in range(40)
+                ]
+                assert got == want
+                assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("size", (2, 20, 33, 50))
     def test_tournament(self, size):
@@ -435,7 +461,8 @@ class TestTupleBoundary:
         assert space.config(["2", 1]) == (2, 1)
         rng = random.Random(0)
         assert type(space.random_config(rng)) is tuple
-        assert all(type(n) is tuple for n in space.neighbors((2, 1), 2, rng, 20))
+        neighbor = space.neighbor_sampler(2)
+        assert all(type(neighbor((2, 1), rng)) is tuple for _ in range(20))
         assert list(space.enumerate_all())[:3] == [(0, 0), (0, 1), (1, 0)]
         assert space.index((3, 1)) == 7
         for i in range(space.size()):
