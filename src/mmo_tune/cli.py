@@ -15,6 +15,7 @@ import sys
 from .harness import (
     ALL_MODELS,
     DEFAULT_WEIGHTS,
+    MMO_MODELS,
     PRESETS,
     SEED_ENV_VAR,
     ExperimentPlan,
@@ -174,7 +175,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     # Only meta models take a weight; the others are seeded as a campaign
     # seeds them, whatever --weight says.
     weight = None
-    if model.startswith("mmo:"):
+    if model in MMO_MODELS:
         if args.weight is None:
             raise _UsageError(f"model {model} needs --weight")
         weight = float(args.weight)
@@ -191,7 +192,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 "model": model,
                 "weight": weight,
                 "seed": seed,
-                "measurements": len(trace.entries),
+                "measurements": len(trace.rows),
                 "best_target": trace.summary().best_target,
                 "trace": args.out,
             }
@@ -222,7 +223,7 @@ def _cmd_sweep_weights(args: argparse.Namespace) -> int:
         raise _UsageError("sweep-weights needs at least one mmo:* model")
     report = write_campaign(plan, args.out, jobs=args.jobs)
     sweep_path = os.path.join(args.out, "sweep.csv")
-    groups = [g for g in report["groups"] if g["model"].startswith("mmo:")]
+    groups = [g for g in report["groups"] if g["model"] in MMO_MODELS]
     best = best_weight_groups(report)
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

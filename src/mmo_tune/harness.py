@@ -28,7 +28,7 @@ from .measurement import (
     TabularOracle,
     load_table,
 )
-from .models import PMO, Direction, MmoInstance, check_directions
+from .models import MMO_SHAPES, PMO, Direction, MmoInstance, check_directions
 from .optimizers import (
     OptimizerConfig,
     run_nsga2,
@@ -58,8 +58,14 @@ from .trace import (
 
 SEED_ENV_VAR = "MMO_TUNE_SEED"
 
-SINGLE_MODELS = ("single:rs", "single:shc-r", "single:sa", "single:soga")
-MMO_MODELS = ("mmo:linear", "mmo:sqrt", "mmo:square")
+_SINGLE_RUNNERS = {
+    "single:rs": run_rs,
+    "single:shc-r": run_shc_restart,
+    "single:sa": run_sa,
+    "single:soga": run_soga,
+}
+SINGLE_MODELS = tuple(_SINGLE_RUNNERS)
+MMO_MODELS = tuple(f"mmo:{shape}" for shape in MMO_SHAPES)
 ALL_MODELS = SINGLE_MODELS + (PMO,) + MMO_MODELS
 
 DEFAULT_WEIGHTS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 10.0)
@@ -138,6 +144,14 @@ class ExperimentPlan:
         for name, low in (("budget", 1), ("population_size", 2), ("repeats", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        for name, kinds, what in (
+            ("models", str, "model names"), ("weights", (int, float), "numbers")
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(v, kinds) and not isinstance(v, bool) for v in values
+            ):
+                raise ValueError(f"{name} must be a list of {what}, got {values!r}")
         if not self.models:
             raise ValueError("plan selects no models")
         object.__setattr__(
@@ -268,22 +282,17 @@ def execute_run(
     cfg = OptimizerConfig(
         population_size=population_size, seed=seed, directions=directions
     )
-    if model == "single:rs":
-        return run_rs(space, ledger, oracle, cfg)
-    if model == "single:shc-r":
-        return run_shc_restart(space, ledger, oracle, cfg)
-    if model == "single:sa":
-        return run_sa(space, ledger, oracle, cfg)
-    if model == "single:soga":
-        return run_soga(space, ledger, oracle, cfg)
-    if model == PMO:
-        return run_nsga2(space, ledger, oracle, PMO, cfg)
+    if model in _SINGLE_RUNNERS:
+        return _SINGLE_RUNNERS[model](space, ledger, oracle, cfg)
     if model in MMO_MODELS:
         if weight is None:
             raise ValueError(f"model {model} needs a weight")
-        shape = model.split(":", 1)[1]
-        return run_nsga2(space, ledger, oracle, MmoInstance(shape, weight), cfg)
-    raise ValueError(f"unknown model {model!r}")
+        instance = MmoInstance(model.split(":", 1)[1], weight)
+    elif model == PMO:
+        instance = PMO
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return run_nsga2(space, ledger, oracle, instance, cfg)
 
 
 def _run_name(key: tuple[str, float | None, int]) -> str:

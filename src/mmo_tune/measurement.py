@@ -172,8 +172,14 @@ class CommandOracle:
         samples: int = 5,
         timeout: float = 60.0,
     ):
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+        # Checked before any command runs: a non-finite timeout fails only
+        # after the command has exited, so a hanging one would never be killed.
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
+            math.isfinite(timeout) and timeout > 0
+        ):
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
         self.command = command
         self.space = space
         self.samples = samples

@@ -12,7 +12,7 @@ Both multi-objective models minimize a pair, so an objective point is a pair.
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Literal
 
@@ -139,18 +139,22 @@ def fast_nondominated_sort(
     front k-1 of a member's last dominator there, then by index. Crowding ties
     depend on this order; the tests keep that loop as its reference.
 
-    The sort is O(N log N) (Jensen 2003; ENS-BS, Zhang et al. 2015). Visited
-    in lexicographic order, a point is dominated by an earlier one iff that
-    one has no larger second objective and differs from it. Within a front
-    the second objective falls in lexicographic order, so the front's last
-    member decides, and the first front it does not dominate is found by
-    binary search. A point equal to the one before it joins that one's front.
+    Finding the fronts is O(N log N) (Jensen 2003; ENS-BS, Zhang et al.
+    2015). Visited in lexicographic order, a point is dominated by an earlier
+    one iff that one has no larger second objective and differs from it.
+    Within a front the second objective falls in lexicographic order, so the
+    front's last member decides, and the first front it does not dominate is
+    found by binary search. A point equal to the one before it joins that
+    one's front. Ordering front k scans each member's run of dominators in
+    front k-1, so that step costs the total run length, at most the product
+    of the two front sizes: the whole sort is not O(N log N) in the worst case.
     """
     if not points:
         raise ValueError("cannot sort an empty point set")
     if set(map(len, points)) != {2}:
         raise ValueError("every objective point must be a pair")
     lex_fronts: list[list[int]] = []
+    lasts: list[float] = []  # second objective of each front's last member, ascending
     previous = None
     lo = 0
     for i in sorted(range(len(points)), key=points.__getitem__):
@@ -159,23 +163,19 @@ def fast_nondominated_sort(
             # Every earlier point differs from p: only its second objective
             # decides.
             previous = p
-            lo, hi = 0, len(lex_fronts)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if points[lex_fronts[mid][-1]][1] <= p[1]:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_right(lasts, p[1])
         if lo == len(lex_fronts):
             lex_fronts.append([i])
+            lasts.append(p[1])
         else:
             lex_fronts[lo].append(i)
+            lasts[lo] = p[1]
 
     # The dominators of a front-k member within front k-1 are a contiguous
-    # run of front k-1 in lexicographic order (first objective no larger,
-    # second no larger), and both ends of the run only move forward as the
-    # member advances through front k. A monotone deque then yields the
-    # largest output position in each run: the member's last dominator.
+    # run of front k-1 in lexicographic order: the first objective is no
+    # larger up to its end, and the second, which falls along a front, no
+    # larger from its start. The member's last dominator holds the largest
+    # output position in the run.
     fronts = [sorted(lex_fronts[0])]
     held = len(fronts[0])
     position = [0] * len(points)
@@ -184,20 +184,14 @@ def fast_nondominated_sort(
             break
         for pos, i in enumerate(fronts[-1]):
             position[i] = pos
-        window: deque[int] = deque()  # members of `above`, positions falling
-        added = 0
+        firsts = [points[q][0] for q in above]
+        negated_seconds = [-points[q][1] for q in above]
+        positions = [position[q] for q in above]
         keyed: list[tuple[int, int]] = []
         for i in front:
             first, second = points[i]
-            while added < len(above) and points[above[added]][0] <= first:
-                q = above[added]
-                while window and position[window[-1]] < position[q]:
-                    window.pop()
-                window.append(q)
-                added += 1
-            while points[window[0]][1] > second:
-                window.popleft()
-            keyed.append((position[window[0]], i))
+            start = bisect_left(negated_seconds, -second)
+            keyed.append((max(positions[start : bisect_right(firsts, first)]), i))
         keyed.sort()
         fronts.append([i for _, i in keyed])
         held += len(front)

@@ -118,13 +118,9 @@ class _Run:
                 self._observe(measured)
         return measured
 
-    def target(self, config: Configuration) -> float:
-        """Measure and return the minimization-oriented target."""
-        return self.measure(config)[1]
-
     def random_start(self) -> tuple[Configuration, float]:
         config = self.space.random_config(self.rng)
-        return config, self.target(config)
+        return config, self.measure(config)[1]
 
     def finished(self) -> bool:
         """No further distinct measurement is possible: budget or space is spent."""
@@ -347,7 +343,7 @@ def run_sa(
     def start() -> tuple[Configuration, float]:
         nonlocal t0
         batch = _sample_distinct(space, run.rng, cfg.population_size)
-        values = [(c, run.target(c)) for c in batch]
+        values = [(c, run.measure(c)[1]) for c in batch]
         targets = [v for _, v in values]
         # A batch without spread gives no scale: fall back to 1.
         t0 = (statistics.pstdev(targets) if len(targets) > 1 else 0.0) or 1.0

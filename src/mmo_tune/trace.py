@@ -1,11 +1,13 @@
 """The trace of a tuning run, its CSV file format, and the summary a report reads.
 
-A trace is the ordered log of every distinct measurement of one run. Its CSV
-holds one row per measurement (step, option values, raw target and auxiliary,
-budget consumed, best-so-far). A finished run is kept as that file and its
-``RunSummary``; ``emit_trace`` writes the file under a temporary name and
-renames it into place, so a file at a trace's name is always complete (a
-symlink, device or FIFO there is written through).
+A trace is the ordered log of every distinct measurement of one run. In
+memory, ``RunTrace`` holds each measurement once, keyed by its configuration
+in the order measured, beside the best-so-far after each; a row's step is its
+position. Its CSV holds one row per measurement (step, option values, raw
+target and auxiliary, budget consumed, best-so-far). A finished run is kept
+as that file and its ``RunSummary``; ``emit_trace`` writes the file under a
+temporary name and renames it into place, so a file at a trace's name is
+always complete (a symlink, device or FIFO there is written through).
 
 A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
@@ -36,28 +38,21 @@ from .measurement import MeasurementRecord
 from .space import Configuration, OptionSpace
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One distinct measurement: its step, which is also the budget consumed
-    after it, its raw values and the best-so-far."""
-
-    step: int
-    config: Configuration
-    target_raw: float
-    auxiliary_raw: float
-    best_so_far: float
-
-
 @dataclass
 class RunTrace:
-    """Ordered log of every distinct measurement in one tuning run."""
+    """Ordered log of every distinct measurement in one tuning run.
+
+    ``rows`` maps each measured configuration to its raw measurement in the
+    order measured, so a row's step, and the budget consumed after it, is its
+    position counting from 1. ``best_so_far`` holds the best
+    direction-converted target after each row."""
 
     space: OptionSpace
-    entries: list[TraceEntry] = field(default_factory=list, init=False)
-    restarts: int = field(default=0, init=False)
-    _recorded: set[Configuration] = field(
-        default_factory=set, init=False, repr=False, compare=False
+    rows: dict[Configuration, MeasurementRecord] = field(
+        default_factory=dict, init=False
     )
+    best_so_far: array = field(default_factory=lambda: array("d"), init=False)
+    restarts: int = field(default=0, init=False)
 
     def record(
         self,
@@ -70,21 +65,18 @@ class RunTrace:
         target, which the best-so-far tracks. Raises ValueError, as
         ``load_summary`` does, when ``consumed`` is not the new row number or
         ``config`` is already recorded."""
-        step = len(self.entries) + 1
+        step = len(self.rows) + 1
         if consumed != step:
             raise ValueError(f"consumed {consumed} must be the row number {step}")
-        if config in self._recorded:
+        if config in self.rows:
             raise ValueError(f"configuration {config} repeats an earlier row")
-        self._recorded.add(config)
-        best = min(target, self.entries[-1].best_so_far) if self.entries else target
-        entry = TraceEntry(
-            step, config, measurement.target_raw, measurement.auxiliary_raw, best
-        )
-        self.entries.append(entry)
+        self.rows[config] = measurement
+        best = self.best_so_far
+        best.append(min(target, best[-1]) if best else target)
 
     def summary(self) -> RunSummary:
         """The summary a report reads of this run."""
-        return RunSummary.of(array("d", [entry.best_so_far for entry in self.entries]))
+        return RunSummary.of(array("d", self.best_so_far))
 
 
 @dataclass(frozen=True)
@@ -128,9 +120,10 @@ def emit_trace(trace: RunTrace, path: str) -> None:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_header(trace.space))
-            for e in trace.entries:
-                writer.writerow([e.step, *e.config, repr(e.target_raw),
-                                 repr(e.auxiliary_raw), e.step, repr(e.best_so_far)])
+            rows = zip(trace.rows.items(), trace.best_so_far)
+            for step, ((config, m), best) in enumerate(rows, start=1):
+                writer.writerow([step, *config, repr(m.target_raw),
+                                 repr(m.auxiliary_raw), step, repr(best)])
         if regular:
             os.replace(target, path)
     except BaseException:

@@ -399,6 +399,6 @@ def test_criterion_9_global_optimum_sanity():
         ("mmo:square", 0.5),
     ):
         trace = execute_run(space, oracle, 256, 10, model, weight, seed=5)
-        if trace.summary().best_target != planted_value or len(trace.entries) != 256:
+        if trace.summary().best_target != planted_value or len(trace.rows) != 256:
             ok = False
     report("9 (global-optimum sanity with exhaustive budget)", ok)

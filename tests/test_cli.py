@@ -174,6 +174,33 @@ class TestNonFiniteWeight:
         assert not out.exists()
 
 
+class TestCommandOracleSettings:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--timeout", "nan", "timeout must be a finite number > 0, got nan"),
+            ("--samples", "0", "samples must be an integer >= 1, got 0"),
+        ],
+        ids=["nan-timeout", "zero-samples"],
+    )
+    def test_campaign_refuses_them_before_running_or_writing(
+        self, space_file, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused campaign started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--command", "sleep 2",
+            flag, value, "--budget", "8", "--pop", "4", "--repeats", "1",
+            "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestRepeatedModelsAndWeights:
     @pytest.mark.parametrize(
         "models, weights",
@@ -379,8 +406,25 @@ class TestPlanFileChecked:
                 lambda plan: dict(plan, oracle="synthetic"),
                 "oracle spec must be a JSON object, got 'synthetic'",
             ),
+            (lambda plan: dict(plan, models=5), "models must be a list of model names, got 5"),
+            (
+                lambda plan: dict(plan, models="single:rs"),
+                "models must be a list of model names, got 'single:rs'",
+            ),
+            (lambda plan: dict(plan, weights="ab"), "weights must be a list of numbers, got 'ab'"),
+            (
+                lambda plan: dict(plan, weights=[True]),
+                "weights must be a list of numbers, got [True]",
+            ),
+            (
+                lambda plan: dict(plan, weights=["0.5"]),
+                "weights must be a list of numbers, got ['0.5']",
+            ),
         ],
-        ids=["not-an-object", "missing-field", "unknown-field", "string-oracle"],
+        ids=[
+            "not-an-object", "missing-field", "unknown-field", "string-oracle",
+            "int-models", "string-models", "string-weights", "bool-weight", "string-weight",
+        ],
     )
     def test_stats_names_what_is_wrong_with_the_plan(
         self, space_file, tmp_path, capsys, edit, message

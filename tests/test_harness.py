@@ -143,9 +143,11 @@ class TestTraceFiles:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows == [
-            [str(e.step), *map(str, e.config), repr(e.target_raw),
-             repr(e.auxiliary_raw), str(e.step), repr(e.best_so_far)]
-            for e in trace.entries
+            [str(step), *map(str, config), repr(m.target_raw),
+             repr(m.auxiliary_raw), str(step), repr(best)]
+            for step, ((config, m), best) in enumerate(
+                zip(trace.rows.items(), trace.best_so_far), start=1
+            )
         ]
         assert load_summary(str(path), binary8) == trace.summary()
         assert os.listdir(tmp_path) == ["trace.csv"]
@@ -160,7 +162,7 @@ class TestTraceFiles:
             trace.record((0, 0, 1), m, 3, 0.5)
         with pytest.raises(ValueError, match=r"^configuration \(0, 0, 0\) repeats an earlier row$"):
             trace.record((0, 0, 0), m, 2, 0.5)
-        assert len(trace.entries) == 1
+        assert len(trace.rows) == len(trace.best_so_far) == 1
         trace.record((0, 0, 1), m, 2, 0.5)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
@@ -174,7 +176,9 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         complete = path.read_bytes()
-        trace.entries.insert(10, None)  # the writer dies after 10 good rows
+        rows = list(trace.rows.items())
+        rows.insert(10, ((), None))  # the writer dies after 10 good rows
+        trace.rows = dict(rows)
         with pytest.raises(AttributeError):
             emit_trace(trace, str(path))
         assert path.read_bytes() == complete
@@ -203,7 +207,7 @@ class TestTraceFiles:
         space = make_binary_space(12)
         oracle = SyntheticOracle(space, seed=2)
         trace = run_rs(space, BudgetLedger(1000), oracle, OptimizerConfig(seed=4))
-        assert len(trace.entries) == 1000
+        assert len(trace.rows) == 1000
         path = tmp_path / "long.csv"
         emit_trace(trace, str(path))
         assert len(path.read_text().splitlines()) == 1001
@@ -536,7 +540,7 @@ class TestCampaign:
         )
         seed = plan.run_seed("single:rs", None, 1)
         first = execute_run(space, build_oracle(plan), 1, 2, "single:rs", None, seed)
-        del rows[first.entries[0].config]  # run 1 fails at its first measurement
+        del rows[next(iter(first.rows))]  # run 1 fails at its first measurement
         write_table(table, space, rows)
         oracle = build_oracle(plan)
         failing = []
@@ -597,7 +601,7 @@ class TestCampaign:
         trace, (held, _) = traced(
             lambda: execute_run(space, oracle, 300, 4, "single:rs", None, 0)
         )
-        assert len(trace.entries) == 300
+        assert len(trace.rows) == 300
         peak(1)  # first-call allocations stay out of either peak
         per_run = (peak(40) - peak(10)) / 30
         assert per_run < 0.25 * held
@@ -679,9 +683,9 @@ class TestStoredCampaignRebuild:
 
     def test_builds_no_trace_entry(self, stored, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a report rebuild built a TraceEntry")
+            raise AssertionError("a report rebuild recorded a trace row")
 
-        monkeypatch.setattr(mmo_tune.trace, "TraceEntry", refuse)
+        monkeypatch.setattr(mmo_tune.trace.RunTrace, "record", refuse)
         report = recompute_report(stored[0])
         assert [len(g["runs"]) for g in report["groups"]] == [20, 20, 20]
 
@@ -775,8 +779,9 @@ class TestExecuteRun:
         weight = 0.5 if model.startswith("mmo:") else None
         first = execute_run(space, oracle, 120, 10, model, weight, 11)
         second = execute_run(space, oracle, 120, 10, model, weight, 11)
-        assert len({entry.config for entry in first.entries}) == len(first.entries) == 120
-        assert first.entries == second.entries
+        assert len(first.rows) == len(first.best_so_far) == 120
+        assert list(first.rows.items()) == list(second.rows.items())
+        assert first.best_so_far == second.best_so_far
 
 
 class TestWeightSelection:

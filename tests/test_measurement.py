@@ -7,6 +7,7 @@ import os
 import random
 import re
 import stat
+import subprocess
 import textwrap
 import time
 
@@ -233,6 +234,34 @@ class TestCommandOracle:
         assert oracle.command in message
         assert f'stdout: \'{{"target": {value}, "auxiliary": 1}}\\n\'' in message
         assert "stderr: 'warming\\n'" in message
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"timeout": math.nan}, "timeout must be a finite number > 0, got nan"),
+            ({"timeout": math.inf}, "timeout must be a finite number > 0, got inf"),
+            ({"timeout": 0}, "timeout must be a finite number > 0, got 0"),
+            ({"timeout": -1.0}, "timeout must be a finite number > 0, got -1.0"),
+            ({"timeout": True}, "timeout must be a finite number > 0, got True"),
+            ({"timeout": "5"}, "timeout must be a finite number > 0, got '5'"),
+            ({"samples": 0}, "samples must be an integer >= 1, got 0"),
+            ({"samples": True}, "samples must be an integer >= 1, got True"),
+            ({"samples": 2.0}, "samples must be an integer >= 1, got 2.0"),
+        ],
+        ids=[
+            "nan-timeout", "inf-timeout", "zero-timeout", "negative-timeout",
+            "bool-timeout", "string-timeout", "zero-samples", "bool-samples",
+            "float-samples",
+        ],
+    )
+    def test_settings_are_checked_when_built(self, tiny_space, monkeypatch, settings, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused oracle started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        with pytest.raises(ValueError) as refused:
+            CommandOracle("sleep 2", tiny_space, **settings)
+        assert str(refused.value) == message
 
     def test_timeout_kills_the_whole_process_group(self, tmp_path, tiny_space):
         pid_file = tmp_path / "child.pid"

@@ -253,27 +253,47 @@ class TestParetoFront:
             assert fast_nondominated_sort(points)[0] == brute_force_front(points)
 
 
+def preset_sized_pool(rng):
+    """100-150 pairs, as many as the parents plus offspring that selection
+    sorts at a preset's population (50-60): in each coordinate, a random share
+    of the points takes one of at most five values and the rest continuous
+    ones."""
+    values = [rng.random() for _ in range(rng.randint(1, 5))]
+    shares = (rng.random(), rng.random())
+    return [
+        tuple(rng.choice(values) if rng.random() < s else rng.random() for s in shares)
+        for _ in range(rng.randint(100, 150))
+    ]
+
+
 class TestHeavyDuplicates:
     def test_front_order_matches_counting_loop(self):
         """Pairs drawn from at most five values: the shape an NSGA-II
-        population collapses to, where most points equal another."""
+        population collapses to, where most points equal another. Then
+        preset-sized pools that mix such values with continuous ones."""
         rng = random.Random(14)
+        pools = []
         for _ in range(200):
             values = [rng.random() for _ in range(rng.randint(1, 5))]
-            points = [
+            pools.append([
                 (rng.choice(values), rng.choice(values))
                 for _ in range(rng.randint(2, 60))
-            ]
+            ])
+        pools += [preset_sized_pool(rng) for _ in range(40)]
+        for points in pools:
             assert fast_nondominated_sort(points) == sort_by_domination_counts(points)
 
     def test_capacity_keeps_the_fronts_that_first_hold_it(self):
         rng = random.Random(15)
+        pools = []
         for _ in range(100):
             values = [rng.random() for _ in range(rng.randint(1, 5))]
-            points = [
+            pools.append([
                 (rng.choice(values), rng.choice(values))
                 for _ in range(rng.randint(2, 40))
-            ]
+            ])
+        pools += [preset_sized_pool(rng) for _ in range(5)]
+        for points in pools:
             fronts = sort_by_domination_counts(points)
             for capacity in range(1, len(points) + 2):
                 held, kept = 0, 0

@@ -325,7 +325,8 @@ class TestRunBehavior:
         cfg = OptimizerConfig(population_size=6, seed=13)
         first = run_model(name, binary8, BudgetLedger(40), oracle, cfg)
         second = run_model(name, binary8, BudgetLedger(40), oracle, cfg)
-        assert first.entries == second.entries
+        assert list(first.rows.items()) == list(second.rows.items())
+        assert first.best_so_far == second.best_so_far
 
     @pytest.mark.parametrize("name", ALL_RUNNER_NAMES)
     def test_trace_respects_budget_and_monotonicity(self, name):
@@ -334,10 +335,10 @@ class TestRunBehavior:
         cfg = OptimizerConfig(population_size=4, seed=5)
         ledger = BudgetLedger(17)
         trace = run_model(name, space, ledger, oracle, cfg)
-        assert 1 <= len(trace.entries) <= 17
-        assert ledger.consumed == len(trace.entries)
-        assert [e.step for e in trace.entries] == list(range(1, len(trace.entries) + 1))
-        best = [e.best_so_far for e in trace.entries]
+        assert 1 <= len(trace.rows) <= 17
+        assert ledger.consumed == len(trace.rows) == len(trace.best_so_far)
+        assert list(trace.rows) == list(ledger.cache)
+        best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
     @pytest.mark.parametrize("name", ALL_RUNNER_NAMES)
@@ -346,17 +347,17 @@ class TestRunBehavior:
         oracle = synthetic(space, seed=4)
         cfg = OptimizerConfig(population_size=4, seed=6)
         trace = run_model(name, space, BudgetLedger(100), oracle, cfg)
-        assert len(trace.entries) == 64
+        assert len(trace.rows) == 64
         true_best = min(oracle.target(c) for c in space.enumerate_all())
         assert trace.summary().best_target == true_best
 
     def test_rs_budget_one(self, binary8):
         trace = run_rs(binary8, BudgetLedger(1), synthetic(binary8), OptimizerConfig(seed=1))
-        assert len(trace.entries) == 1
+        assert len(trace.rows) == 1
 
     def test_zero_budget_empty_trace(self, binary8):
         trace = run_rs(binary8, BudgetLedger(0), synthetic(binary8), OptimizerConfig(seed=1))
-        assert trace.entries == []
+        assert trace.rows == {}
         with pytest.raises(ValueError):
             trace.summary().best_target
 
@@ -424,7 +425,7 @@ class TestSoga:
         trace = run_soga(
             binary8, BudgetLedger(80), synthetic(binary8), OptimizerConfig(population_size=8, seed=9)
         )
-        best = [e.best_so_far for e in trace.entries]
+        best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
 
@@ -491,8 +492,7 @@ class TestRunMeasure:
         measured = [run.measure(c) for c in (a, b, a, b, a)]
         expected = {c: (c, -oracle.target(c), oracle.auxiliary(c)) for c in (a, b)}
         assert measured == [expected[c] for c in (a, b, a, b, a)]
-        assert run.target(b) == expected[b][1]
-        assert [entry.config for entry in run.trace.entries] == [a, b]
+        assert list(run.trace.rows) == [a, b]
         assert observed == [expected[a], expected[b]]
 
 
@@ -520,7 +520,7 @@ class TestTrustedProposals:
         )
         cfg = OptimizerConfig(population_size=4, seed=3)
         trace = runner(space, BudgetLedger(20), oracle, cfg)
-        assert len(trace.entries) == 20
+        assert len(trace.rows) == 20
         assert validated == []
 
     def test_neighbor_of_an_outside_incumbent_is_refused_when_measured(
