@@ -47,21 +47,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _comma_list(convert: type, what: str):
+    """An argparse type: the comma-separated values of a flag, each read by
+    ``convert``; empty ones are skipped."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",") if v]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
+
+
 def _add_landscape_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landscape-seed", type=int, default=0)
     parser.add_argument("--density", type=float, default=0.05)
     parser.add_argument("--ruggedness", type=float, default=0.3)
     parser.add_argument("--correlation", type=float, default=0.0)
-    parser.add_argument("--planted", help="comma-separated planted optimum values")
+    parser.add_argument("--planted", type=_comma_list(int, "integers"),
+                        help="comma-separated planted optimum values")
 
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--table", help="CSV of pre-measured configurations")
-    parser.add_argument("--command", help="external measurement command")
+    oracle = parser.add_mutually_exclusive_group(required=True)
+    oracle.add_argument("--table", help="CSV of pre-measured configurations")
+    oracle.add_argument("--command", help="external measurement command")
     parser.add_argument("--samples", type=int, default=5)
     parser.add_argument("--timeout", type=float, default=60.0)
     _add_landscape_args(parser)
-    parser.add_argument(
+    oracle.add_argument(
         "--synthetic", action="store_true", help="use the synthetic landscape oracle"
     )
 
@@ -82,28 +99,19 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
     _add_run_args(parser, budget_required=False)
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument("--models", default=",".join(ALL_MODELS))
+    parser.add_argument("--models", type=_comma_list(str, "model names"),
+                        default=",".join(ALL_MODELS))
     parser.add_argument(
-        "--weights", default=",".join(weight_token(w) for w in DEFAULT_WEIGHTS)
+        "--weights", type=_comma_list(float, "numbers"),
+        default=",".join(weight_token(w) for w in DEFAULT_WEIGHTS),
     )
     parser.add_argument("--jobs", type=int, default=1)
 
 
 def _oracle_spec(args: argparse.Namespace) -> dict:
-    chosen = [
-        name
-        for name, flag in (
-            ("table", args.table),
-            ("command", args.command),
-            ("synthetic", args.synthetic),
-        )
-        if flag
-    ]
-    if len(chosen) != 1:
-        raise _UsageError("choose exactly one of --table, --command, --synthetic")
-    if args.table:
+    if args.table is not None:
         return {"kind": "table", "path": args.table}
-    if args.command:
+    if args.command is not None:
         return {
             "kind": "command",
             "command": args.command,
@@ -122,13 +130,18 @@ def _landscape_fields(args: argparse.Namespace) -> dict:
         "correlation": args.correlation,
     }
     if args.planted:
-        fields["planted"] = [int(v) for v in args.planted.split(",")]
+        fields["planted"] = args.planted
     return fields
 
 
 def _master_seed(args: argparse.Namespace) -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else args.seed
+    if not env:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _run_plan(args: argparse.Namespace, **fields) -> ExperimentPlan:
@@ -157,8 +170,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
         budget=budget,
         population_size=population,
         repeats=args.repeats,
-        models=tuple(m for m in args.models.split(",") if m),
-        weights=tuple(float(w) for w in args.weights.split(",") if w),
+        models=args.models,
+        weights=args.weights,
     )
 
 
@@ -171,16 +184,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         models=(args.model,),
         weights=(args.weight,) if args.weight is not None else DEFAULT_WEIGHTS,
     )
-    model = plan.models[0]
-    # Only meta models take a weight; the others are seeded as a campaign
-    # seeds them, whatever --weight says.
-    weight = None
-    if model in MMO_MODELS:
-        if args.weight is None:
-            raise _UsageError(f"model {model} needs --weight")
-        weight = float(args.weight)
+    # The one run of the plan: a meta model runs at --weight, the others
+    # without one, seeded as a campaign seeds them, whatever --weight says.
+    model, weight, _ = key = plan.run_keys()[0]
+    if model in MMO_MODELS and args.weight is None:
+        raise _UsageError(f"model {model} needs --weight")
+    seed = plan.run_seed(*key)
     oracle = build_oracle(plan)
-    seed = plan.run_seed(model, weight, 0)
     trace = execute_run(
         plan.space, oracle, plan.budget, plan.population_size, model, weight, seed,
         plan.directions,
@@ -256,7 +266,7 @@ def _cmd_select_weight(args: argparse.Namespace) -> int:
         chosen = preliminary_weight_selection(plan)
         print(json.dumps({"method": "preliminary", "weights": chosen}, sort_keys=True))
         return 0
-    if not args.table:
+    if args.table is None:
         raise _UsageError("data-driven selection needs --table")
     chosen, elapsed = data_driven_weight_selection(
         build_oracle(plan), plan, mode=args.scale, jobs=args.jobs

@@ -106,20 +106,6 @@ def derive_seed(master_seed: int, *parts: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-# Plan fields that plan.json stores under their own names, besides "space"
-# and "oracle".
-_DOC_FIELDS = (
-    "budget",
-    "population_size",
-    "repeats",
-    "models",
-    "weights",
-    "master_seed",
-    "target_direction",
-    "auxiliary_direction",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a campaign needs: space, oracle, budgets, models, seeding."""
@@ -206,6 +192,15 @@ class ExperimentPlan:
 
     def plan_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+# Plan fields that plan.json stores under their own names, besides "space"
+# and "oracle".
+_DOC_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(ExperimentPlan)
+    if field.name not in ("space", "oracle_spec")
+)
 
 
 def plan_from_doc(doc: object) -> ExperimentPlan:
@@ -559,13 +554,8 @@ def preliminary_weight_selection(
             results.append((weight, trace.summary().best_target))
         best_value = min(value for _, value in results)
         tied = [weight for weight, value in results if value == best_value]
-        if len(tied) == 1:
-            chosen[model] = tied[0]
-        else:
-            tie_rng = random.Random(
-                derive_seed(plan.master_seed, "prelim-tie", model)
-            )
-            chosen[model] = tied[tie_rng.randrange(len(tied))]
+        tie_rng = random.Random(derive_seed(plan.master_seed, "prelim-tie", model))
+        chosen[model] = tied[tie_rng.randrange(len(tied))]
     return chosen
 
 

@@ -180,6 +180,12 @@ class CommandOracle:
             math.isfinite(timeout) and timeout > 0
         ):
             raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+        if not isinstance(command, str) or not command.strip():
+            raise ValueError(f"command must be a nonblank string, got {command!r}")
+        for name in space.names:
+            if "=" in name or "\0" in name:
+                raise ValueError(f"option name {name!r} holds '=' or NUL: "
+                                 "OPT_<name> must be an environment variable name")
         self.command = command
         self.space = space
         self.samples = samples
@@ -227,7 +233,11 @@ class CommandOracle:
             )
         try:
             result = json.loads(lines[-1])
-            target, auxiliary = float(result["target"]), float(result["auxiliary"])
+            values = result["target"], result["auxiliary"]
+            # JSON numbers only: float() would also read true, false and "1.5".
+            if not all(type(v) in (int, float) for v in values):
+                raise TypeError("result values must be JSON numbers")
+            target, auxiliary = map(float, values)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CommandOracleError(
                 f"unparseable result line {lines[-1]!r} from: {self.command}"

@@ -6,7 +6,8 @@ GA) plus NSGA-II, which drives the plain and meta bi-objective models. They
 share two drivers: a local search that differs per optimizer only in its
 radius, acceptance rule and restarts, and a generational loop that differs
 only in how individuals are ranked and which ones survive. Every run owns its
-generator, ledger, and trace; equal seeds give bit-identical traces.
+generator, ledger (empty when given), and trace; equal seeds give
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ Individual = tuple[Configuration, float, float]
 
 
 class _Run:
-    """Per-run plumbing: generator, cached measurement, trace recording,
-    progress checks."""
+    """Per-run plumbing: generator, cached measurement, trace recording, and
+    ``stop``, the cache length at which the run ends. A run starts from an
+    empty ledger; a used one raises ValueError."""
 
     def __init__(
         self,
@@ -86,6 +88,9 @@ class _Run:
         cfg: OptimizerConfig,
         observe: Callable[[Individual], object] | None = None,
     ):
+        if ledger.cache:
+            raise ValueError(f"a run needs a ledger of its own; this ledger "
+                             f"already holds {len(ledger.cache)} measurements")
         self.space = space
         self.ledger = ledger
         self.oracle = oracle
@@ -93,11 +98,12 @@ class _Run:
         self.rng = random.Random(cfg.seed)
         self.trace = RunTrace(space)
         self._space_size = space.size()
-        # The ledger count at which no distinct measurement is left to make.
-        self._stop = min(ledger.limit, self._space_size)
+        # Budget or space spent: no distinct measurement is left to make.
+        self.stop = min(ledger.limit, self._space_size)
         # The measured individual of every configuration this run has
-        # proposed. The run owns its ledger, so a configuration's first
-        # proposal is its measurement.
+        # proposed. The run starts its ledger empty, so a configuration's
+        # first proposal is its measurement, and the cache, these individuals
+        # and the trace's rows grow together.
         self._measured: dict[Configuration, Individual] = {}
         self._observe = observe
 
@@ -113,7 +119,7 @@ class _Run:
         if measured is None:
             measured = (config, *to_minimization(record, self.directions))
             self._measured[config] = measured
-            self.trace.record(config, record, self.ledger.consumed, measured[1])
+            self.trace.record(config, record, measured[1])
             if self._observe is not None:
                 self._observe(measured)
         return measured
@@ -121,10 +127,6 @@ class _Run:
     def random_start(self) -> tuple[Configuration, float]:
         config = self.space.random_config(self.rng)
         return config, self.measure(config)[1]
-
-    def finished(self) -> bool:
-        """No further distinct measurement is possible: budget or space is spent."""
-        return self.ledger.consumed >= self._stop
 
     def fresh_uniform(self) -> Configuration | None:
         """A uniform draw over the not-yet-measured configurations, if any remain.
@@ -262,10 +264,7 @@ def _local_search(
     current_value, spent)`` holds, where ``spent`` counts the distinct
     measurements made since the start before this one. ``restart_after``
     rejections in a row restart the walk from a uniform configuration."""
-    # One cache entry per distinct measurement: its length is what
-    # ``ledger.consumed`` reads, so ``len(cache) < stop`` is ``not
-    # run.finished()`` without the two calls per proposal.
-    rng, cache, stop, measure = run.rng, run.ledger.cache, run._stop, run.measure
+    rng, cache, stop, measure = run.rng, run.ledger.cache, run.stop, run.measure
     neighbor = run.space.neighbor_sampler(radius)
     with contextlib.suppress(BudgetExhausted):
         current, current_value = (start or run.random_start)()
@@ -415,7 +414,7 @@ def _generational(
     draw over the unmeasured space."""
     if cfg.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
-    space, ledger, rng, measure = run.space, run.ledger, run.rng, run.measure
+    space, cache, rng, measure = run.space, run.ledger.cache, run.rng, run.measure
     getrandbits = rng.getrandbits
     with contextlib.suppress(BudgetExhausted):
         population = [
@@ -424,10 +423,10 @@ def _generational(
         size = len(population)
         size_bits = size.bit_length()
         stalled_generations = 0
-        while not run.finished():
+        while len(cache) < run.stop:
             keys = rank(population)
             offspring: list[Individual] = []
-            before = ledger.consumed
+            before = len(cache)
             while len(offspring) < size:
                 p1 = population[_tournament(keys, rng)][0]
                 p2 = population[_tournament(keys, rng)][0]
@@ -435,7 +434,7 @@ def _generational(
                     if len(offspring) < size:
                         mutated = boundary_mutation(space, child, MUTATION_RATE, rng)
                         offspring.append(measure(mutated))
-            if ledger.consumed == before:
+            if len(cache) == before:
                 stalled_generations += 1
                 if stalled_generations >= STALL_GENERATIONS:
                     fresh = run.fresh_uniform()
@@ -503,15 +502,13 @@ def run_nsga2(
 
     def objective_point(individual: Individual) -> ObjectivePoint:
         config, ft, fa = individual
-        point = points.get(config)
-        if point is None:
-            ft_n = bounds.normalize(ft, 0)
-            fa_n = bounds.normalize(fa, 1)
-            if plain:
-                point = pmo_objectives(ft_n, fa_n)
-            else:
-                point = meta_objectives(model, ft_n, fa_n)
-            points[config] = point
+        ft_n = bounds.normalize(ft, 0)
+        fa_n = bounds.normalize(fa, 1)
+        if plain:
+            point = pmo_objectives(ft_n, fa_n)
+        else:
+            point = meta_objectives(model, ft_n, fa_n)
+        points[config] = point
         return point
 
     def objective_points(individuals: list[Individual]) -> list[ObjectivePoint]:

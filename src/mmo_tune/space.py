@@ -9,8 +9,10 @@ or ``validate`` the table loader, the trace readers, the oracles'
 ``measure`` and a planted optimum. What takes a configuration (a
 ``neighbor_sampler``'s ``neighbor``, ``index``) trusts it to be one of this
 space, as every configuration that ``random_config``, ``neighbor`` and
-``config_at`` build is. A sampler checks its radius once, when it is built,
-so a local-search proposal pays for nothing but its random draws.
+``config_at`` build is. A sampler checks its radius and builds its tables
+of changeable positions and draws once, from ``bounds``, when it is built
+(once per local-search run), so a proposal pays for nothing but its random
+draws.
 
 Integer draws are made straight from ``rng.getrandbits`` by CPython's own
 rejection rule (``randbelow``): the draws that ``random.Random``'s
@@ -106,15 +108,9 @@ class OptionSpace:
         return tuple(opt.name for opt in self.options)
 
     @cached_property
-    def _mutable(self) -> tuple[int, ...]:
-        """Positions of the options with more than one value: the ones a
-        neighbor can change. Computed once; not a field, so equality, hashing
-        and the document form see only ``options``."""
-        return tuple(i for i, opt in enumerate(self.options) if opt.cardinality > 1)
-
-    @cached_property
     def bounds(self) -> tuple[tuple[int, int], ...]:
-        """(lower, upper) per option, computed once like ``_mutable``."""
+        """(lower, upper) per option. Computed once; not a field, so equality,
+        hashing and the document form see only ``options``."""
         return tuple((opt.lower, opt.upper) for opt in self.options)
 
     @cached_property
@@ -124,15 +120,6 @@ class OptionSpace:
         return tuple(
             (opt.lower, opt.cardinality, opt.cardinality.bit_length())
             for opt in self.options
-        )
-
-    @cached_property
-    def _other_draws(self) -> tuple[tuple[int, int, int], ...]:
-        """As ``_uniform_draws`` over one value fewer, for a value other than
-        the current one: ``randint(lower, upper - 1)``, shifted past it."""
-        return tuple(
-            (lower, width - 1, (width - 1).bit_length())
-            for lower, width, _ in self._uniform_draws
         )
 
     def size(self) -> int:
@@ -189,7 +176,9 @@ class OptionSpace:
                 len(self.options),
             )
             radius = len(self.options)
-        mutable = self._mutable
+        # The positions a neighbor can change: options of more than one value.
+        bounds = self.bounds
+        mutable = tuple(i for i, (lower, upper) in enumerate(bounds) if upper > lower)
         if not mutable:
             # Space of size 1: the input is its only configuration.
             return lambda config, rng: config
@@ -197,7 +186,11 @@ class OptionSpace:
         size_bits = size.bit_length()
         most = min(radius, size)
         most_bits = most.bit_length()
-        other = self._other_draws
+        # (lower, width, bits) per option over one value fewer, for a value
+        # other than the current one: ``randint(lower, upper - 1)``, shifted
+        # past it.
+        other = [(lower, upper - lower, (upper - lower).bit_length())
+                 for lower, upper in bounds]
 
         def neighbor(config: Configuration, rng: random.Random) -> Configuration:
             # randint(1, most) changes (k + 1 below), then sample(mutable,

@@ -44,7 +44,8 @@ class RunTrace:
 
     ``rows`` maps each measured configuration to its raw measurement in the
     order measured, so a row's step, and the budget consumed after it, is its
-    position counting from 1. ``best_so_far`` holds the best
+    position counting from 1: a run records each configuration when its
+    empty ledger first measures it. ``best_so_far`` holds the best
     direction-converted target after each row."""
 
     space: OptionSpace
@@ -55,19 +56,12 @@ class RunTrace:
     restarts: int = field(default=0, init=False)
 
     def record(
-        self,
-        config: Configuration,
-        measurement: MeasurementRecord,
-        consumed: int,
-        target: float,
+        self, config: Configuration, measurement: MeasurementRecord, target: float
     ) -> None:
-        """Append a distinct measurement; ``target`` is its direction-converted
-        target, which the best-so-far tracks. Raises ValueError, as
-        ``load_summary`` does, when ``consumed`` is not the new row number or
-        ``config`` is already recorded."""
-        step = len(self.rows) + 1
-        if consumed != step:
-            raise ValueError(f"consumed {consumed} must be the row number {step}")
+        """Append a distinct measurement as the next row; ``target`` is its
+        direction-converted target, which the best-so-far tracks. Raises
+        ValueError, as ``load_summary`` does, when ``config`` is already
+        recorded."""
         if config in self.rows:
             raise ValueError(f"configuration {config} repeats an earlier row")
         self.rows[config] = measurement
@@ -172,9 +166,8 @@ def _checked_column(rows: list[list[str]], space: OptionSpace) -> array | None:
         return None
     columns = list(zip(*rows))
     row_numbers = tuple(map(str, range(1, k + 1)))
-    for counts in (columns[0], columns[n + 3]):
-        if counts != row_numbers and tuple(map(int, counts)) != tuple(range(1, k + 1)):
-            return None
+    if columns[0] != row_numbers or columns[n + 3] != row_numbers:
+        return None
     for opt, cells in zip(space.options, columns[1 : 1 + n]):
         spellings = set(cells)
         values = set(map(int, spellings))

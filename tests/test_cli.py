@@ -66,6 +66,33 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [(), ("--synthetic", "--table", "t.csv"), ("--table", "t.csv", "--command", "x")],
+        ids=["none", "synthetic-and-table", "table-and-command"],
+    )
+    def test_one_oracle_flag_is_required(self, space_file, tmp_path, capsys, oracle):
+        out = tmp_path / "camp"
+        code = run_cli("campaign", "--space", space_file, *oracle, "--budget", "8",
+                       "--out", str(out))
+        assert code == 1
+        assert "usage" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--weights", "0.1,abc"), ("--planted", "1,x"), ("--weights", "0.5,,x")],
+    )
+    def test_list_flag_that_does_not_parse_is_usage_error(
+        self, space_file, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "camp"
+        code = run_cli("campaign", "--space", space_file, "--synthetic", "--budget", "8",
+                       flag, value, "--out", str(out))
+        assert code == 1
+        assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
 
@@ -103,6 +130,17 @@ class TestTune:
                 "--model", "single:rs", "--budget", "10", "--seed", "2",
                 "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_seed_env_that_is_no_integer_is_usage_error(
+        self, space_file, table_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("MMO_TUNE_SEED", "abc")
+        code = run_cli("tune", "--space", space_file, "--table", table_file,
+                       "--model", "single:rs", "--budget", "10",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: MMO_TUNE_SEED must be an integer, got 'abc'\n"
+        assert not (tmp_path / "t.csv").exists()
 
 
     def test_synthetic_maximize_target_is_tuned_negated(self, space_file, tmp_path, capsys):
@@ -180,8 +218,9 @@ class TestCommandOracleSettings:
         [
             ("--timeout", "nan", "timeout must be a finite number > 0, got nan"),
             ("--samples", "0", "samples must be an integer >= 1, got 0"),
+            ("--command", "", "command must be a nonblank string, got ''"),
         ],
-        ids=["nan-timeout", "zero-samples"],
+        ids=["nan-timeout", "zero-samples", "empty-command"],
     )
     def test_campaign_refuses_them_before_running_or_writing(
         self, space_file, tmp_path, capsys, monkeypatch, flag, value, message

@@ -155,20 +155,16 @@ class TestTraceFiles:
     def test_record_rejects_what_the_reader_rejects(self, binary3, tmp_path):
         m = MeasurementRecord(1.0, 2.0)
         trace = RunTrace(binary3)
-        trace.record((0, 0, 0), m, 1, 1.0)
-        with pytest.raises(ValueError, match=r"^consumed 1 must be the row number 2$"):
-            trace.record((0, 0, 1), m, 1, 0.5)
-        with pytest.raises(ValueError, match=r"^consumed 3 must be the row number 2$"):
-            trace.record((0, 0, 1), m, 3, 0.5)
+        trace.record((0, 0, 0), m, 1.0)
         with pytest.raises(ValueError, match=r"^configuration \(0, 0, 0\) repeats an earlier row$"):
-            trace.record((0, 0, 0), m, 2, 0.5)
+            trace.record((0, 0, 0), m, 0.5)
         assert len(trace.rows) == len(trace.best_so_far) == 1
-        trace.record((0, 0, 1), m, 2, 0.5)
+        trace.record((0, 0, 1), m, 0.5)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         assert load_summary(str(path), binary3) == trace.summary()
         with pytest.raises(ValueError, match="repeats an earlier row"):
-            trace.record((0, 0, 1), m, 3, 0.5)
+            trace.record((0, 0, 1), m, 0.5)
 
     def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)

@@ -217,9 +217,16 @@ class TestCommandOracle:
         assert "broken" in str(err.value)
 
     def test_unparseable_output(self, tiny_space):
-        oracle = CommandOracle("echo not-json", tiny_space, samples=1)
-        with pytest.raises(CommandOracleError, match="unparseable"):
-            oracle.measure(tiny_space.config([0]))
+        # Result values are JSON numbers only: not booleans, not strings.
+        for line in (
+            "not-json",
+            '{"target": true, "auxiliary": false}',
+            '{"target": "1.5", "auxiliary": 0}',
+            '{"target": 1.5, "auxiliary": "0"}',
+        ):
+            oracle = CommandOracle(f"echo '{line}'", tiny_space, samples=1)
+            with pytest.raises(CommandOracleError, match="unparseable"):
+                oracle.measure(tiny_space.config([0]))
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_output_carries_transcript(self, tiny_space, value):
@@ -247,11 +254,24 @@ class TestCommandOracle:
             ({"samples": 0}, "samples must be an integer >= 1, got 0"),
             ({"samples": True}, "samples must be an integer >= 1, got True"),
             ({"samples": 2.0}, "samples must be an integer >= 1, got 2.0"),
+            ({"command": ""}, "command must be a nonblank string, got ''"),
+            ({"command": " \t"}, "command must be a nonblank string, got ' \\t'"),
+            (
+                {"space": OptionSpace((OptionSpec("a=b", "binary", 0, 1),))},
+                "option name 'a=b' holds '=' or NUL: "
+                "OPT_<name> must be an environment variable name",
+            ),
+            (
+                {"space": OptionSpace((OptionSpec("a\0b", "binary", 0, 1),))},
+                "option name 'a\\x00b' holds '=' or NUL: "
+                "OPT_<name> must be an environment variable name",
+            ),
         ],
         ids=[
             "nan-timeout", "inf-timeout", "zero-timeout", "negative-timeout",
             "bool-timeout", "string-timeout", "zero-samples", "bool-samples",
-            "float-samples",
+            "float-samples", "empty-command", "blank-command", "equals-in-name",
+            "nul-in-name",
         ],
     )
     def test_settings_are_checked_when_built(self, tiny_space, monkeypatch, settings, message):
@@ -260,7 +280,7 @@ class TestCommandOracle:
 
         monkeypatch.setattr(subprocess, "Popen", refuse)
         with pytest.raises(ValueError) as refused:
-            CommandOracle("sleep 2", tiny_space, **settings)
+            CommandOracle(**{"command": "sleep 2", "space": tiny_space, **settings})
         assert str(refused.value) == message
 
     def test_timeout_kills_the_whole_process_group(self, tmp_path, tiny_space):

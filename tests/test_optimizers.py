@@ -351,6 +351,18 @@ class TestRunBehavior:
         true_best = min(oracle.target(c) for c in space.enumerate_all())
         assert trace.summary().best_target == true_best
 
+    @pytest.mark.parametrize("name", ALL_RUNNER_NAMES)
+    def test_used_ledger_is_refused(self, name, binary8):
+        # A second run would be served from the first one's cache and record
+        # no row of its own.
+        oracle = synthetic(binary8)
+        cfg = OptimizerConfig(population_size=6, seed=13)
+        ledger = BudgetLedger(40)
+        run_model(name, binary8, ledger, oracle, cfg)
+        with pytest.raises(ValueError, match=r"^a run needs a ledger of its own; "
+                           r"this ledger already holds 40 measurements$"):
+            run_model(name, binary8, ledger, oracle, cfg)
+
     def test_rs_budget_one(self, binary8):
         trace = run_rs(binary8, BudgetLedger(1), synthetic(binary8), OptimizerConfig(seed=1))
         assert len(trace.rows) == 1

@@ -416,8 +416,8 @@ class TestDrawsMatchRandom:
             setup = random.Random(seed + 4000)
             measured = set(setup.sample(every, len(every) - setup.randint(1, 3)))
             ledger = BudgetLedger(len(every))
-            ledger.cache.update(dict.fromkeys(measured))
             run = _Run(DRAW_SPACE, ledger, None, OptimizerConfig(seed=seed))
+            ledger.cache.update(dict.fromkeys(measured))
             ref = random.Random(seed)
             want, fell_back = reference_fresh_uniform(DRAW_SPACE, measured, ref)
             assert run.fresh_uniform() == want
