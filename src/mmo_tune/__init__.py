@@ -18,12 +18,10 @@ from .harness import (
 )
 from .measurement import (
     BudgetExhausted,
-    BudgetLedger,
     CommandOracle,
     MeasurementRecord,
     SyntheticOracle,
     TabularOracle,
-    cached_measure,
     load_table,
 )
 from .models import (

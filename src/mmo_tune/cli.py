@@ -39,12 +39,17 @@ MAX_TABLE_ROWS = 1_000_000
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error; ``usage`` is the usage line to print with it, if any."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        # The raising parser's own usage: a subcommand's error shows its flags.
+        raise _UsageError(message, self.format_usage())
 
 
 def _comma_list(convert: type, what: str):
@@ -364,19 +369,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(exc.usage)
         return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from statistics import fmean, stdev
 
 from .measurement import (
-    BudgetLedger,
     CommandOracle,
     Oracle,
     SyntheticOracle,
@@ -270,15 +269,14 @@ def execute_run(
     seed: int,
     directions: tuple[Direction, Direction] = ("minimize", "minimize"),
 ) -> RunTrace:
-    """One tuning run of the given model with its own ledger and generator;
-    ``directions`` says whether the target and the auxiliary are minimized
-    or maximized."""
-    ledger = BudgetLedger(budget)
+    """One tuning run of the given model with its own trace and generator,
+    measuring at most ``budget`` distinct configurations; ``directions``
+    says whether the target and the auxiliary are minimized or maximized."""
     cfg = OptimizerConfig(
         population_size=population_size, seed=seed, directions=directions
     )
     if model in _SINGLE_RUNNERS:
-        return _SINGLE_RUNNERS[model](space, ledger, oracle, cfg)
+        return _SINGLE_RUNNERS[model](space, budget, oracle, cfg)
     if model in MMO_MODELS:
         if weight is None:
             raise ValueError(f"model {model} needs a weight")
@@ -287,7 +285,7 @@ def execute_run(
         instance = PMO
     else:
         raise ValueError(f"unknown model {model!r}")
-    return run_nsga2(space, ledger, oracle, instance, cfg)
+    return run_nsga2(space, budget, oracle, instance, cfg)
 
 
 def _run_name(key: tuple[str, float | None, int]) -> str:

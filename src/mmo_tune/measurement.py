@@ -1,4 +1,4 @@
-"""Measurement oracles, the per-run cache, and distinct-measurement budgets."""
+"""Measurement oracles: tabular, external-command and synthetic."""
 
 from __future__ import annotations
 
@@ -49,39 +49,6 @@ class MeasurementRecord:
 
 class Oracle(Protocol):
     def measure(self, config: Configuration) -> MeasurementRecord: ...
-
-
-class BudgetLedger:
-    """Tracks distinct measurements against a limit; repeats are served from cache."""
-
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError(f"budget limit must be >= 0, got {limit}")
-        self.limit = limit
-        self.cache: dict[Configuration, MeasurementRecord] = {}
-
-    @property
-    def consumed(self) -> int:
-        return len(self.cache)
-
-
-def cached_measure(
-    ledger: BudgetLedger, oracle: Oracle, config: Configuration
-) -> MeasurementRecord:
-    """Measure through the per-run cache; only distinct configurations cost budget.
-
-    Raises BudgetExhausted on a cache miss once the limit is reached.
-    """
-    record = ledger.cache.get(config)
-    if record is not None:
-        return record
-    if ledger.consumed >= ledger.limit:
-        raise BudgetExhausted(
-            f"distinct-measurement budget of {ledger.limit} is exhausted"
-        )
-    record = oracle.measure(config)
-    ledger.cache[config] = record
-    return record
 
 
 class TabularOracle:
@@ -238,7 +205,8 @@ class CommandOracle:
             if not all(type(v) in (int, float) for v in values):
                 raise TypeError("result values must be JSON numbers")
             target, auxiliary = map(float, values)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise CommandOracleError(
                 f"unparseable result line {lines[-1]!r} from: {self.command}"
             ) from exc

@@ -1,4 +1,4 @@
-"""Search procedures over the cached-measurement budget.
+"""Search procedures over a budget of distinct measurements.
 
 Four single-objective baselines (random search with a wide neighborhood,
 stochastic hill climbing with restarts, simulated annealing, a generational
@@ -6,8 +6,8 @@ GA) plus NSGA-II, which drives the plain and meta bi-objective models. They
 share two drivers: a local search that differs per optimizer only in its
 radius, acceptance rule and restarts, and a generational loop that differs
 only in how individuals are ranked and which ones survive. Every run owns its
-generator, ledger (empty when given), and trace; equal seeds give
-bit-identical traces.
+generator and its trace, which is also its measurement cache; equal seeds
+give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable
 
-from .measurement import (
-    BudgetExhausted,
-    BudgetLedger,
-    Oracle,
-    cached_measure,
-)
+from .measurement import BudgetExhausted, Oracle
 from .models import (
     PMO,
     Direction,
@@ -76,47 +71,48 @@ Individual = tuple[Configuration, float, float]
 
 
 class _Run:
-    """Per-run plumbing: generator, cached measurement, trace recording, and
-    ``stop``, the cache length at which the run ends. A run starts from an
-    empty ledger; a used one raises ValueError."""
+    """Per-run plumbing: generator, measurement, trace recording, and
+    ``stop``, the trace length at which the run ends. The trace is the run's
+    one store of measurements: a configuration is measured once, when first
+    proposed, and ``budget`` counts these distinct measurements."""
 
     def __init__(
         self,
         space: OptionSpace,
-        ledger: BudgetLedger,
+        budget: int,
         oracle: Oracle,
         cfg: OptimizerConfig,
         observe: Callable[[Individual], object] | None = None,
     ):
-        if ledger.cache:
-            raise ValueError(f"a run needs a ledger of its own; this ledger "
-                             f"already holds {len(ledger.cache)} measurements")
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self.space = space
-        self.ledger = ledger
         self.oracle = oracle
         self.directions = cfg.directions
         self.rng = random.Random(cfg.seed)
         self.trace = RunTrace(space)
         self._space_size = space.size()
         # Budget or space spent: no distinct measurement is left to make.
-        self.stop = min(ledger.limit, self._space_size)
-        # The measured individual of every configuration this run has
-        # proposed. The run starts its ledger empty, so a configuration's
-        # first proposal is its measurement, and the cache, these individuals
-        # and the trace's rows grow together.
+        self.stop = min(budget, self._space_size)
+        # The measured individual of every row of the trace, in its order.
         self._measured: dict[Configuration, Individual] = {}
         self._observe = observe
 
     def measure(self, config: Configuration) -> Individual:
-        """Measure through the cache and return (configuration, target,
-        auxiliary), both values converted for minimization.
+        """Return (configuration, target, auxiliary), both values converted
+        for minimization.
 
-        A configuration's first proposal records its measurement in the
-        trace and hands the individual to ``observe``; a later one is served
-        from the run's individuals."""
-        record = cached_measure(self.ledger, self.oracle, config)
+        A configuration's first proposal is measured, recorded in the trace
+        and handed to ``observe``; a later one is served from the run's
+        individuals. A first proposal once the budget is spent raises
+        BudgetExhausted."""
         measured = self._measured.get(config)
         if measured is None:
+            if len(self.trace.rows) >= self.stop:
+                raise BudgetExhausted(
+                    f"distinct-measurement budget of {self.stop} is exhausted"
+                )
+            record = self.oracle.measure(config)
             measured = (config, *to_minimization(record, self.directions))
             self._measured[config] = measured
             self.trace.record(config, record, measured[1])
@@ -134,7 +130,7 @@ class _Run:
         After 64 rejected uniform draws, one draw picks the position of the
         result among the unmeasured configurations in lexicographic order.
         """
-        rng, cache = self.rng, self.ledger.cache
+        rng, cache = self.rng, self.trace.rows
         if len(cache) >= self._space_size:
             return None
         for _ in range(64):
@@ -264,7 +260,7 @@ def _local_search(
     current_value, spent)`` holds, where ``spent`` counts the distinct
     measurements made since the start before this one. ``restart_after``
     rejections in a row restart the walk from a uniform configuration."""
-    rng, cache, stop, measure = run.rng, run.ledger.cache, run.stop, run.measure
+    rng, cache, stop, measure = run.rng, run.trace.rows, run.stop, run.measure
     neighbor = run.space.neighbor_sampler(radius)
     with contextlib.suppress(BudgetExhausted):
         current, current_value = (start or run.random_start)()
@@ -293,22 +289,22 @@ def _local_search(
 
 
 def run_rs(
-    space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
+    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
     """Random search within half the option count of the incumbent, keeping the
     best target; falls back to uniform resampling once the neighborhood is spent."""
     radius = max(1, len(space.options) // 2)
-    return _local_search(_Run(space, ledger, oracle, cfg), radius, _improves)
+    return _local_search(_Run(space, budget, oracle, cfg), radius, _improves)
 
 
 def run_shc_restart(
-    space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
+    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
     """Stochastic hill climbing on Hamming-1 neighbors, restarting from a fresh
     uniform configuration after four times the option count of non-improving
     evaluations in a row."""
     return _local_search(
-        _Run(space, ledger, oracle, cfg),
+        _Run(space, budget, oracle, cfg),
         1,
         _improves,
         restart_after=4 * len(space.options),
@@ -328,7 +324,7 @@ def metropolis_probability(delta: float, temperature: float) -> float:
 
 
 def run_sa(
-    space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
+    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
     """Simulated annealing with geometric cooling per distinct measurement.
 
@@ -336,7 +332,7 @@ def run_sa(
     ``population_size`` samples, and the initial temperature is the standard
     deviation of the batch's targets.
     """
-    run = _Run(space, ledger, oracle, cfg)
+    run = _Run(space, budget, oracle, cfg)
     t0 = 1.0  # start() sets it from the batch
 
     def start() -> tuple[Configuration, float]:
@@ -414,7 +410,7 @@ def _generational(
     draw over the unmeasured space."""
     if cfg.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
-    space, cache, rng, measure = run.space, run.ledger.cache, run.rng, run.measure
+    space, cache, rng, measure = run.space, run.trace.rows, run.rng, run.measure
     getrandbits = rng.getrandbits
     with contextlib.suppress(BudgetExhausted):
         population = [
@@ -464,17 +460,17 @@ def _elitist(
 
 
 def run_soga(
-    space: OptionSpace, ledger: BudgetLedger, oracle: Oracle, cfg: OptimizerConfig
+    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
 ) -> RunTrace:
     """Generational GA on the scalar target: binary tournaments, uniform
     crossover, boundary mutation, elitist replacement."""
-    run = _Run(space, ledger, oracle, cfg)
+    run = _Run(space, budget, oracle, cfg)
     return _generational(run, cfg, _targets, _elitist)
 
 
 def run_nsga2(
     space: OptionSpace,
-    ledger: BudgetLedger,
+    budget: int,
     oracle: Oracle,
     model: MmoInstance | str,
     cfg: OptimizerConfig,
@@ -498,7 +494,7 @@ def run_nsga2(
         if bounds.observe(measured[1:]):
             points.clear()
 
-    run = _Run(space, ledger, oracle, cfg, observe)
+    run = _Run(space, budget, oracle, cfg, observe)
 
     def objective_point(individual: Individual) -> ObjectivePoint:
         config, ft, fa = individual

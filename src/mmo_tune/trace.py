@@ -44,9 +44,10 @@ class RunTrace:
 
     ``rows`` maps each measured configuration to its raw measurement in the
     order measured, so a row's step, and the budget consumed after it, is its
-    position counting from 1: a run records each configuration when its
-    empty ledger first measures it. ``best_so_far`` holds the best
-    direction-converted target after each row."""
+    position counting from 1: a run records each configuration when it
+    first measures it, and its rows are the run's measurement cache.
+    ``best_so_far`` holds the best direction-converted target after each
+    row."""
 
     space: OptionSpace
     rows: dict[Configuration, MeasurementRecord] = field(

@@ -20,15 +20,14 @@ from mmo_tune.harness import (
     execute_run,
     preliminary_weight_selection,
 )
-from mmo_tune.measurement import (
-    BudgetExhausted,
-    BudgetLedger,
-    MeasurementRecord,
-    SyntheticOracle,
-    cached_measure,
-)
+from mmo_tune.measurement import BudgetExhausted, MeasurementRecord, SyntheticOracle
 from mmo_tune.models import MmoInstance, meta_objectives, pmo_objectives
-from mmo_tune.optimizers import crowding_distance, fast_nondominated_sort
+from mmo_tune.optimizers import (
+    OptimizerConfig,
+    _Run,
+    crowding_distance,
+    fast_nondominated_sort,
+)
 from mmo_tune.stats import a12, a12_magnitude, normalized_gain, pick_best_counterpart, wilcoxon_signed_rank
 
 from conftest import make_binary_space, sort_by_domination_counts, write_table
@@ -262,22 +261,30 @@ def test_criterion_6_budget_and_caching_law(tmp_path):
     rng = random.Random(66)
     ok = True
     for limit in (0, 1, 7, 40):
-        ledger = BudgetLedger(limit)
         oracle = _CountingOracle()
+        run = _Run(space, limit, oracle, OptimizerConfig())
         seen = set()
         # Adversarial stream: heavy duplication, alternating hot keys.
         hot = [space.random_config(rng) for _ in range(3)]
         for step in range(500):
             config = hot[step % 3] if step % 2 else space.random_config(rng)
             try:
-                cached_measure(ledger, oracle, config)
+                run.measure(config)
             except BudgetExhausted:
+                # Only a miss at the limit stops a run.
+                if config in seen or len(seen) != limit:
+                    ok = False
                 continue
             seen.add(config)
-            if ledger.consumed != len(seen) or ledger.consumed > limit:
+            if len(run.trace.rows) != len(seen) or len(seen) > limit:
                 ok = False
-        if oracle.calls != len(seen):
+        if not oracle.calls == len(run.trace.rows) == len(seen) <= limit:
             ok = False
+    try:
+        _Run(space, -1, _CountingOracle(), OptimizerConfig())
+        ok = False
+    except ValueError:
+        pass
     # Byte-identical traces for repeated seeded executions.
     plan_oracle = SyntheticOracle(space, seed=9, correlation=0.3)
     for model in ("single:rs", "mmo:linear"):

@@ -93,6 +93,15 @@ class TestExitCodes:
         assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subcommand_error_prints_its_own_usage(self, space_file, tmp_path, capsys):
+        code = run_cli("campaign", "--space", space_file, "--synthetic",
+                       "--weights", "0.1,abc", "--budget", "2",
+                       "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage: mmo-tune campaign" in err
+        assert "--weights WEIGHTS" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli("--help") == 0
 
@@ -759,13 +768,13 @@ def test_serial_commands_do_not_import_multiprocessing():
 def test_public_surface():
     # Any change to the package's exported names should be deliberate.
     assert sorted(mmo_tune.__all__) == [
-        "ALL_MODELS", "BudgetExhausted", "BudgetLedger", "CommandOracle",
+        "ALL_MODELS", "BudgetExhausted", "CommandOracle",
         "Configuration", "DEFAULT_WEIGHTS", "ExperimentPlan", "MeasurementRecord",
         "MmoInstance", "NormalizationBounds", "OptimizerConfig", "OptionSpace",
         "OptionSpec", "PMO", "PRESETS", "RunTrace", "StatResult",
         "SyntheticOracle", "TabularOracle", "a12",
         "a12_magnitude", "boundary_mutation", "build_oracle", "build_report",
-        "cached_measure", "compare_results", "crowding_distance",
+        "compare_results", "crowding_distance",
         "data_driven_weight_selection", "derive_seed",
         "efficiency_ratio", "emit_trace", "execute_run", "fast_nondominated_sort",
         "harness", "load_space", "load_table", "measurement",

@@ -25,7 +25,6 @@ import pytest
 
 from mmo_tune.harness import derive_seed, emit_trace, execute_run, weight_token
 from mmo_tune.measurement import (
-    BudgetLedger,
     SyntheticOracle,
     load_table,
 )
@@ -267,9 +266,9 @@ def test_non_default_trace_digest(case, tmp_path):
     seed = derive_seed(2024, scale, SEED_LABELS.get(name, name))
     cfg = OptimizerConfig(population_size=population, seed=seed)
     if model is None:
-        trace = optimizer(space, BudgetLedger(budget), oracle, cfg)
+        trace = optimizer(space, budget, oracle, cfg)
     else:
-        trace = optimizer(space, BudgetLedger(budget), oracle, model, cfg)
+        trace = optimizer(space, budget, oracle, model, cfg)
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NON_DEFAULT[case]

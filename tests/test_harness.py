@@ -39,7 +39,6 @@ from mmo_tune.harness import (
     write_campaign,
 )
 from mmo_tune.measurement import (
-    BudgetLedger,
     MeasurementRecord,
     SyntheticOracle,
     UnmeasuredConfigError,
@@ -137,7 +136,7 @@ class TestPlan:
 class TestTraceFiles:
     def test_round_trip(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1, correlation=0.3)
-        trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
+        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
@@ -168,7 +167,7 @@ class TestTraceFiles:
 
     def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)
-        trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
+        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         complete = path.read_bytes()
@@ -182,7 +181,7 @@ class TestTraceFiles:
 
     def test_symlink_is_written_through(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)
-        trace = run_rs(binary8, BudgetLedger(25), oracle, OptimizerConfig(seed=3))
+        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
         target = tmp_path / "target.csv"
         target.write_text("old\n")
         link = tmp_path / "link.csv"
@@ -202,7 +201,7 @@ class TestTraceFiles:
     def test_long_trace_line_count(self, tmp_path):
         space = make_binary_space(12)
         oracle = SyntheticOracle(space, seed=2)
-        trace = run_rs(space, BudgetLedger(1000), oracle, OptimizerConfig(seed=4))
+        trace = run_rs(space, 1000, oracle, OptimizerConfig(seed=4))
         assert len(trace.rows) == 1000
         path = tmp_path / "long.csv"
         emit_trace(trace, str(path))
@@ -213,7 +212,7 @@ class TestTraceFiles:
         """A short RS trace with each of its ``lines`` (1 is the header) passed
         through ``edit``."""
         oracle = SyntheticOracle(space, seed=1)
-        trace = run_rs(space, BudgetLedger(5), oracle, OptimizerConfig(seed=3))
+        trace = run_rs(space, 5, oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         text = path.read_text().splitlines()
@@ -286,7 +285,7 @@ class TestTraceFiles:
             OptionSpec("c", "integer", -2, 3),
         ))
         oracle = SyntheticOracle(space, seed=1)
-        trace = run_rs(space, BudgetLedger(6), oracle, OptimizerConfig(seed=3))
+        trace = run_rs(space, 6, oracle, OptimizerConfig(seed=3))
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         original = path.read_text().splitlines()

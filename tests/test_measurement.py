@@ -1,4 +1,4 @@
-"""Tests for oracles, the measurement cache, and budget accounting."""
+"""Tests for oracles and a run's distinct-measurement budget."""
 
 from __future__ import annotations
 
@@ -15,16 +15,15 @@ import pytest
 
 from mmo_tune.measurement import (
     BudgetExhausted,
-    BudgetLedger,
     CommandOracle,
     CommandOracleError,
     MeasurementRecord,
     SyntheticOracle,
     TableFormatError,
     UnmeasuredConfigError,
-    cached_measure,
     load_table,
 )
+from mmo_tune.optimizers import OptimizerConfig, _Run
 from mmo_tune.space import OptionSpace, OptionSpec
 
 from conftest import make_binary_space, write_table
@@ -48,47 +47,52 @@ class ConstOracle:
 
 
 class TestBudgetLedger:
+    """A run's budget ledger: each distinct configuration is measured once,
+    and a miss at the budget stops the run."""
+
     def test_repeat_measurement_costs_once(self, binary3):
-        ledger = BudgetLedger(10)
         oracle = ConstOracle()
+        run = _Run(binary3, 10, oracle, OptimizerConfig())
         config = binary3.config([1, 0, 1])
-        first = cached_measure(ledger, oracle, config)
-        second = cached_measure(ledger, oracle, config)
+        first = run.measure(config)
+        second = run.measure(config)
         assert first == second
-        assert ledger.consumed == 1
+        assert len(run.trace.rows) == 1
         assert oracle.calls == 1
 
     def test_zero_limit_exhausts_immediately(self, binary3):
-        ledger = BudgetLedger(0)
+        oracle = ConstOracle()
+        run = _Run(binary3, 0, oracle, OptimizerConfig())
         with pytest.raises(BudgetExhausted):
-            cached_measure(ledger, ConstOracle(), binary3.config([0, 0, 0]))
+            run.measure(binary3.config([0, 0, 0]))
+        assert oracle.calls == 0
 
     def test_distinct_configs_consume_each(self, binary3):
-        ledger = BudgetLedger(8)
-        oracle = ConstOracle()
+        run = _Run(binary3, 8, ConstOracle(), OptimizerConfig())
         configs = list(binary3.enumerate_all())[:5]
         for config in configs:
-            cached_measure(ledger, oracle, config)
-        assert ledger.consumed == 5
+            run.measure(config)
+        assert list(run.trace.rows) == configs
 
     def test_consumed_tracks_distinct_under_duplication(self, binary8):
         rng = random.Random(0)
-        ledger = BudgetLedger(40)
         oracle = ConstOracle()
+        run = _Run(binary8, 40, oracle, OptimizerConfig())
         seen = set()
         for _ in range(600):
             config = binary8.random_config(rng)
             try:
-                cached_measure(ledger, oracle, config)
+                run.measure(config)
             except BudgetExhausted:
+                assert config not in seen and len(seen) == 40
                 continue
             seen.add(config)
-            assert ledger.consumed == len(seen)
-            assert ledger.consumed <= ledger.limit
+            assert oracle.calls == len(run.trace.rows) == len(seen) <= 40
+        assert len(seen) == 40
 
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            BudgetLedger(-1)
+    def test_negative_limit_rejected(self, binary3):
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            _Run(binary3, -1, ConstOracle(), OptimizerConfig())
 
 
 class TestTabularOracle:
@@ -227,6 +231,14 @@ class TestCommandOracle:
             oracle = CommandOracle(f"echo '{line}'", tiny_space, samples=1)
             with pytest.raises(CommandOracleError, match="unparseable"):
                 oracle.measure(tiny_space.config([0]))
+
+    def test_integer_too_large_for_a_float(self, tiny_space):
+        line = '{"target": 1' + "0" * 400 + ', "auxiliary": 0}'
+        oracle = CommandOracle(f"echo '{line}'", tiny_space, samples=1)
+        with pytest.raises(CommandOracleError, match="unparseable") as err:
+            oracle.measure(tiny_space.config([0]))
+        assert repr(line) in str(err.value)
+        assert str(err.value).endswith(f"from: {oracle.command}")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_output_carries_transcript(self, tiny_space, value):

@@ -11,9 +11,8 @@ import statistics
 import pytest
 
 from mmo_tune import optimizers
-from mmo_tune.harness import derive_seed, emit_trace
+from mmo_tune.harness import derive_seed, emit_trace, execute_run, weight_token
 from mmo_tune.measurement import (
-    BudgetLedger,
     MeasurementRecord,
     SyntheticOracle,
     TabularOracle,
@@ -63,12 +62,12 @@ RUNNERS = {
 }
 
 
-def run_model(name, space, ledger, oracle, cfg):
+def run_model(name, space, budget, oracle, cfg):
     if name in RUNNERS:
-        return RUNNERS[name](space, ledger, oracle, cfg)
+        return RUNNERS[name](space, budget, oracle, cfg)
     if name == "pmo":
-        return run_nsga2(space, ledger, oracle, PMO, cfg)
-    return run_nsga2(space, ledger, oracle, MmoInstance("linear", 0.5), cfg)
+        return run_nsga2(space, budget, oracle, PMO, cfg)
+    return run_nsga2(space, budget, oracle, MmoInstance("linear", 0.5), cfg)
 
 
 ALL_RUNNER_NAMES = ("rs", "shc", "sa", "soga", "pmo", "mmo")
@@ -323,8 +322,8 @@ class TestRunBehavior:
     def test_fixed_seed_reproduces_trace(self, name, binary8):
         oracle = synthetic(binary8)
         cfg = OptimizerConfig(population_size=6, seed=13)
-        first = run_model(name, binary8, BudgetLedger(40), oracle, cfg)
-        second = run_model(name, binary8, BudgetLedger(40), oracle, cfg)
+        first = run_model(name, binary8, 40, oracle, cfg)
+        second = run_model(name, binary8, 40, oracle, cfg)
         assert list(first.rows.items()) == list(second.rows.items())
         assert first.best_so_far == second.best_so_far
 
@@ -333,11 +332,8 @@ class TestRunBehavior:
         space = make_binary_space(5)
         oracle = synthetic(space, seed=3)
         cfg = OptimizerConfig(population_size=4, seed=5)
-        ledger = BudgetLedger(17)
-        trace = run_model(name, space, ledger, oracle, cfg)
-        assert 1 <= len(trace.rows) <= 17
-        assert ledger.consumed == len(trace.rows) == len(trace.best_so_far)
-        assert list(trace.rows) == list(ledger.cache)
+        trace = run_model(name, space, 17, oracle, cfg)
+        assert 1 <= len(trace.rows) == len(trace.best_so_far) <= 17
         best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -346,29 +342,17 @@ class TestRunBehavior:
         space = make_binary_space(6)
         oracle = synthetic(space, seed=4)
         cfg = OptimizerConfig(population_size=4, seed=6)
-        trace = run_model(name, space, BudgetLedger(100), oracle, cfg)
+        trace = run_model(name, space, 100, oracle, cfg)
         assert len(trace.rows) == 64
         true_best = min(oracle.target(c) for c in space.enumerate_all())
         assert trace.summary().best_target == true_best
 
-    @pytest.mark.parametrize("name", ALL_RUNNER_NAMES)
-    def test_used_ledger_is_refused(self, name, binary8):
-        # A second run would be served from the first one's cache and record
-        # no row of its own.
-        oracle = synthetic(binary8)
-        cfg = OptimizerConfig(population_size=6, seed=13)
-        ledger = BudgetLedger(40)
-        run_model(name, binary8, ledger, oracle, cfg)
-        with pytest.raises(ValueError, match=r"^a run needs a ledger of its own; "
-                           r"this ledger already holds 40 measurements$"):
-            run_model(name, binary8, ledger, oracle, cfg)
-
     def test_rs_budget_one(self, binary8):
-        trace = run_rs(binary8, BudgetLedger(1), synthetic(binary8), OptimizerConfig(seed=1))
+        trace = run_rs(binary8, 1, synthetic(binary8), OptimizerConfig(seed=1))
         assert len(trace.rows) == 1
 
     def test_zero_budget_empty_trace(self, binary8):
-        trace = run_rs(binary8, BudgetLedger(0), synthetic(binary8), OptimizerConfig(seed=1))
+        trace = run_rs(binary8, 0, synthetic(binary8), OptimizerConfig(seed=1))
         assert trace.rows == {}
         with pytest.raises(ValueError):
             trace.summary().best_target
@@ -380,7 +364,7 @@ class TestShcRestart:
         rows = {(x,): (abs(x - 3) + 1.0, 0.0) for x in range(10)}
         oracle = TabularOracle(rows)
         trace = run_shc_restart(
-            space, BudgetLedger(10), oracle, OptimizerConfig(seed=2)
+            space, 10, oracle, OptimizerConfig(seed=2)
         )
         assert trace.summary().best_target == 1.0
 
@@ -395,7 +379,7 @@ class TestShcRestart:
         }
         oracle = TabularOracle(rows)
         # Two options: a restart after 8 rejections in a row.
-        trace = run_shc_restart(space, BudgetLedger(9), oracle, OptimizerConfig(seed=1))
+        trace = run_shc_restart(space, 9, oracle, OptimizerConfig(seed=1))
         assert trace.restarts >= 1
         assert trace.summary().best_target == 0.0
 
@@ -421,7 +405,7 @@ class TestSaSchedule:
 
         monkeypatch.setattr(optimizers, "metropolis_probability", recording)
         cfg = OptimizerConfig(population_size=6, seed=4)
-        run_sa(binary8, BudgetLedger(60), CountingOracle(), cfg)
+        run_sa(binary8, 60, CountingOracle(), cfg)
         t0 = statistics.pstdev(measured[:6])
         previous = 6
         for count, temperature in decisions:
@@ -435,7 +419,7 @@ class TestSaSchedule:
 class TestSoga:
     def test_best_so_far_never_worsens(self, binary8):
         trace = run_soga(
-            binary8, BudgetLedger(80), synthetic(binary8), OptimizerConfig(population_size=8, seed=9)
+            binary8, 80, synthetic(binary8), OptimizerConfig(population_size=8, seed=9)
         )
         best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
@@ -447,7 +431,7 @@ class TestNsga2:
         oracle = synthetic(space, seed=12)
         cfg = OptimizerConfig(population_size=8, seed=21)
         trace = run_nsga2(
-            space, BudgetLedger(256), oracle, MmoInstance("linear", 0.5), cfg
+            space, 256, oracle, MmoInstance("linear", 0.5), cfg
         )
         planted = oracle.planted
         assert trace.summary().best_target == oracle.target(planted)
@@ -455,14 +439,14 @@ class TestNsga2:
     def test_rejects_bad_model(self, binary8):
         with pytest.raises(ValueError):
             run_nsga2(
-                binary8, BudgetLedger(10), synthetic(binary8), "nope", OptimizerConfig()
+                binary8, 10, synthetic(binary8), "nope", OptimizerConfig()
             )
 
     def test_population_size_floor(self, binary8):
         with pytest.raises(ValueError):
             run_nsga2(
                 binary8,
-                BudgetLedger(10),
+                10,
                 synthetic(binary8),
                 PMO,
                 OptimizerConfig(population_size=1),
@@ -488,10 +472,43 @@ def test_collapsed_population_trace_digest(name, tmp_path):
     cfg = OptimizerConfig(
         population_size=20, seed=derive_seed(2024, "bits6-collapse", name)
     )
-    trace = run_nsga2(space, BudgetLedger(60), oracle, model, cfg)
+    trace = run_nsga2(space, 60, oracle, model, cfg)
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COLLAPSED[name]
+
+
+# Proposals (``_Run.measure`` calls, hits included) of one run per runner on
+# the synth-a landscape of the golden traces, at its budget, population and
+# seeds. A trace pins the distinct measurements; this pins the cache hits too,
+# so a change that keeps the rows but drops or adds a proposal shows here.
+PROPOSALS = {
+    ("single:rs", None): 558,
+    ("single:shc-r", None): 1288,
+    ("single:sa", None): 10838,
+    ("single:soga", None): 1919,
+    ("pmo", None): 6772,
+    ("mmo:linear", 0.1): 7737,
+}
+
+
+@pytest.mark.parametrize("model, weight", sorted(PROPOSALS, key=str))
+def test_proposals_per_run(model, weight, monkeypatch):
+    space = make_binary_space(12)
+    oracle = SyntheticOracle(space, seed=101, ruggedness=0.35, correlation=0.3)
+    calls = 0
+    measure = _Run.measure
+
+    def counted(run, config):
+        nonlocal calls
+        calls += 1
+        return measure(run, config)
+
+    monkeypatch.setattr(_Run, "measure", counted)
+    seed = derive_seed(2024, "synth-a", model, weight_token(weight))
+    trace = execute_run(space, oracle, 400, 20, model, weight, seed)
+    assert len(trace.rows) == 400
+    assert calls == PROPOSALS[model, weight]
 
 
 class TestRunMeasure:
@@ -499,7 +516,7 @@ class TestRunMeasure:
         oracle = synthetic(binary8)
         observed = []
         cfg = OptimizerConfig(directions=("maximize", "minimize"))
-        run = _Run(binary8, BudgetLedger(10), oracle, cfg, observed.append)
+        run = _Run(binary8, 10, oracle, cfg, observed.append)
         a, b = (0,) * 8, (1,) * 8
         measured = [run.measure(c) for c in (a, b, a, b, a)]
         expected = {c: (c, -oracle.target(c), oracle.auxiliary(c)) for c in (a, b)}
@@ -531,7 +548,7 @@ class TestTrustedProposals:
             lambda self, config: validated.append(config) or validate(self, config),
         )
         cfg = OptimizerConfig(population_size=4, seed=3)
-        trace = runner(space, BudgetLedger(20), oracle, cfg)
+        trace = runner(space, 20, oracle, cfg)
         assert len(trace.rows) == 20
         assert validated == []
 
@@ -596,20 +613,20 @@ class TestFreshUniform:
         picker = random.Random(5)
         exact_draws = 0
         for state in range(600):
-            run = _Run(space, BudgetLedger(len(every)), None, OptimizerConfig(seed=state))
+            run = _Run(space, len(every), None, OptimizerConfig(seed=state))
             filled = picker.randrange(len(every) - 8, len(every))
             for config in picker.sample(every, filled):
-                run.ledger.cache[config] = MeasurementRecord(0.0, 0.0)
+                run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
             rng = random.Random()
             rng.setstate(run.rng.getstate())
-            expected, enumerated = reference(run.ledger.cache, rng)
+            expected, enumerated = reference(run.trace.rows, rng)
             assert run.fresh_uniform() == expected
             assert run.rng.getstate() == rng.getstate()
             exact_draws += enumerated
         assert exact_draws >= 50
 
     def test_exhausted_space_gives_none(self, binary3):
-        run = _Run(binary3, BudgetLedger(8), None, OptimizerConfig())
+        run = _Run(binary3, 8, None, OptimizerConfig())
         for config in binary3.enumerate_all():
-            run.ledger.cache[config] = MeasurementRecord(0.0, 0.0)
+            run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
         assert run.fresh_uniform() is None

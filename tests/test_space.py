@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from mmo_tune.measurement import BudgetLedger
+from mmo_tune.measurement import MeasurementRecord
 from mmo_tune.optimizers import OptimizerConfig, _Run, _sample_distinct, _tournament
 from mmo_tune.space import (
     Configuration,
@@ -415,9 +415,9 @@ class TestDrawsMatchRandom:
         for seed in range(30):
             setup = random.Random(seed + 4000)
             measured = set(setup.sample(every, len(every) - setup.randint(1, 3)))
-            ledger = BudgetLedger(len(every))
-            run = _Run(DRAW_SPACE, ledger, None, OptimizerConfig(seed=seed))
-            ledger.cache.update(dict.fromkeys(measured))
+            run = _Run(DRAW_SPACE, len(every), None, OptimizerConfig(seed=seed))
+            for config in measured:
+                run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
             ref = random.Random(seed)
             want, fell_back = reference_fresh_uniform(DRAW_SPACE, measured, ref)
             assert run.fresh_uniform() == want
