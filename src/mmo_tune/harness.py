@@ -640,8 +640,13 @@ def recompute_report(out_dir: str) -> dict:
     """Rebuild the report purely from the stored plan and traces, each trace
     reduced to its summary as it is read. The stored oracle spec must be one
     that ``campaign`` would run; the oracle itself is not built."""
-    with open(os.path.join(out_dir, "plan.json"), "r", encoding="utf-8") as fh:
-        plan = plan_from_doc(json.load(fh))
+    path = os.path.join(out_dir, "plan.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
+    plan = plan_from_doc(doc)
     _bind_oracle_spec(plan)
     runs = {
         key: load_summary(_trace_path(out_dir, key), plan.space)

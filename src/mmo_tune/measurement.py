@@ -252,8 +252,8 @@ class SyntheticOracle:
     ):
         if not 0.0 < density <= 1.0:
             raise ValueError("density must be in (0, 1]")
-        if ruggedness < 0.0:
-            raise ValueError("ruggedness must be >= 0")
+        if not 0.0 <= ruggedness < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"ruggedness must be finite and >= 0, got {ruggedness}")
         if not -1.0 <= correlation <= 1.0:
             raise ValueError("correlation must be in [-1, 1]")
         self.space = space

@@ -30,10 +30,9 @@ from .models import (
     fast_nondominated_sort,
     meta_objectives,
     pmo_objectives,
-    to_minimization,
 )
 from .space import Configuration, OptionSpace, randbelow
-from .trace import RunTrace
+from .trace import Individual, RunTrace
 
 # Consecutive proposals (or generations, for the population methods) without a
 # new distinct measurement before falling back to uniform resampling of the
@@ -65,16 +64,12 @@ class OptimizerConfig:
         check_directions(self.directions)
 
 
-# A measured configuration: (configuration, target, auxiliary), both values
-# converted for minimization.
-Individual = tuple[Configuration, float, float]
-
-
 class _Run:
-    """Per-run plumbing: generator, measurement, trace recording, and
-    ``stop``, the trace length at which the run ends. The trace is the run's
-    one store of measurements: a configuration is measured once, when first
-    proposed, and ``budget`` counts these distinct measurements."""
+    """Per-run plumbing: generator, measurement, and ``stop``, the trace
+    length at which the run ends. The trace is the run's one store of
+    measurements: each row holds the individual (configuration, target,
+    auxiliary) of a configuration measured once, when first proposed, and
+    ``budget`` counts these distinct measurements."""
 
     def __init__(
         self,
@@ -88,14 +83,11 @@ class _Run:
             raise ValueError(f"budget must be >= 0, got {budget}")
         self.space = space
         self.oracle = oracle
-        self.directions = cfg.directions
         self.rng = random.Random(cfg.seed)
-        self.trace = RunTrace(space)
+        self.trace = RunTrace(space, cfg.directions)
         self._space_size = space.size()
         # Budget or space spent: no distinct measurement is left to make.
         self.stop = min(budget, self._space_size)
-        # The measured individual of every row of the trace, in its order.
-        self._measured: dict[Configuration, Individual] = {}
         self._observe = observe
 
     def measure(self, config: Configuration) -> Individual:
@@ -103,36 +95,33 @@ class _Run:
         for minimization.
 
         A configuration's first proposal is measured, recorded in the trace
-        and handed to ``observe``; a later one is served from the run's
-        individuals. A first proposal once the budget is spent raises
+        and handed to ``observe``; a later one is served from the trace's
+        rows. A first proposal once the budget is spent raises
         BudgetExhausted."""
-        measured = self._measured.get(config)
+        measured = self.trace.rows.get(config)
         if measured is None:
             if len(self.trace.rows) >= self.stop:
                 raise BudgetExhausted(
                     f"distinct-measurement budget of {self.stop} is exhausted"
                 )
-            record = self.oracle.measure(config)
-            measured = (config, *to_minimization(record, self.directions))
-            self._measured[config] = measured
-            self.trace.record(config, record, measured[1])
+            measured = self.trace.record(config, self.oracle.measure(config))
             if self._observe is not None:
                 self._observe(measured)
         return measured
 
-    def random_start(self) -> tuple[Configuration, float]:
-        config = self.space.random_config(self.rng)
-        return config, self.measure(config)[1]
+    def random_start(self) -> Individual:
+        return self.measure(self.space.random_config(self.rng))
 
-    def fresh_uniform(self) -> Configuration | None:
-        """A uniform draw over the not-yet-measured configurations, if any remain.
+    def fresh_uniform(self) -> Configuration:
+        """A uniform draw over the not-yet-measured configurations; ValueError
+        if none remains.
 
         After 64 rejected uniform draws, one draw picks the position of the
         result among the unmeasured configurations in lexicographic order.
         """
         rng, cache = self.rng, self.trace.rows
         if len(cache) >= self._space_size:
-            return None
+            raise ValueError("every configuration of the space is measured")
         for _ in range(64):
             config = self.space.random_config(rng)
             if config not in cache:
@@ -243,47 +232,46 @@ def environmental_selection(
 # Local search
 
 
-def _improves(value: float, current_value: float, spent: int) -> bool:
-    return value < current_value
+def _improves(value: float, current: float, spent: int) -> bool:
+    return value < current
 
 
 def _local_search(
     run: _Run,
     radius: int,
     accept: Callable[[float, float, int], bool],
-    start: Callable[[], tuple[Configuration, float]] | None = None,
+    start: Callable[[], Individual] | None = None,
     restart_after: int | None = None,
 ) -> RunTrace:
-    """Walk from ``start`` (default: one uniform configuration): propose a
-    neighbor within ``radius``, or a uniform draw over the unmeasured space
-    after a stall, measure it, and move there when ``accept(value,
-    current_value, spent)`` holds, where ``spent`` counts the distinct
-    measurements made since the start before this one. ``restart_after``
-    rejections in a row restart the walk from a uniform configuration."""
+    """Walk from the individual ``start`` measures (default: one uniform
+    configuration): propose a neighbor within ``radius``, or a uniform draw
+    over the unmeasured space after a stall, measure it, and move there when
+    ``accept(its target, the current target, spent)`` holds, where ``spent``
+    counts the distinct measurements made since the start before this one.
+    ``restart_after`` rejections in a row restart the walk from a uniform
+    configuration."""
     rng, cache, stop, measure = run.rng, run.trace.rows, run.stop, run.measure
     neighbor = run.space.neighbor_sampler(radius)
     with contextlib.suppress(BudgetExhausted):
-        current, current_value = (start or run.random_start)()
+        current = (start or run.random_start)()
         start_consumed = len(cache)
         stalled = rejected = 0
         while len(cache) < stop:
             if stalled >= STALL_PROPOSALS:
                 candidate = run.fresh_uniform()
-                if candidate is None:
-                    break
             else:
-                candidate = neighbor(current, rng)
+                candidate = neighbor(current[0], rng)
             before = len(cache)
-            value = measure(candidate)[1]
+            measured = measure(candidate)
             stalled = stalled + 1 if len(cache) == before else 0
-            if accept(value, current_value, before - start_consumed):
-                current, current_value = candidate, value
+            if accept(measured[1], current[1], before - start_consumed):
+                current = measured
                 rejected = 0
             else:
                 rejected += 1
             if rejected == restart_after and len(cache) < stop:
                 run.trace.restarts += 1
-                current, current_value = run.random_start()
+                current = run.random_start()
                 rejected = 0
     return run.trace
 
@@ -335,20 +323,18 @@ def run_sa(
     run = _Run(space, budget, oracle, cfg)
     t0 = 1.0  # start() sets it from the batch
 
-    def start() -> tuple[Configuration, float]:
+    def start() -> Individual:
         nonlocal t0
         batch = _sample_distinct(space, run.rng, cfg.population_size)
-        values = [(c, run.measure(c)[1]) for c in batch]
-        targets = [v for _, v in values]
+        measured = [run.measure(c) for c in batch]
+        targets = _targets(measured)
         # A batch without spread gives no scale: fall back to 1.
         t0 = (statistics.pstdev(targets) if len(targets) > 1 else 0.0) or 1.0
-        return min(values, key=lambda cv: cv[1])
+        return min(measured, key=lambda ind: ind[1])
 
-    def metropolis(value: float, current_value: float, spent: int) -> bool:
+    def metropolis(value: float, current: float, spent: int) -> bool:
         temperature = t0 * SA_COOLING**spent
-        return run.rng.random() < metropolis_probability(
-            value - current_value, temperature
-        )
+        return run.rng.random() < metropolis_probability(value - current, temperature)
 
     return _local_search(run, 1, metropolis, start)
 
@@ -433,10 +419,8 @@ def _generational(
             if len(cache) == before:
                 stalled_generations += 1
                 if stalled_generations >= STALL_GENERATIONS:
-                    fresh = run.fresh_uniform()
-                    if fresh is None:
-                        break
-                    offspring[randbelow(getrandbits, size, size_bits)] = measure(fresh)
+                    fresh = measure(run.fresh_uniform())
+                    offspring[randbelow(getrandbits, size, size_bits)] = fresh
                     stalled_generations = 0
             else:
                 stalled_generations = 0

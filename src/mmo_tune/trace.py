@@ -1,13 +1,15 @@
 """The trace of a tuning run, its CSV file format, and the summary a report reads.
 
 A trace is the ordered log of every distinct measurement of one run. In
-memory, ``RunTrace`` holds each measurement once, keyed by its configuration
-in the order measured, beside the best-so-far after each; a row's step is its
-position. Its CSV holds one row per measurement (step, option values, raw
-target and auxiliary, budget consumed, best-so-far). A finished run is kept
-as that file and its ``RunSummary``; ``emit_trace`` writes the file under a
-temporary name and renames it into place, so a file at a trace's name is
-always complete (a symlink, device or FIFO there is written through).
+memory, ``RunTrace`` holds each measurement once as an individual
+(configuration, target, auxiliary), both values converted for minimization,
+keyed by its configuration in the order measured, beside the best-so-far
+after each; a row's step is its position. Its CSV holds one row per
+measurement (step, option values, raw target and auxiliary, budget consumed,
+best-so-far). A finished run is kept as that file and its ``RunSummary``;
+``emit_trace`` writes the file under a temporary name and renames it into
+place, so a file at a trace's name is always complete (a symlink, device or
+FIFO there is written through).
 
 A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
@@ -35,39 +37,43 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 from .measurement import MeasurementRecord
+from .models import Direction, to_minimization
 from .space import Configuration, OptionSpace
+
+# A measured configuration: (configuration, target, auxiliary), both values
+# converted for minimization.
+Individual = tuple[Configuration, float, float]
 
 
 @dataclass
 class RunTrace:
     """Ordered log of every distinct measurement in one tuning run.
 
-    ``rows`` maps each measured configuration to its raw measurement in the
-    order measured, so a row's step, and the budget consumed after it, is its
-    position counting from 1: a run records each configuration when it
-    first measures it, and its rows are the run's measurement cache.
-    ``best_so_far`` holds the best direction-converted target after each
-    row."""
+    ``rows`` maps each measured configuration to its individual in the order
+    measured: the configuration with its target and auxiliary, each negated
+    if ``directions`` maximizes it. A row's step, and the budget consumed
+    after it, is its position counting from 1: a run records each
+    configuration when it first measures it, and its rows are the run's
+    measurement cache. ``best_so_far`` holds the best converted target after
+    each row."""
 
     space: OptionSpace
-    rows: dict[Configuration, MeasurementRecord] = field(
-        default_factory=dict, init=False
-    )
+    directions: tuple[Direction, Direction]
+    rows: dict[Configuration, Individual] = field(default_factory=dict, init=False)
     best_so_far: array = field(default_factory=lambda: array("d"), init=False)
     restarts: int = field(default=0, init=False)
 
-    def record(
-        self, config: Configuration, measurement: MeasurementRecord, target: float
-    ) -> None:
-        """Append a distinct measurement as the next row; ``target`` is its
-        direction-converted target, which the best-so-far tracks. Raises
-        ValueError, as ``load_summary`` does, when ``config`` is already
-        recorded."""
+    def record(self, config: Configuration, measurement: MeasurementRecord) -> Individual:
+        """Convert a distinct measurement, append it as the next row and
+        return its individual. Raises ValueError, as ``load_summary`` does,
+        when ``config`` is already recorded."""
         if config in self.rows:
             raise ValueError(f"configuration {config} repeats an earlier row")
-        self.rows[config] = measurement
-        best = self.best_so_far
+        individual = (config, *to_minimization(measurement, self.directions))
+        self.rows[config] = individual
+        target, best = individual[1], self.best_so_far
         best.append(min(target, best[-1]) if best else target)
+        return individual
 
     def summary(self) -> RunSummary:
         """The summary a report reads of this run."""
@@ -115,10 +121,13 @@ def emit_trace(trace: RunTrace, path: str) -> None:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_header(trace.space))
-            rows = zip(trace.rows.items(), trace.best_so_far)
-            for step, ((config, m), best) in enumerate(rows, start=1):
-                writer.writerow([step, *config, repr(m.target_raw),
-                                 repr(m.auxiliary_raw), step, repr(best)])
+            # Negation is exact and its own inverse, so a converted value times
+            # its objective's converted 1.0 is the raw value, -0.0 included.
+            t_sign, a_sign = to_minimization(MeasurementRecord(1.0, 1.0), trace.directions)
+            rows = zip(trace.rows.values(), trace.best_so_far)
+            for step, ((config, ft, fa), best) in enumerate(rows, start=1):
+                writer.writerow([step, *config, repr(ft * t_sign), repr(fa * a_sign),
+                                 step, repr(best)])
         if regular:
             os.replace(target, path)
     except BaseException:

@@ -491,6 +491,27 @@ class TestPlanFileChecked:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "edit", [lambda text: text[: len(text) // 2], lambda text: b"\xff" + text],
+        ids=["truncated", "not-utf-8"],
+    )
+    def test_stats_names_a_plan_that_is_not_json(self, space_file, tmp_path, capsys, edit):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic", "--budget", "8",
+            "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 0
+        plan = out / "plan.json"
+        plan.write_bytes(edit(plan.read_bytes()))
+        (out / "report.json").unlink()
+        capsys.readouterr()
+        assert run_cli("stats", "--dir", str(out)) == 2
+        with pytest.raises(ValueError) as refused:
+            json.loads(plan.read_bytes().decode())
+        assert capsys.readouterr().err == f"error: {plan}: {refused.value}\n"
+        assert not (out / "report.json").exists()
+
     def test_stats_rebuilds_a_table_campaign_without_its_table(
         self, space_file, table_file, tmp_path, capsys
     ):
@@ -622,6 +643,24 @@ class TestOtherSubcommands:
         assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
             "59cffb7b3fbbbe02d0dfc6de7c32cad8bb4723c92e5c719e119da6dadaa3bbaf"
         )
+
+    @pytest.mark.parametrize("ruggedness", ["nan", "inf"])
+    def test_non_finite_ruggedness_is_refused_before_any_file(
+        self, space_file, tmp_path, capsys, ruggedness
+    ):
+        table, out = tmp_path / "land.csv", tmp_path / "camp"
+        message = f"error: ruggedness must be finite and >= 0, got {ruggedness}\n"
+        code = run_cli(
+            "gen-landscape", "--space", space_file, "--ruggedness", ruggedness,
+            "--out", str(table),
+        )
+        assert (code, capsys.readouterr().err) == (2, message)
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic", "--ruggedness", ruggedness,
+            "--budget", "8", "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert (code, capsys.readouterr().err) == (2, message)
+        assert os.listdir(tmp_path) == ["space.json"]
 
     def test_gen_landscape_table_bytes(self, space_file, tmp_path, capsys):
         digests = {}

@@ -142,10 +142,10 @@ class TestTraceFiles:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows == [
-            [str(step), *map(str, config), repr(m.target_raw),
-             repr(m.auxiliary_raw), str(step), repr(best)]
-            for step, ((config, m), best) in enumerate(
-                zip(trace.rows.items(), trace.best_so_far), start=1
+            [str(step), *map(str, config), repr(oracle.target(config)),
+             repr(oracle.auxiliary(config)), str(step), repr(best)]
+            for step, ((config, _, _), best) in enumerate(
+                zip(trace.rows.values(), trace.best_so_far), start=1
             )
         ]
         assert load_summary(str(path), binary8) == trace.summary()
@@ -153,17 +153,38 @@ class TestTraceFiles:
 
     def test_record_rejects_what_the_reader_rejects(self, binary3, tmp_path):
         m = MeasurementRecord(1.0, 2.0)
-        trace = RunTrace(binary3)
-        trace.record((0, 0, 0), m, 1.0)
+        trace = RunTrace(binary3, ("maximize", "minimize"))
+        assert trace.record((0, 0, 0), m) == ((0, 0, 0), -1.0, 2.0)
         with pytest.raises(ValueError, match=r"^configuration \(0, 0, 0\) repeats an earlier row$"):
-            trace.record((0, 0, 0), m, 0.5)
-        assert len(trace.rows) == len(trace.best_so_far) == 1
-        trace.record((0, 0, 1), m, 0.5)
+            trace.record((0, 0, 0), MeasurementRecord(3.0, 2.0))
+        assert trace.rows == {(0, 0, 0): ((0, 0, 0), -1.0, 2.0)}
+        assert list(trace.best_so_far) == [-1.0]
+        trace.record((0, 0, 1), MeasurementRecord(3.0, 2.0))
+        assert list(trace.best_so_far) == [-1.0, -3.0]
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         assert load_summary(str(path), binary3) == trace.summary()
         with pytest.raises(ValueError, match="repeats an earlier row"):
-            trace.record((0, 0, 1), m, 0.5)
+            trace.record((0, 0, 1), m)
+
+    @pytest.mark.parametrize("directions", [
+        (target, auxiliary)
+        for target in ("minimize", "maximize")
+        for auxiliary in ("minimize", "maximize")
+    ], ids="-".join)
+    def test_signed_zeros_round_trip(self, binary3, tmp_path, directions):
+        raw = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (1.5, -2.25)]
+        trace = RunTrace(binary3, directions)
+        for config, pair in zip(binary3.enumerate_all(), raw):
+            trace.record(config, MeasurementRecord(*pair))
+        path = tmp_path / "trace.csv"
+        emit_trace(trace, str(path))
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(row[4], row[5]) for row in rows] == [
+            (repr(target), repr(auxiliary)) for target, auxiliary in raw
+        ]
+        assert load_summary(str(path), binary3) == trace.summary()
 
     def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)
@@ -174,7 +195,7 @@ class TestTraceFiles:
         rows = list(trace.rows.items())
         rows.insert(10, ((), None))  # the writer dies after 10 good rows
         trace.rows = dict(rows)
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             emit_trace(trace, str(path))
         assert path.read_bytes() == complete
         assert os.listdir(tmp_path) == ["trace.csv"]
@@ -193,7 +214,7 @@ class TestTraceFiles:
 
     def test_empty_trace_is_header_only(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_trace(RunTrace(binary8), str(path))
+        emit_trace(RunTrace(binary8, ("minimize", "minimize")), str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("step,o0,")
@@ -308,7 +329,7 @@ class TestTraceFiles:
 
     def test_header_only_trace_has_no_best_target(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_trace(RunTrace(binary8), str(path))
+        emit_trace(RunTrace(binary8, ("minimize", "minimize")), str(path))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty trace has no best target$"):
             load_summary(str(path), binary8)
 

@@ -409,5 +409,10 @@ class TestSyntheticOracle:
         with pytest.raises(ValueError):
             SyntheticOracle(binary8, seed=0, correlation=2.0)
 
+    @pytest.mark.parametrize("ruggedness", [math.nan, math.inf, -math.inf])
+    def test_ruggedness_must_be_finite_and_non_negative(self, binary8, ruggedness):
+        with pytest.raises(ValueError, match=r"^ruggedness must be finite and >= 0, got "):
+            SyntheticOracle(binary8, seed=0, ruggedness=ruggedness)
+
 
 FROZEN_TARGET_SEED42 = 0.7421990449434765

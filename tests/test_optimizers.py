@@ -521,7 +521,9 @@ class TestRunMeasure:
         measured = [run.measure(c) for c in (a, b, a, b, a)]
         expected = {c: (c, -oracle.target(c), oracle.auxiliary(c)) for c in (a, b)}
         assert measured == [expected[c] for c in (a, b, a, b, a)]
-        assert list(run.trace.rows) == [a, b]
+        assert list(run.trace.rows.items()) == list(expected.items())
+        first, second = expected[a][1], expected[b][1]
+        assert list(run.trace.best_so_far) == [first, min(first, second)]
         assert observed == [expected[a], expected[b]]
 
 
@@ -616,7 +618,7 @@ class TestFreshUniform:
             run = _Run(space, len(every), None, OptimizerConfig(seed=state))
             filled = picker.randrange(len(every) - 8, len(every))
             for config in picker.sample(every, filled):
-                run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
+                run.trace.record(config, MeasurementRecord(0.0, 0.0))
             rng = random.Random()
             rng.setstate(run.rng.getstate())
             expected, enumerated = reference(run.trace.rows, rng)
@@ -625,8 +627,11 @@ class TestFreshUniform:
             exact_draws += enumerated
         assert exact_draws >= 50
 
-    def test_exhausted_space_gives_none(self, binary3):
+    def test_exhausted_space_raises(self, binary3):
         run = _Run(binary3, 8, None, OptimizerConfig())
         for config in binary3.enumerate_all():
-            run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
-        assert run.fresh_uniform() is None
+            run.trace.record(config, MeasurementRecord(0.0, 0.0))
+        state = run.rng.getstate()
+        with pytest.raises(ValueError, match="^every configuration of the space is measured$"):
+            run.fresh_uniform()
+        assert run.rng.getstate() == state

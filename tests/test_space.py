@@ -417,7 +417,7 @@ class TestDrawsMatchRandom:
             measured = set(setup.sample(every, len(every) - setup.randint(1, 3)))
             run = _Run(DRAW_SPACE, len(every), None, OptimizerConfig(seed=seed))
             for config in measured:
-                run.trace.record(config, MeasurementRecord(0.0, 0.0), 0.0)
+                run.trace.record(config, MeasurementRecord(0.0, 0.0))
             ref = random.Random(seed)
             want, fell_back = reference_fresh_uniform(DRAW_SPACE, measured, ref)
             assert run.fresh_uniform() == want
