@@ -1,5 +1,7 @@
 """Black-box configuration tuning with meta multi-objectivized search models."""
 
+from types import ModuleType as _ModuleType
+
 from .harness import (
     ALL_MODELS,
     DEFAULT_WEIGHTS,
@@ -33,17 +35,7 @@ from .models import (
     pmo_objectives,
     to_minimization,
 )
-from .optimizers import (
-    OptimizerConfig,
-    boundary_mutation,
-    crowding_distance,
-    run_nsga2,
-    run_rs,
-    run_sa,
-    run_shc_restart,
-    run_soga,
-    uniform_crossover,
-)
+from .optimizers import boundary_mutation, crowding_distance, uniform_crossover
 from .space import Configuration, OptionSpace, OptionSpec, load_space, parse_space
 from .stats import (
     StatResult,
@@ -59,4 +51,9 @@ from .stats import (
 )
 from .trace import RunTrace
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules they come from are not exported.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

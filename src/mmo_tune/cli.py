@@ -19,11 +19,10 @@ from .harness import (
     PRESETS,
     SEED_ENV_VAR,
     ExperimentPlan,
+    _named_run,
     best_weight_groups,
     build_oracle,
     data_driven_weight_selection,
-    emit_trace,
-    execute_run,
     preliminary_weight_selection,
     recompute_report,
     weight_token,
@@ -167,6 +166,8 @@ def _plan_from_args(args: argparse.Namespace) -> ExperimentPlan:
         raise _UsageError("--jobs must be >= 1")
     budget, population = args.budget, args.pop
     if args.preset:
+        if budget is not None:
+            raise _UsageError("--preset and --budget exclude each other")
         population, budget = PRESETS[args.preset]
     if budget is None:
         raise _UsageError("--budget is required (or use --preset)")
@@ -195,12 +196,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if model in MMO_MODELS and args.weight is None:
         raise _UsageError(f"model {model} needs --weight")
     seed = plan.run_seed(*key)
-    oracle = build_oracle(plan)
-    trace = execute_run(
-        plan.space, oracle, plan.budget, plan.population_size, model, weight, seed,
-        plan.directions,
+    trace = _named_run(
+        plan, build_oracle(plan), key, seed, plan.budget, plan.population_size,
+        args.out,
     )
-    emit_trace(trace, args.out)
     print(
         json.dumps(
             {

@@ -28,14 +28,7 @@ from .measurement import (
     load_table,
 )
 from .models import MMO_SHAPES, PMO, Direction, MmoInstance, check_directions
-from .optimizers import (
-    OptimizerConfig,
-    run_nsga2,
-    run_rs,
-    run_sa,
-    run_shc_restart,
-    run_soga,
-)
+from .optimizers import _Run, _nsga2, _rs, _sa, _shc_restart, _soga
 from .space import OptionSpace, space_from_doc, space_to_doc
 from .stats import (
     compare_results,
@@ -58,10 +51,10 @@ from .trace import (
 SEED_ENV_VAR = "MMO_TUNE_SEED"
 
 _SINGLE_RUNNERS = {
-    "single:rs": run_rs,
-    "single:shc-r": run_shc_restart,
-    "single:sa": run_sa,
-    "single:soga": run_soga,
+    "single:rs": _rs,
+    "single:shc-r": _shc_restart,
+    "single:sa": _sa,
+    "single:soga": _soga,
 }
 SINGLE_MODELS = tuple(_SINGLE_RUNNERS)
 MMO_MODELS = tuple(f"mmo:{shape}" for shape in MMO_SHAPES)
@@ -271,21 +264,19 @@ def execute_run(
 ) -> RunTrace:
     """One tuning run of the given model with its own trace and generator,
     measuring at most ``budget`` distinct configurations; ``directions``
-    says whether the target and the auxiliary are minimized or maximized."""
-    cfg = OptimizerConfig(
-        population_size=population_size, seed=seed, directions=directions
-    )
+    says whether the target and the auxiliary are minimized or maximized.
+    A negative budget, a population below 1, a bad direction, an unknown
+    model or a meta model without a weight raises ValueError."""
+    run = _Run(space, budget, oracle, population_size, seed, directions)
     if model in _SINGLE_RUNNERS:
-        return _SINGLE_RUNNERS[model](space, budget, oracle, cfg)
-    if model in MMO_MODELS:
-        if weight is None:
-            raise ValueError(f"model {model} needs a weight")
-        instance = MmoInstance(model.split(":", 1)[1], weight)
-    elif model == PMO:
-        instance = PMO
-    else:
+        return _SINGLE_RUNNERS[model](run)
+    if model == PMO:
+        return _nsga2(run, PMO)
+    if model not in MMO_MODELS:
         raise ValueError(f"unknown model {model!r}")
-    return run_nsga2(space, budget, oracle, instance, cfg)
+    if weight is None:
+        raise ValueError(f"model {model} needs a weight")
+    return _nsga2(run, MmoInstance(model.split(":", 1)[1], weight))
 
 
 def _run_name(key: tuple[str, float | None, int]) -> str:

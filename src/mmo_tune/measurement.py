@@ -169,14 +169,16 @@ class CommandOracle:
 
     def _run_once(self, env: dict[str, str]) -> tuple[float, float]:
         # A session of its own makes the command lead a process group, so a
-        # timeout can kill everything it started, not just the shell.
+        # timeout can kill everything it started, not just the shell. A byte
+        # that is not UTF-8 reads as U+FFFD, which no result line can hold.
         with subprocess.Popen(
             self.command,
             shell=True,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            encoding="utf-8",
+            errors="replace",
             start_new_session=True,
         ) as proc:
             try:

@@ -5,9 +5,11 @@ stochastic hill climbing with restarts, simulated annealing, a generational
 GA) plus NSGA-II, which drives the plain and meta bi-objective models. They
 share two drivers: a local search that differs per optimizer only in its
 radius, acceptance rule and restarts, and a generational loop that differs
-only in how individuals are ranked and which ones survive. Every run owns its
-generator and its trace, which is also its measurement cache; equal seeds
-give bit-identical traces.
+only in how individuals are ranked and which ones survive. Each optimizer is
+a private function of a ``_Run``, which owns the run's generator and its
+trace, which is also its measurement cache; ``harness.execute_run`` names
+them by model and is the one way to start a run. Equal seeds give
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import contextlib
 import math
 import random
 import statistics
-from dataclasses import dataclass
 from typing import Callable
 
 from .measurement import BudgetExhausted, Oracle
@@ -48,47 +49,40 @@ CROSSOVER_RATE = 0.9
 SA_COOLING = 0.95
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """What one run is given: the population size (also SA's initial batch),
-    the seed of its generator, and whether the target and the auxiliary are
-    minimized or maximized."""
-
-    population_size: int = 20
-    seed: int = 0
-    directions: tuple[Direction, Direction] = ("minimize", "minimize")
-
-    def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        check_directions(self.directions)
-
-
 class _Run:
     """Per-run plumbing: generator, measurement, and ``stop``, the trace
     length at which the run ends. The trace is the run's one store of
     measurements: each row holds the individual (configuration, target,
     auxiliary) of a configuration measured once, when first proposed, and
-    ``budget`` counts these distinct measurements."""
+    ``budget`` counts these distinct measurements. ``population_size`` is
+    the population of the generational optimizers and SA's initial batch;
+    ``directions`` says whether the target and the auxiliary are minimized
+    or maximized."""
 
     def __init__(
         self,
         space: OptionSpace,
         budget: int,
         oracle: Oracle,
-        cfg: OptimizerConfig,
-        observe: Callable[[Individual], object] | None = None,
+        population_size: int = 20,
+        seed: int = 0,
+        directions: tuple[Direction, Direction] = ("minimize", "minimize"),
     ):
+        if population_size < 1:
+            raise ValueError("population_size must be >= 1")
+        check_directions(directions)
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         self.space = space
         self.oracle = oracle
-        self.rng = random.Random(cfg.seed)
-        self.trace = RunTrace(space, cfg.directions)
+        self.population_size = population_size
+        self.rng = random.Random(seed)
+        self.trace = RunTrace(space, directions)
         self._space_size = space.size()
         # Budget or space spent: no distinct measurement is left to make.
         self.stop = min(budget, self._space_size)
-        self._observe = observe
+        # Handed each individual when it is first measured, if set.
+        self.observe: Callable[[Individual], object] | None = None
 
     def measure(self, config: Configuration) -> Individual:
         """Return (configuration, target, auxiliary), both values converted
@@ -105,8 +99,8 @@ class _Run:
                     f"distinct-measurement budget of {self.stop} is exhausted"
                 )
             measured = self.trace.record(config, self.oracle.measure(config))
-            if self._observe is not None:
-                self._observe(measured)
+            if self.observe is not None:
+                self.observe(measured)
         return measured
 
     def random_start(self) -> Individual:
@@ -276,27 +270,18 @@ def _local_search(
     return run.trace
 
 
-def run_rs(
-    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
-) -> RunTrace:
+def _rs(run: _Run) -> RunTrace:
     """Random search within half the option count of the incumbent, keeping the
     best target; falls back to uniform resampling once the neighborhood is spent."""
-    radius = max(1, len(space.options) // 2)
-    return _local_search(_Run(space, budget, oracle, cfg), radius, _improves)
+    radius = max(1, len(run.space.options) // 2)
+    return _local_search(run, radius, _improves)
 
 
-def run_shc_restart(
-    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
-) -> RunTrace:
+def _shc_restart(run: _Run) -> RunTrace:
     """Stochastic hill climbing on Hamming-1 neighbors, restarting from a fresh
     uniform configuration after four times the option count of non-improving
     evaluations in a row."""
-    return _local_search(
-        _Run(space, budget, oracle, cfg),
-        1,
-        _improves,
-        restart_after=4 * len(space.options),
-    )
+    return _local_search(run, 1, _improves, restart_after=4 * len(run.space.options))
 
 
 def metropolis_probability(delta: float, temperature: float) -> float:
@@ -311,21 +296,18 @@ def metropolis_probability(delta: float, temperature: float) -> float:
     return math.exp(exponent)
 
 
-def run_sa(
-    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
-) -> RunTrace:
+def _sa(run: _Run) -> RunTrace:
     """Simulated annealing with geometric cooling per distinct measurement.
 
     The walk starts from the best of an initial uniform batch of
     ``population_size`` samples, and the initial temperature is the standard
     deviation of the batch's targets.
     """
-    run = _Run(space, budget, oracle, cfg)
     t0 = 1.0  # start() sets it from the batch
 
     def start() -> Individual:
         nonlocal t0
-        batch = _sample_distinct(space, run.rng, cfg.population_size)
+        batch = _sample_distinct(run.space, run.rng, run.population_size)
         measured = [run.measure(c) for c in batch]
         targets = _targets(measured)
         # A batch without spread gives no scale: fall back to 1.
@@ -385,7 +367,6 @@ def _tournament(keys: list, rng: random.Random) -> int:
 
 def _generational(
     run: _Run,
-    cfg: OptimizerConfig,
     rank: Callable[[list[Individual]], list],
     survivors: Callable[[list[Individual], list[Individual]], list[Individual]],
 ) -> RunTrace:
@@ -394,13 +375,13 @@ def _generational(
     then the ``survivors`` of parents and offspring. After a few generations
     without a new distinct measurement one offspring is replaced by a uniform
     draw over the unmeasured space."""
-    if cfg.population_size < 2:
+    if run.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
     space, cache, rng, measure = run.space, run.trace.rows, run.rng, run.measure
     getrandbits = rng.getrandbits
     with contextlib.suppress(BudgetExhausted):
         population = [
-            measure(c) for c in _sample_distinct(space, rng, cfg.population_size)
+            measure(c) for c in _sample_distinct(space, rng, run.population_size)
         ]
         size = len(population)
         size_bits = size.bit_length()
@@ -443,23 +424,14 @@ def _elitist(
     return offspring
 
 
-def run_soga(
-    space: OptionSpace, budget: int, oracle: Oracle, cfg: OptimizerConfig
-) -> RunTrace:
+def _soga(run: _Run) -> RunTrace:
     """Generational GA on the scalar target: binary tournaments, uniform
     crossover, boundary mutation, elitist replacement."""
-    run = _Run(space, budget, oracle, cfg)
-    return _generational(run, cfg, _targets, _elitist)
+    return _generational(run, _targets, _elitist)
 
 
-def run_nsga2(
-    space: OptionSpace,
-    budget: int,
-    oracle: Oracle,
-    model: MmoInstance | str,
-    cfg: OptimizerConfig,
-) -> RunTrace:
-    """NSGA-II over the plain or meta bi-objective model.
+def _nsga2(run: _Run, model: MmoInstance | str) -> RunTrace:
+    """NSGA-II over the plain model ``PMO`` or a meta model instance.
 
     Normalization bounds widen dynamically with every measurement, and all
     retained individuals' objective points follow the current bounds before
@@ -467,8 +439,6 @@ def run_nsga2(
     measurement moves a bound. The reported result of the run is the best
     measured target over the whole trace, not a survivor of selection.
     """
-    if model != PMO and not isinstance(model, MmoInstance):
-        raise ValueError(f"model must be {PMO!r} or an MmoInstance, got {model!r}")
     plain = model == PMO
     bounds = NormalizationBounds()
     points: dict[Configuration, ObjectivePoint] = {}  # under the current bounds
@@ -478,7 +448,7 @@ def run_nsga2(
         if bounds.observe(measured[1:]):
             points.clear()
 
-    run = _Run(space, budget, oracle, cfg, observe)
+    run.observe = observe
 
     def objective_point(individual: Individual) -> ObjectivePoint:
         config, ft, fa = individual
@@ -525,4 +495,4 @@ def run_nsga2(
         chosen = environmental_selection(objective_points(pool), len(population), protect)
         return [pool[i] for i in chosen]
 
-    return _generational(run, cfg, rank, select)
+    return _generational(run, rank, select)

@@ -23,7 +23,6 @@ from mmo_tune.harness import (
 from mmo_tune.measurement import BudgetExhausted, MeasurementRecord, SyntheticOracle
 from mmo_tune.models import MmoInstance, meta_objectives, pmo_objectives
 from mmo_tune.optimizers import (
-    OptimizerConfig,
     _Run,
     crowding_distance,
     fast_nondominated_sort,
@@ -262,7 +261,7 @@ def test_criterion_6_budget_and_caching_law(tmp_path):
     ok = True
     for limit in (0, 1, 7, 40):
         oracle = _CountingOracle()
-        run = _Run(space, limit, oracle, OptimizerConfig())
+        run = _Run(space, limit, oracle)
         seen = set()
         # Adversarial stream: heavy duplication, alternating hot keys.
         hot = [space.random_config(rng) for _ in range(3)]
@@ -281,7 +280,7 @@ def test_criterion_6_budget_and_caching_law(tmp_path):
         if not oracle.calls == len(run.trace.rows) == len(seen) <= limit:
             ok = False
     try:
-        _Run(space, -1, _CountingOracle(), OptimizerConfig())
+        _Run(space, -1, _CountingOracle())
         ok = False
     except ValueError:
         pass

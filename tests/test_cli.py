@@ -129,6 +129,17 @@ class TestTune:
         )
         assert code == 1
 
+    def test_failing_run_is_named(self, space_file, tmp_path, capsys):
+        code = run_cli(
+            "tune", "--space", space_file, "--command", "exit 3", "--samples", "1",
+            "--model", "single:rs", "--budget", "10", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: run failed: model=single:rs weight=- run=0: command exited 3"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
     def test_seed_env_override(self, space_file, table_file, tmp_path, monkeypatch):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("MMO_TUNE_SEED", "99")
@@ -335,6 +346,18 @@ class TestCampaignCli:
         plan = json.loads((out / "plan.json").read_text())
         assert plan["budget"] == 600
         assert plan["population_size"] == 50
+
+    def test_preset_with_budget_is_usage_error(self, space_file, tmp_path, capsys):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic",
+            "--preset", "storm-wc", "--budget", "30", "--pop", "6", "--repeats", "1",
+            "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --preset and --budget exclude each other\n")
+        assert not out.exists()
 
     def test_stats_names_the_malformed_trace_row(self, space_file, table_file, tmp_path, capsys):
         out = tmp_path / "camp"
@@ -809,18 +832,17 @@ def test_public_surface():
     assert sorted(mmo_tune.__all__) == [
         "ALL_MODELS", "BudgetExhausted", "CommandOracle",
         "Configuration", "DEFAULT_WEIGHTS", "ExperimentPlan", "MeasurementRecord",
-        "MmoInstance", "NormalizationBounds", "OptimizerConfig", "OptionSpace",
+        "MmoInstance", "NormalizationBounds", "OptionSpace",
         "OptionSpec", "PMO", "PRESETS", "RunTrace", "StatResult",
         "SyntheticOracle", "TabularOracle", "a12",
         "a12_magnitude", "boundary_mutation", "build_oracle", "build_report",
         "compare_results", "crowding_distance",
         "data_driven_weight_selection", "derive_seed",
         "efficiency_ratio", "emit_trace", "execute_run", "fast_nondominated_sort",
-        "harness", "load_space", "load_table", "measurement",
-        "meta_objectives", "models", "normalized_gain", "optimizers",
+        "load_space", "load_table",
+        "meta_objectives", "normalized_gain",
         "parse_space", "pick_best_counterpart", "pmo_objectives",
         "preliminary_weight_selection", "recompute_report", "run_campaign",
-        "run_nsga2", "run_rs", "run_sa", "run_shc_restart", "run_soga",
-        "scott_knott", "space", "stats", "to_minimization", "trace",
+        "scott_knott", "to_minimization",
         "uniform_crossover", "utopian", "wilcoxon_signed_rank", "write_campaign",
     ]

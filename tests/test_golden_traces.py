@@ -8,9 +8,8 @@ together with a stated reason for the behaviour change.
 The direction cases replay four models on the table with the target, the
 auxiliary or both maximized.
 
-The non-default cases call the optimizers directly, with the default
-population or a tiny one that ``execute_run`` is never given, on a 6-bit space
-that the budget exhausts and on a 10-bit space.
+The non-default cases run each optimizer with the default population or a
+tiny one, on a 6-bit space that the budget exhausts and on a 10-bit space.
 
 The restart counts of the hill-climbing runs are pinned too: they are not in
 the trace bytes.
@@ -27,15 +26,6 @@ from mmo_tune.harness import derive_seed, emit_trace, execute_run, weight_token
 from mmo_tune.measurement import (
     SyntheticOracle,
     load_table,
-)
-from mmo_tune.models import PMO, MmoInstance
-from mmo_tune.optimizers import (
-    OptimizerConfig,
-    run_nsga2,
-    run_rs,
-    run_sa,
-    run_shc_restart,
-    run_soga,
 )
 from mmo_tune.space import OptionSpace, OptionSpec
 
@@ -207,18 +197,18 @@ def test_cases_cover_every_model():
     assert set(GOLDEN) == expected
 
 
-# name -> (optimizer, meta model or None, population size).
+# name -> (model, weight, population size).
 NON_DEFAULT = {
-    "rs": (run_rs, None, 20),
-    "shc-r": (run_shc_restart, None, 20),
-    "sa": (run_sa, None, 20),
-    "sa-pop4": (run_sa, None, 4),
-    "soga": (run_soga, None, 20),
-    "soga-pop3": (run_soga, None, 3),
-    "pmo": (run_nsga2, PMO, 20),
-    "pmo-pop3": (run_nsga2, PMO, 3),
-    "mmo-linear": (run_nsga2, MmoInstance("linear", 0.5), 20),
-    "mmo-square-pop5": (run_nsga2, MmoInstance("square", 10.0), 5),
+    "rs": ("single:rs", None, 20),
+    "shc-r": ("single:shc-r", None, 20),
+    "sa": ("single:sa", None, 20),
+    "sa-pop4": ("single:sa", None, 4),
+    "soga": ("single:soga", None, 20),
+    "soga-pop3": ("single:soga", None, 3),
+    "pmo": ("pmo", None, 20),
+    "pmo-pop3": ("pmo", None, 3),
+    "mmo-linear": ("mmo:linear", 0.5, 20),
+    "mmo-square-pop5": ("mmo:square", 10.0, 5),
 }
 
 # Seeds drawn under the label of an earlier case: the radius-3 random search
@@ -260,15 +250,11 @@ RESTARTS = {"bits6/shc-r": 20, "bits10/shc-r": 24}
 def test_non_default_trace_digest(case, tmp_path):
     scale, name = case.split("/")
     bits, budget = NON_DEFAULT_SCALE[scale]
-    optimizer, model, population = NON_DEFAULT[name]
+    model, weight, population = NON_DEFAULT[name]
     space = make_binary_space(bits)
     oracle = SyntheticOracle(space, seed=bits, ruggedness=0.5, correlation=0.2)
     seed = derive_seed(2024, scale, SEED_LABELS.get(name, name))
-    cfg = OptimizerConfig(population_size=population, seed=seed)
-    if model is None:
-        trace = optimizer(space, budget, oracle, cfg)
-    else:
-        trace = optimizer(space, budget, oracle, model, cfg)
+    trace = execute_run(space, oracle, budget, population, model, weight, seed)
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NON_DEFAULT[case]

@@ -43,7 +43,7 @@ from mmo_tune.measurement import (
     SyntheticOracle,
     UnmeasuredConfigError,
 )
-from mmo_tune.optimizers import OptimizerConfig, RunTrace, run_rs
+from mmo_tune.optimizers import RunTrace
 from mmo_tune.space import OptionSpace, OptionSpec, SpaceError
 from mmo_tune.stats import scott_knott
 import mmo_tune.harness
@@ -136,7 +136,7 @@ class TestPlan:
 class TestTraceFiles:
     def test_round_trip(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1, correlation=0.3)
-        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
+        trace = execute_run(binary8, oracle, 25, 20, "single:rs", None, 3)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         with open(path, encoding="utf-8", newline="") as fh:
@@ -188,7 +188,7 @@ class TestTraceFiles:
 
     def test_writer_failing_partway_leaves_the_earlier_file(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)
-        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
+        trace = execute_run(binary8, oracle, 25, 20, "single:rs", None, 3)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         complete = path.read_bytes()
@@ -202,7 +202,7 @@ class TestTraceFiles:
 
     def test_symlink_is_written_through(self, binary8, tmp_path):
         oracle = SyntheticOracle(binary8, seed=1)
-        trace = run_rs(binary8, 25, oracle, OptimizerConfig(seed=3))
+        trace = execute_run(binary8, oracle, 25, 20, "single:rs", None, 3)
         target = tmp_path / "target.csv"
         target.write_text("old\n")
         link = tmp_path / "link.csv"
@@ -222,7 +222,7 @@ class TestTraceFiles:
     def test_long_trace_line_count(self, tmp_path):
         space = make_binary_space(12)
         oracle = SyntheticOracle(space, seed=2)
-        trace = run_rs(space, 1000, oracle, OptimizerConfig(seed=4))
+        trace = execute_run(space, oracle, 1000, 20, "single:rs", None, 4)
         assert len(trace.rows) == 1000
         path = tmp_path / "long.csv"
         emit_trace(trace, str(path))
@@ -233,7 +233,7 @@ class TestTraceFiles:
         """A short RS trace with each of its ``lines`` (1 is the header) passed
         through ``edit``."""
         oracle = SyntheticOracle(space, seed=1)
-        trace = run_rs(space, 5, oracle, OptimizerConfig(seed=3))
+        trace = execute_run(space, oracle, 5, 20, "single:rs", None, 3)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         text = path.read_text().splitlines()
@@ -306,7 +306,7 @@ class TestTraceFiles:
             OptionSpec("c", "integer", -2, 3),
         ))
         oracle = SyntheticOracle(space, seed=1)
-        trace = run_rs(space, 6, oracle, OptimizerConfig(seed=3))
+        trace = execute_run(space, oracle, 6, 20, "single:rs", None, 3)
         path = tmp_path / "trace.csv"
         emit_trace(trace, str(path))
         original = path.read_text().splitlines()

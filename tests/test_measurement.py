@@ -23,7 +23,7 @@ from mmo_tune.measurement import (
     UnmeasuredConfigError,
     load_table,
 )
-from mmo_tune.optimizers import OptimizerConfig, _Run
+from mmo_tune.optimizers import _Run
 from mmo_tune.space import OptionSpace, OptionSpec
 
 from conftest import make_binary_space, write_table
@@ -52,7 +52,7 @@ class TestBudgetLedger:
 
     def test_repeat_measurement_costs_once(self, binary3):
         oracle = ConstOracle()
-        run = _Run(binary3, 10, oracle, OptimizerConfig())
+        run = _Run(binary3, 10, oracle)
         config = binary3.config([1, 0, 1])
         first = run.measure(config)
         second = run.measure(config)
@@ -62,13 +62,13 @@ class TestBudgetLedger:
 
     def test_zero_limit_exhausts_immediately(self, binary3):
         oracle = ConstOracle()
-        run = _Run(binary3, 0, oracle, OptimizerConfig())
+        run = _Run(binary3, 0, oracle)
         with pytest.raises(BudgetExhausted):
             run.measure(binary3.config([0, 0, 0]))
         assert oracle.calls == 0
 
     def test_distinct_configs_consume_each(self, binary3):
-        run = _Run(binary3, 8, ConstOracle(), OptimizerConfig())
+        run = _Run(binary3, 8, ConstOracle())
         configs = list(binary3.enumerate_all())[:5]
         for config in configs:
             run.measure(config)
@@ -77,7 +77,7 @@ class TestBudgetLedger:
     def test_consumed_tracks_distinct_under_duplication(self, binary8):
         rng = random.Random(0)
         oracle = ConstOracle()
-        run = _Run(binary8, 40, oracle, OptimizerConfig())
+        run = _Run(binary8, 40, oracle)
         seen = set()
         for _ in range(600):
             config = binary8.random_config(rng)
@@ -92,7 +92,7 @@ class TestBudgetLedger:
 
     def test_negative_limit_rejected(self, binary3):
         with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
-            _Run(binary3, -1, ConstOracle(), OptimizerConfig())
+            _Run(binary3, -1, ConstOracle())
 
 
 class TestTabularOracle:
@@ -238,6 +238,24 @@ class TestCommandOracle:
         with pytest.raises(CommandOracleError, match="unparseable") as err:
             oracle.measure(tiny_space.config([0]))
         assert repr(line) in str(err.value)
+        assert str(err.value).endswith(f"from: {oracle.command}")
+
+    def test_non_utf8_output_before_the_result_line(self, tiny_space):
+        oracle = CommandOracle(
+            "printf '\\377\\n' >&2; printf 'warm\\377\\n';"
+            ' echo \'{"target": 1, "auxiliary": 2}\'',
+            tiny_space,
+            samples=1,
+        )
+        record = oracle.measure(tiny_space.config([0]))
+        assert (record.target_raw, record.auxiliary_raw) == (1.0, 2.0)
+
+    def test_non_utf8_result_line_is_unparseable(self, tiny_space):
+        oracle = CommandOracle(
+            "printf '{\"target\": 1, \"auxiliary\": 2}\\377\\n'", tiny_space, samples=1
+        )
+        with pytest.raises(CommandOracleError, match="^unparseable result line") as err:
+            oracle.measure(tiny_space.config([0]))
         assert str(err.value).endswith(f"from: {oracle.command}")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -19,20 +18,13 @@ from mmo_tune.measurement import (
     UnmeasuredConfigError,
     load_table,
 )
-from mmo_tune.models import PMO, MmoInstance
 from mmo_tune.optimizers import (
-    OptimizerConfig,
     _Run,
     boundary_mutation,
     crowding_distance,
     environmental_selection,
     fast_nondominated_sort,
     metropolis_probability,
-    run_nsga2,
-    run_rs,
-    run_sa,
-    run_shc_restart,
-    run_soga,
     uniform_crossover,
 )
 from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec
@@ -54,23 +46,23 @@ def synthetic(space, seed=7, ruggedness=0.4, density=0.1, correlation=0.3):
     )
 
 
+# Short name -> (model, weight) of execute_run.
 RUNNERS = {
-    "rs": run_rs,
-    "shc": run_shc_restart,
-    "sa": run_sa,
-    "soga": run_soga,
+    "rs": ("single:rs", None),
+    "shc": ("single:shc-r", None),
+    "sa": ("single:sa", None),
+    "soga": ("single:soga", None),
+    "pmo": ("pmo", None),
+    "mmo": ("mmo:linear", 0.5),
 }
 
 
-def run_model(name, space, budget, oracle, cfg):
-    if name in RUNNERS:
-        return RUNNERS[name](space, budget, oracle, cfg)
-    if name == "pmo":
-        return run_nsga2(space, budget, oracle, PMO, cfg)
-    return run_nsga2(space, budget, oracle, MmoInstance("linear", 0.5), cfg)
+def run_model(name, space, budget, oracle, population_size, seed):
+    model, weight = RUNNERS[name]
+    return execute_run(space, oracle, budget, population_size, model, weight, seed)
 
 
-ALL_RUNNER_NAMES = ("rs", "shc", "sa", "soga", "pmo", "mmo")
+ALL_RUNNER_NAMES = tuple(RUNNERS)
 
 
 class TestBoundaryMutation:
@@ -321,9 +313,8 @@ class TestRunBehavior:
     @pytest.mark.parametrize("name", ALL_RUNNER_NAMES)
     def test_fixed_seed_reproduces_trace(self, name, binary8):
         oracle = synthetic(binary8)
-        cfg = OptimizerConfig(population_size=6, seed=13)
-        first = run_model(name, binary8, 40, oracle, cfg)
-        second = run_model(name, binary8, 40, oracle, cfg)
+        first = run_model(name, binary8, 40, oracle, 6, 13)
+        second = run_model(name, binary8, 40, oracle, 6, 13)
         assert list(first.rows.items()) == list(second.rows.items())
         assert first.best_so_far == second.best_so_far
 
@@ -331,8 +322,7 @@ class TestRunBehavior:
     def test_trace_respects_budget_and_monotonicity(self, name):
         space = make_binary_space(5)
         oracle = synthetic(space, seed=3)
-        cfg = OptimizerConfig(population_size=4, seed=5)
-        trace = run_model(name, space, 17, oracle, cfg)
+        trace = run_model(name, space, 17, oracle, 4, 5)
         assert 1 <= len(trace.rows) == len(trace.best_so_far) <= 17
         best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
@@ -341,18 +331,17 @@ class TestRunBehavior:
     def test_budget_beyond_space_measures_everything(self, name):
         space = make_binary_space(6)
         oracle = synthetic(space, seed=4)
-        cfg = OptimizerConfig(population_size=4, seed=6)
-        trace = run_model(name, space, 100, oracle, cfg)
+        trace = run_model(name, space, 100, oracle, 4, 6)
         assert len(trace.rows) == 64
         true_best = min(oracle.target(c) for c in space.enumerate_all())
         assert trace.summary().best_target == true_best
 
     def test_rs_budget_one(self, binary8):
-        trace = run_rs(binary8, 1, synthetic(binary8), OptimizerConfig(seed=1))
+        trace = run_model("rs", binary8, 1, synthetic(binary8), 20, 1)
         assert len(trace.rows) == 1
 
     def test_zero_budget_empty_trace(self, binary8):
-        trace = run_rs(binary8, 0, synthetic(binary8), OptimizerConfig(seed=1))
+        trace = run_model("rs", binary8, 0, synthetic(binary8), 20, 1)
         assert trace.rows == {}
         with pytest.raises(ValueError):
             trace.summary().best_target
@@ -363,9 +352,7 @@ class TestShcRestart:
         space = OptionSpace((OptionSpec("x", "integer", 0, 9),))
         rows = {(x,): (abs(x - 3) + 1.0, 0.0) for x in range(10)}
         oracle = TabularOracle(rows)
-        trace = run_shc_restart(
-            space, 10, oracle, OptimizerConfig(seed=2)
-        )
+        trace = run_model("shc", space, 10, oracle, 20, 2)
         assert trace.summary().best_target == 1.0
 
     def test_two_basin_landscape_triggers_restart(self):
@@ -379,7 +366,7 @@ class TestShcRestart:
         }
         oracle = TabularOracle(rows)
         # Two options: a restart after 8 rejections in a row.
-        trace = run_shc_restart(space, 9, oracle, OptimizerConfig(seed=1))
+        trace = run_model("shc", space, 9, oracle, 20, 1)
         assert trace.restarts >= 1
         assert trace.summary().best_target == 0.0
 
@@ -404,8 +391,7 @@ class TestSaSchedule:
             return metropolis_probability(delta, temperature)
 
         monkeypatch.setattr(optimizers, "metropolis_probability", recording)
-        cfg = OptimizerConfig(population_size=6, seed=4)
-        run_sa(binary8, 60, CountingOracle(), cfg)
+        run_model("sa", binary8, 60, CountingOracle(), 6, 4)
         t0 = statistics.pstdev(measured[:6])
         previous = 6
         for count, temperature in decisions:
@@ -418,9 +404,7 @@ class TestSaSchedule:
 
 class TestSoga:
     def test_best_so_far_never_worsens(self, binary8):
-        trace = run_soga(
-            binary8, 80, synthetic(binary8), OptimizerConfig(population_size=8, seed=9)
-        )
+        trace = run_model("soga", binary8, 80, synthetic(binary8), 8, 9)
         best = trace.best_so_far
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
 
@@ -429,28 +413,17 @@ class TestNsga2:
     def test_mmo_finds_planted_with_full_budget(self):
         space = make_binary_space(8)
         oracle = synthetic(space, seed=12)
-        cfg = OptimizerConfig(population_size=8, seed=21)
-        trace = run_nsga2(
-            space, 256, oracle, MmoInstance("linear", 0.5), cfg
-        )
+        trace = run_model("mmo", space, 256, oracle, 8, 21)
         planted = oracle.planted
         assert trace.summary().best_target == oracle.target(planted)
 
     def test_rejects_bad_model(self, binary8):
-        with pytest.raises(ValueError):
-            run_nsga2(
-                binary8, 10, synthetic(binary8), "nope", OptimizerConfig()
-            )
+        with pytest.raises(ValueError, match=r"^unknown model 'nope'$"):
+            execute_run(binary8, synthetic(binary8), 10, 20, "nope", None, 0)
 
     def test_population_size_floor(self, binary8):
         with pytest.raises(ValueError):
-            run_nsga2(
-                binary8,
-                10,
-                synthetic(binary8),
-                PMO,
-                OptimizerConfig(population_size=1),
-            )
+            run_model("pmo", binary8, 10, synthetic(binary8), 1, 0)
 
 
 # Digests of runs of population 20 on the 64 configurations of a 6-bit space,
@@ -466,13 +439,11 @@ GOLDEN_COLLAPSED = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COLLAPSED))
 def test_collapsed_population_trace_digest(name, tmp_path):
-    model = PMO if name == "pmo" else MmoInstance("linear", 0.1)
+    model, weight = ("pmo", None) if name == "pmo" else ("mmo:linear", 0.1)
     space = make_binary_space(6)
     oracle = SyntheticOracle(space, seed=6, ruggedness=0.5, correlation=0.2)
-    cfg = OptimizerConfig(
-        population_size=20, seed=derive_seed(2024, "bits6-collapse", name)
-    )
-    trace = run_nsga2(space, 60, oracle, model, cfg)
+    seed = derive_seed(2024, "bits6-collapse", name)
+    trace = execute_run(space, oracle, 60, 20, model, weight, seed)
     path = tmp_path / "trace.csv"
     emit_trace(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COLLAPSED[name]
@@ -515,8 +486,8 @@ class TestRunMeasure:
     def test_each_configuration_is_converted_recorded_and_observed_once(self, binary8):
         oracle = synthetic(binary8)
         observed = []
-        cfg = OptimizerConfig(directions=("maximize", "minimize"))
-        run = _Run(binary8, 10, oracle, cfg, observed.append)
+        run = _Run(binary8, 10, oracle, directions=("maximize", "minimize"))
+        run.observe = observed.append
         a, b = (0,) * 8, (1,) * 8
         measured = [run.measure(c) for c in (a, b, a, b, a)]
         expected = {c: (c, -oracle.target(c), oracle.auxiliary(c)) for c in (a, b)}
@@ -531,7 +502,7 @@ class TestTrustedProposals:
     """A local-search proposal validates nothing; input from outside the
     space is checked where it enters and where it is measured."""
 
-    @pytest.mark.parametrize("runner", [run_sa, run_shc_restart])
+    @pytest.mark.parametrize("runner", ["sa", "shc"], ids=["run_sa", "run_shc_restart"])
     def test_table_run_validates_nothing_after_loading(self, runner, tmp_path, monkeypatch):
         space = OptionSpace(
             (
@@ -549,8 +520,7 @@ class TestTrustedProposals:
             "validate",
             lambda self, config: validated.append(config) or validate(self, config),
         )
-        cfg = OptimizerConfig(population_size=4, seed=3)
-        trace = runner(space, 20, oracle, cfg)
+        trace = run_model(runner, space, 20, oracle, 4, 3)
         assert len(trace.rows) == 20
         assert validated == []
 
@@ -568,23 +538,24 @@ class TestTrustedProposals:
             table.measure(neighbor)
 
 
-class TestOptimizerConfig:
-    def test_fields_are_what_a_run_is_given(self):
-        names = [f.name for f in dataclasses.fields(OptimizerConfig)]
-        assert names == ["population_size", "seed", "directions"]
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(directions=("up", "minimize"))
+class TestExecuteRun:
+    def test_rejects_bad_direction(self, binary8):
+        with pytest.raises(ValueError, match=r"^unknown direction 'up'$"):
+            execute_run(
+                binary8, synthetic(binary8), 10, 20, "single:rs", None, 0,
+                ("up", "minimize"),
+            )
 
     @pytest.mark.parametrize(
         "directions",
         [("minimize",), ("minimize", "minimize", "maximize")],
         ids=["one", "three"],
     )
-    def test_rejects_directions_that_are_not_a_pair(self, directions):
+    def test_rejects_directions_that_are_not_a_pair(self, directions, binary8):
         with pytest.raises(ValueError, match=rf"pair, got {len(directions)}$"):
-            OptimizerConfig(directions=directions)
+            execute_run(
+                binary8, synthetic(binary8), 10, 20, "single:rs", None, 0, directions
+            )
 
 
 class TestFreshUniform:
@@ -615,7 +586,7 @@ class TestFreshUniform:
         picker = random.Random(5)
         exact_draws = 0
         for state in range(600):
-            run = _Run(space, len(every), None, OptimizerConfig(seed=state))
+            run = _Run(space, len(every), None, seed=state)
             filled = picker.randrange(len(every) - 8, len(every))
             for config in picker.sample(every, filled):
                 run.trace.record(config, MeasurementRecord(0.0, 0.0))
@@ -628,7 +599,7 @@ class TestFreshUniform:
         assert exact_draws >= 50
 
     def test_exhausted_space_raises(self, binary3):
-        run = _Run(binary3, 8, None, OptimizerConfig())
+        run = _Run(binary3, 8, None)
         for config in binary3.enumerate_all():
             run.trace.record(config, MeasurementRecord(0.0, 0.0))
         state = run.rng.getstate()

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from mmo_tune.measurement import MeasurementRecord
-from mmo_tune.optimizers import OptimizerConfig, _Run, _sample_distinct, _tournament
+from mmo_tune.optimizers import _Run, _sample_distinct, _tournament
 from mmo_tune.space import (
     Configuration,
     InvalidConfigurationError,
@@ -415,7 +415,7 @@ class TestDrawsMatchRandom:
         for seed in range(30):
             setup = random.Random(seed + 4000)
             measured = set(setup.sample(every, len(every) - setup.randint(1, 3)))
-            run = _Run(DRAW_SPACE, len(every), None, OptimizerConfig(seed=seed))
+            run = _Run(DRAW_SPACE, len(every), None, seed=seed)
             for config in measured:
                 run.trace.record(config, MeasurementRecord(0.0, 0.0))
             ref = random.Random(seed)
