@@ -71,7 +71,94 @@ def load_table(path: str, space: OptionSpace) -> TabularOracle:
     Schema: header row is the option names in space order followed by ``target``
     and ``auxiliary``; data rows are integers then two decimals. Duplicate
     configuration rows are fatal (ambiguous ground truth).
+
+    The file is read as one string and checked on whole columns of its cells
+    (``_csv_columns``). A file that check refuses, or one spelled as no
+    writer spells it (a quote, a CR, a blank line), goes to ``_row_table``,
+    which reads it with the csv module and words the error of its first
+    malformed row, or returns the rows of a valid file. A byte that is not
+    UTF-8 raises TableFormatError naming the file.
     """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{path}: {exc}") from exc
+    try:
+        rows = _flat_table(text, space)
+    except ValueError:  # a cell that does not parse
+        rows = None
+    return TabularOracle(_row_table(path, space) if rows is None else rows)
+
+
+def _csv_columns(
+    text: str, header: list[str], space: OptionSpace, first: int
+) -> tuple[list[str], list[dict[str, int]]] | None:
+    """The cells of a CSV text headed by ``header``, as one flat list, and a
+    map from each option column's spellings to its values; None, or
+    ValueError for a spelling that does not parse, if the text is not one
+    the csv module would read as these cells or an option column is out of
+    line.
+
+    The text must hold no quote or CR, end with a newline, start with the
+    header, and give every line ``w = len(header)`` cells. Row r (from 0)
+    of the body is ``cells[w * (r + 1) : w * (r + 2)]``, column j of the
+    body is ``cells[w + j : -1 : w]``, and the first cell of each row keeps
+    the newline before it (``"\\n1"`` for a row starting ``1``); no per-line
+    string is made. Options are columns ``first`` onward, in space order:
+    each column's distinct spellings must map one-to-one to integers inside
+    the option's bounds, so configurations differ exactly when their
+    spellings do."""
+    end = text.find("\n")
+    if end < 0 or '"' in text or "\r" in text or text[:end].split(",") != header:
+        return None
+    cells = text.replace("\n", ",\n").split(",")
+    w = len(header)
+    lines, extra = divmod(len(cells) - 1, w)
+    # Each newline starts a cell of its own; all must fall on a row start.
+    if extra or text.count("\n") != lines or "".join(cells[::w]).count("\n") != lines:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, cells)) > limit:
+        return None
+    spellings = []
+    for j, opt in enumerate(space.options, start=first):
+        spelled = set(cells[w + j : -1 : w])
+        values = dict(zip(spelled, map(int, spelled)))
+        ints = set(values.values())
+        if len(ints) != len(values) or ints and not (
+            opt.lower <= min(ints) and max(ints) <= opt.upper
+        ):
+            return None
+        spellings.append(values)
+    return cells, spellings
+
+
+def _flat_table(text: str, space: OptionSpace) -> dict[Configuration, tuple[float, float]] | None:
+    """The rows of a table's text, every rule checked on whole columns; None
+    if a rule fails, ValueError if a cell does not parse."""
+    n = len(space.options)
+    split = _csv_columns(text, [*space.names, "target", "auxiliary"], space, 0)
+    if split is None:
+        return None
+    cells, spellings = split
+    w = n + 2
+    targets = list(map(float, cells[w + n : -1 : w]))
+    auxiliaries = list(map(float, cells[w + n + 1 : -1 : w]))
+    # A sum is finite only if every term is (an overflow refuses a valid
+    # file, which the row loop then reads).
+    if not math.isfinite(sum(targets) + sum(auxiliaries)):
+        return None
+    configs = zip(*(map(values.__getitem__, cells[w + j : -1 : w])
+                    for j, values in enumerate(spellings)))
+    rows = dict(zip(configs, zip(targets, auxiliaries)))
+    return rows if len(rows) == len(targets) else None
+
+
+def _row_table(path: str, space: OptionSpace) -> dict[Configuration, tuple[float, float]]:
+    """The rows of a table file, read with the csv module and checked row by
+    row; the first malformed row raises TableFormatError naming the file and
+    line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -116,7 +203,7 @@ def load_table(path: str, space: OptionSpace) -> TabularOracle:
                     f"{path}:{lineno}: duplicate configuration row {values}"
                 )
             rows[values] = (target, auxiliary)
-    return TabularOracle(rows)
+    return rows
 
 
 def _lower_median(values: Iterable[float]) -> float:

@@ -303,6 +303,10 @@ def parse_space(spec_text: str) -> OptionSpace:
 
 
 def load_space(path: str) -> OptionSpace:
-    """Read and parse a space definition file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space(fh.read())
+    """Read and parse a space definition file. A file that is not UTF-8, not
+    JSON or not a space raises SpaceError starting with ``path:``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_space(fh.read())
+    except (UnicodeDecodeError, SpaceError) as exc:
+        raise SpaceError(f"{path}: {exc}") from exc

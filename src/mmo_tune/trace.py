@@ -15,7 +15,7 @@ A report reads three things of a run: its best-so-far column, its final best
 target and the measurements made when that best was first reached.
 ``RunSummary`` holds just these, the column as an ``array('d')``.
 ``RunTrace.summary`` makes one of a trace in memory; ``load_summary``, the one
-trace reader, reduces a trace file to one, holding the rows of that one file
+trace reader, reduces a trace file to one, holding the cells of that one file
 while it reads them.
 
 ``load_summary`` checks every row. A malformed row raises ValueError starting
@@ -23,8 +23,13 @@ with ``path:line:``: a wrong cell count, a number that does not parse, an
 option value outside the space, a non-finite target, auxiliary or
 best-so-far, a step or consumed count other than the row's number (a run
 consumes one unit of budget per distinct measurement), or a configuration that
-an earlier row holds. The rules are checked on whole columns at once; only a
-file that fails them goes through the row-by-row loop that words each error.
+an earlier row holds. A byte that is not UTF-8 raises ValueError starting
+with ``path:``. The file is read as one string and split into one flat list
+of cells, and each rule is checked on a whole column of that list (a stride
+slice), with no list per row. Only a file that fails a rule, or one spelled
+as no writer spells it (a quote, a CR, no final newline, another header),
+is read again through the csv module and the row-by-row loop that words
+each error.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ import os
 import stat
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 
-from .measurement import MeasurementRecord
+from .measurement import MeasurementRecord, _csv_columns
 from .models import Direction, to_minimization
 from .space import Configuration, OptionSpace
 
@@ -139,59 +145,65 @@ def emit_trace(trace: RunTrace, path: str) -> None:
 def load_summary(path: str, space: OptionSpace) -> RunSummary:
     """The summary of a trace CSV, every row checked: its step and consumed
     count are its row number; a malformed row raises ValueError starting with
-    ``path:line:``.
+    ``path:line:``, and a byte that is not UTF-8 one starting with ``path:``.
 
-    The file's rows are checked on whole columns. A file that check refuses
-    goes to ``_row_column``, which words the error of its first malformed row,
-    or returns the column of a valid file spelled as no writer spells it
-    (``01`` for ``1``)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _header(space):
-            raise ValueError(f"{path}: unexpected trace header {header}")
-        rows = list(reader)
+    The file is read as one string and its rows are checked on whole columns
+    of its cells. A file that check refuses goes to ``_row_column`` through
+    the csv module, which words the error of its first malformed row, or
+    returns the column of a valid file spelled as no writer spells it (``01``
+    for ``1``, a quoted cell, CRLF line ends)."""
     try:
-        column = _checked_column(rows, space)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    try:
+        column = _flat_column(text, space)
     except ValueError:  # a cell that does not parse
         column = None
     if column is None:
-        column = _row_column(path, rows, space)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _header(space):
+                raise ValueError(f"{path}: unexpected trace header {header}")
+            column = _row_column(path, list(reader), space)
     try:
         return RunSummary.of(column)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _checked_column(rows: list[list[str]], space: OptionSpace) -> array | None:
-    """The best-so-far column of a trace's rows, every rule checked on whole
-    columns; None if a rule fails, ValueError if a cell does not parse.
+@lru_cache(maxsize=8)
+def _row_numbers(k: int) -> tuple[list[str], list[str]]:
+    """Rows 1 to k as a trace spells their consumed count (``"1"``) and, first
+    in its line, their step (``"\\n1"``)."""
+    numbers = list(map(str, range(1, k + 1)))
+    return numbers, ["\n" + number for number in numbers]
 
-    Each distinct spelling in an option column is parsed once, and spellings
-    must map one-to-one to values, so configurations differ exactly when their
-    spellings do."""
-    n = len(space.names)
-    k = len(rows)
-    if set(map(len, rows)) != {n + 5}:
+
+def _flat_column(text: str, space: OptionSpace) -> array | None:
+    """The best-so-far column of a trace's text, every rule checked on whole
+    columns of its cells (see ``_csv_columns``); None if a rule fails,
+    ValueError if a cell does not parse."""
+    split = _csv_columns(text, _header(space), space, 1)
+    if split is None:
         return None
-    columns = list(zip(*rows))
-    row_numbers = tuple(map(str, range(1, k + 1)))
-    if columns[0] != row_numbers or columns[n + 3] != row_numbers:
+    cells = split[0]
+    n = len(space.options)
+    w = n + 5
+    numbers, starts = _row_numbers(len(cells) // w - 1)
+    if cells[w : -1 : w] != starts or cells[w + n + 3 : -1 : w] != numbers:
         return None
-    for opt, cells in zip(space.options, columns[1 : 1 + n]):
-        spellings = set(cells)
-        values = set(map(int, spellings))
-        if len(values) != len(spellings) or not (
-            opt.lower <= min(values) and max(values) <= opt.upper
-        ):
-            return None
-    if len(set(zip(*columns[1 : 1 + n]))) != k:
+    # Spellings map one-to-one to values, so rows spelled alike hold equal
+    # configurations.
+    if len(set(zip(*[cells[w + j : -1 : w] for j in range(1, n + 1)]))) != len(numbers):
         return None
-    measured = map(float, columns[n + 1] + columns[n + 2])
-    best = array("d", map(float, columns[n + 4]))
-    if not (all(map(isfinite, measured)) and all(map(isfinite, best))):
-        return None
-    return best
+    measured = map(float, cells[w + n + 1 : -1 : w] + cells[w + n + 2 : -1 : w])
+    best = array("d", map(float, cells[w + n + 4 : -1 : w]))
+    # A sum is finite only if every term is (an overflow refuses a valid file,
+    # which the row loop then reads).
+    return best if isfinite(sum(measured) + sum(best)) else None
 
 
 def _row_column(path: str, rows: list[list[str]], space: OptionSpace) -> array:

@@ -27,6 +27,29 @@ def run_optimized(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def unwritten_spellings(text: str) -> dict[str, str]:
+    """A CSV file's text in spellings its writer never makes. The csv module
+    reads the first three as it reads ``text``: CRLF line ends, no final
+    newline, and the second-to-last cell of the first data row quoted. It
+    reads as a line break a trailing blank line (one more row, of no cells),
+    a CR before the last cell of the first data row, and a newline in place
+    of the comma before it."""
+    lines = text.split("\n")
+    cells = lines[1].split(",")
+
+    def first_row(*edited: str) -> str:
+        return "\n".join([lines[0], ",".join([*cells[:-2], *edited]), *lines[2:]])
+
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "no-final-newline": text[:-1],
+        "quoted-cell": first_row(f'"{cells[-2]}"', cells[-1]),
+        "trailing-blank-line": text + "\n",
+        "cr-in-a-row": first_row(cells[-2], "\r" + cells[-1]),
+        "comma-made-newline": first_row(cells[-2] + "\n" + cells[-1]),
+    }
+
+
 def make_binary_space(n: int) -> OptionSpace:
     return OptionSpace(tuple(OptionSpec(f"o{i}", "binary", 0, 1) for i in range(n)))
 

@@ -66,6 +66,21 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--space", "--table"])
+    def test_input_that_is_not_utf8_is_named(self, space_file, table_file, tmp_path,
+                                             capsys, flag):
+        files = {"--space": space_file, "--table": table_file}
+        bad = files[flag] = str(tmp_path / "bad")
+        with open(bad, "wb") as fh:
+            fh.write(b"\xff")
+        code = run_cli(
+            "tune", "--space", files["--space"], "--table", files["--table"],
+            "--model", "single:rs", "--budget", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert (code, capsys.readouterr().err) == (2, (
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"))
+
     @pytest.mark.parametrize(
         "oracle",
         [(), ("--synthetic", "--table", "t.csv"), ("--table", "t.csv", "--command", "x")],

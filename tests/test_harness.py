@@ -50,7 +50,7 @@ import mmo_tune.harness
 import mmo_tune.trace
 from mmo_tune.trace import RunSummary, load_summary
 
-from conftest import make_binary_space, run_optimized, write_table
+from conftest import make_binary_space, run_optimized, unwritten_spellings, write_table
 
 
 def synthetic_plan(space, models, repeats=3, budget=40, pop=4, seed=5, weights=(0.1, 0.9)):
@@ -326,6 +326,63 @@ class TestTraceFiles:
                     assert self._outcome(load_summary, str(path), space) == expected
                     outcomes.add(type(expected))
         assert outcomes == {RunSummary, str}
+
+    def test_files_the_writer_never_writes_read_as_the_row_loop(self, binary3, tmp_path):
+        self._edited_trace(binary3, tmp_path, lambda cells: cells)
+        text = (tmp_path / "trace.csv").read_bytes().decode()
+        paths, expected = [], []
+        for name, spelled in unwritten_spellings(text).items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(spelled.encode())
+            outcome = self._outcome(load_summary, str(path), binary3)
+            assert outcome == self._outcome(self._row_loop, str(path), binary3)
+            paths.append(str(path))
+            expected.append(outcome if isinstance(outcome, str) else list(outcome.best_so_far))
+        assert expected[3:] == [f"{paths[3]}:7: expected 8 cells, got 0",
+                                f"{paths[4]}:2: could not convert string to float: ''",
+                                f"{paths[5]}:2: expected 8 cells, got 7"]
+        assert all(isinstance(e, list) for e in expected[:3])
+        proc = run_optimized(
+            "import json\n"
+            "from mmo_tune.space import OptionSpace, OptionSpec\n"
+            "from mmo_tune.trace import load_summary\n"
+            "space = OptionSpace(tuple(\n"
+            "    OptionSpec(f'o{i}', 'binary', 0, 1) for i in range(3)))\n"
+            "def outcome(path):\n"
+            "    try:\n"
+            "        return list(load_summary(path, space).best_so_far)\n"
+            "    except ValueError as exc:\n"
+            "        return str(exc)\n"
+            f"print(json.dumps([outcome(path) for path in {paths!r}]))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
+    def test_quote_opening_an_unquoted_header_cell_reads_as_the_row_loop(self, tmp_path):
+        # The csv module reads "q to the end of the file as one quoted cell.
+        space = OptionSpace((OptionSpec('"q', "binary", 0, 1),))
+        path = tmp_path / "trace.csv"
+        path.write_text('step,"q,target,auxiliary,consumed,best_so_far\n1,0,1.0,2.0,1,1.0\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected trace header"):
+            load_summary(str(path), space)
+
+    def test_cell_over_the_csv_field_limit_fails_as_the_row_loop(self, binary3, tmp_path):
+        # A target of 131,073 zeros parses as 0.0; the csv module refuses it.
+        path = self._edited_trace(binary3, tmp_path, lambda cells: [
+            *cells[:4], "0" * (csv.field_size_limit() + 1), *cells[5:]], 2)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            self._row_loop(path, binary3)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_summary(path, binary3)
+
+    def test_byte_that_is_not_utf8_names_the_file(self, binary3, tmp_path):
+        path = self._edited_trace(binary3, tmp_path, lambda cells: cells)
+        data = bytearray((tmp_path / "trace.csv").read_bytes())
+        data[40] = 0xFF
+        (tmp_path / "trace.csv").write_bytes(data)
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 40: "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_summary(path, binary3)
 
     def test_header_only_trace_has_no_best_target(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"

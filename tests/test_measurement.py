@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -23,10 +24,12 @@ from mmo_tune.measurement import (
     UnmeasuredConfigError,
     load_table,
 )
+import mmo_tune.measurement
+from mmo_tune.cli import main
 from mmo_tune.optimizers import _Run
-from mmo_tune.space import OptionSpace, OptionSpec
+from mmo_tune.space import OptionSpace, OptionSpec, space_to_doc
 
-from conftest import make_binary_space, write_table
+from conftest import make_binary_space, run_optimized, unwritten_spellings, write_table
 
 
 class TestMeasurementRecord:
@@ -154,6 +157,104 @@ class TestTabularOracle:
         path.write_text("o0,o1,o2,target\n0,0,0,1.00\n")
         with pytest.raises(TableFormatError, match="target"):
             load_table(str(path), space=binary3)
+
+    def test_byte_that_is_not_utf8_names_the_file(self, tmp_path, binary3):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"o0,o1,o2,target,auxiliary\n0,0,0,1.00,2.\xff0\n")
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 39: "
+        with pytest.raises(TableFormatError, match=f"^{re.escape(message)}"):
+            load_table(str(path), space=binary3)
+
+    @staticmethod
+    def _outcome(read, path, space):
+        """What reading the table at ``path`` gives: its rows in order, or
+        its error message."""
+        try:
+            return list(read(path, space).items())
+        except TableFormatError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _load_rows(path, space):
+        return load_table(path, space).rows
+
+    def test_reads_every_cell_edit_as_the_row_loop(self, tmp_path, monkeypatch, capsys):
+        space = OptionSpace((
+            OptionSpec("a", "binary", 0, 1),
+            OptionSpec("b", "integer", 0, 12),
+            OptionSpec("c", "integer", -2, 3),
+        ))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_to_doc(space)))
+        path = tmp_path / "table.csv"
+        assert main(["gen-landscape", "--space", str(space_path), "--out", str(path)]) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as m:  # the writer's own table takes no row loop
+            m.setattr(mmo_tune.measurement, "_row_table", None)
+            rows = load_table(str(path), space).rows
+        assert list(rows) == list(space.enumerate_all())
+        original = path.read_text().splitlines()
+        edits = [
+            ("duplicate-row", original[:3] + original[2:3] + original[3:]),
+            ("blank-line", original[:3] + [""] + original[3:]),
+            ("header-only", original[:1]),
+        ]
+        for line in (2, 4, len(original)):
+            for column in range(len(space.names) + 2):
+                for spelling in ("01", "+1", " 1", "1_0", "1.0", "-0", "", "nan", "1e999"):
+                    text = list(original)
+                    cells = text[line - 1].split(",")
+                    cells[column] = spelling
+                    text[line - 1] = ",".join(cells)
+                    edits.append((f"{line}:{column}:{spelling}", text))
+        outcomes = set()
+        for name, text in edits:
+            path.write_text("\n".join(text) + "\n")
+            expected = self._outcome(mmo_tune.measurement._row_table, str(path), space)
+            assert self._outcome(self._load_rows, str(path), space) == expected, name
+            outcomes.add(type(expected))
+        assert outcomes == {list, str}
+
+    def test_cell_moved_to_the_next_line_fails_as_the_row_loop(self, tmp_path):
+        # Every cell parses and the cell count fits; only the line ends are off.
+        space = OptionSpace((OptionSpec("a", "integer", 0, 9), OptionSpec("b", "integer", 0, 9)))
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,target,auxiliary\n5,0,1.0,2.0,7\n1,3.0,4.0\n")
+        with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}:2: expected 4 cells, got 5$"):
+            load_table(str(path), space)
+
+    def test_files_the_writer_never_writes_read_as_the_row_loop(self, tmp_path, binary3):
+        rows = {(0, 0, 0): (1.25, 7.0), (1, 0, 1): (3.5, 2.0), (1, 1, 1): (9.0, 0.5)}
+        write_table(tmp_path / "t.csv", binary3, rows)
+        text = (tmp_path / "t.csv").read_bytes().decode()
+        paths, expected = [], []
+        for name, spelled in unwritten_spellings(text).items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(spelled.encode())
+            outcome = self._outcome(self._load_rows, str(path), binary3)
+            assert outcome == self._outcome(mmo_tune.measurement._row_table, str(path), binary3)
+            paths.append(str(path))
+            expected.append(outcome if isinstance(outcome, str) else
+                            [[list(config), list(values)] for config, values in outcome])
+        rows_json = [[list(config), list(values)] for config, values in rows.items()]
+        assert expected == [rows_json] * 4 + [
+            f"{paths[4]}:2: non-numeric cell (could not convert string to float: '')",
+            f"{paths[5]}:2: expected 5 cells, got 4"]
+        proc = run_optimized(
+            "import json\n"
+            "from mmo_tune.measurement import TableFormatError, load_table\n"
+            "from mmo_tune.space import OptionSpace, OptionSpec\n"
+            "space = OptionSpace(tuple(\n"
+            "    OptionSpec(f'o{i}', 'binary', 0, 1) for i in range(3)))\n"
+            "def outcome(path):\n"
+            "    try:\n"
+            "        return list(load_table(path, space).rows.items())\n"
+            "    except TableFormatError as exc:\n"
+            "        return str(exc)\n"
+            f"print(json.dumps([outcome(path) for path in {paths!r}]))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from mmo_tune.space import (
     OptionSpace,
     OptionSpec,
     SpaceError,
+    load_space,
     parse_space,
     randbelow,
     space_to_doc,
@@ -79,6 +81,20 @@ class TestParseSpace:
     def test_not_json(self):
         with pytest.raises(SpaceError):
             parse_space("nope")
+
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text("nope")
+        message = f"{path}: space document is not valid JSON: Expecting value"
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}"):
+            load_space(str(path))
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_bytes(b'{"options": [{"name": "\xff"}]}')
+        message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 23: "
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}"):
+            load_space(str(path))
 
     def test_declaration_order_preserved(self):
         space = parse_space(
