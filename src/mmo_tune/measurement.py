@@ -1,9 +1,11 @@
-"""Measurement oracles: tabular, external-command and synthetic."""
+"""Measurement oracles: tabular, external-command and synthetic; ``read_csv``,
+which reads a table or trace file once."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,8 @@ import random
 import signal
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from statistics import median_low
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .space import Configuration, InvalidConfigurationError, OptionSpace
 
@@ -70,25 +73,39 @@ def load_table(path: str, space: OptionSpace) -> TabularOracle:
 
     Schema: header row is the option names in space order followed by ``target``
     and ``auxiliary``; data rows are integers then two decimals. Duplicate
-    configuration rows are fatal (ambiguous ground truth).
+    configuration rows are fatal (ambiguous ground truth), and so is a table
+    of no row.
 
-    The file is read as one string and checked on whole columns of its cells
-    (``_csv_columns``). A file that check refuses, or one spelled as no
-    writer spells it (a quote, a CR, a blank line), goes to ``_row_table``,
-    which reads it with the csv module and words the error of its first
-    malformed row, or returns the rows of a valid file. A byte that is not
-    UTF-8 raises TableFormatError naming the file.
+    The file is read once, by ``read_csv``. A text its column check refuses,
+    or one spelled as no writer spells it (a quote, a CR, a blank line), goes
+    to ``_row_table``, which words the error of its first malformed row, or
+    returns the rows of a valid file. A byte that is not UTF-8 raises
+    TableFormatError naming the file.
     """
+    return TabularOracle(read_csv(path, [*space.names, "target", "auxiliary"], space, 0,
+                                  _flat_table, _row_table, TableFormatError))
+
+
+def read_csv(path: str, header: list[str], space: OptionSpace, first: int,
+             flat: Callable, rows: Callable, error: type[ValueError] = ValueError):
+    """What a CSV file headed by ``header``, its options in columns ``first``
+    onward, holds, read and decoded once: ``flat(cells, spellings)`` (see
+    ``_csv_columns``) or, if either refuses the text (None or ValueError),
+    ``rows(path, reader, space)`` on a csv reader over that same text. A
+    byte that is not UTF-8 raises ``error`` naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise TableFormatError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
     try:
-        rows = _flat_table(text, space)
+        split = _csv_columns(text, header, space, first)
+        value = None if split is None else flat(*split)
     except ValueError:  # a cell that does not parse
-        rows = None
-    return TabularOracle(_row_table(path, space) if rows is None else rows)
+        value = None
+    if value is None:
+        value = rows(path, csv.reader(io.StringIO(text, newline="")), space)
+    return value
 
 
 def _csv_columns(
@@ -134,14 +151,11 @@ def _csv_columns(
     return cells, spellings
 
 
-def _flat_table(text: str, space: OptionSpace) -> dict[Configuration, tuple[float, float]] | None:
-    """The rows of a table's text, every rule checked on whole columns; None
-    if a rule fails, ValueError if a cell does not parse."""
-    n = len(space.options)
-    split = _csv_columns(text, [*space.names, "target", "auxiliary"], space, 0)
-    if split is None:
-        return None
-    cells, spellings = split
+def _flat_table(cells: list[str], spellings: list[dict[str, int]]) -> dict | None:
+    """The rows of a table's cells (see ``_csv_columns``), every rule checked
+    on whole columns; None if a rule fails or the table holds no row,
+    ValueError if a cell does not parse."""
+    n = len(spellings)
     w = n + 2
     targets = list(map(float, cells[w + n : -1 : w]))
     auxiliaries = list(map(float, cells[w + n + 1 : -1 : w]))
@@ -152,71 +166,66 @@ def _flat_table(text: str, space: OptionSpace) -> dict[Configuration, tuple[floa
     configs = zip(*(map(values.__getitem__, cells[w + j : -1 : w])
                     for j, values in enumerate(spellings)))
     rows = dict(zip(configs, zip(targets, auxiliaries)))
-    return rows if len(rows) == len(targets) else None
+    return rows if 0 < len(rows) == len(targets) else None
 
 
-def _row_table(path: str, space: OptionSpace) -> dict[Configuration, tuple[float, float]]:
-    """The rows of a table file, read with the csv module and checked row by
-    row; the first malformed row raises TableFormatError naming the file and
-    line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def _row_table(path: str, reader: Iterator[list[str]], space: OptionSpace) -> dict:
+    """The rows of a table, read from a csv reader over its file and checked
+    row by row; the first malformed row raises TableFormatError naming the
+    file and line, and so does a table with no row."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TableFormatError(f"{path}: empty file") from None
+    if len(header) < 3 or header[-2:] != ["target", "auxiliary"]:
+        raise TableFormatError(
+            f"{path}: header must end with 'target','auxiliary', got {header}"
+        )
+    option_names = tuple(header[:-2])
+    for name in option_names:
+        if name not in space.names:
+            raise TableFormatError(f"{path}: unknown option column {name!r}")
+    if option_names != space.names:
+        raise TableFormatError(
+            f"{path}: option columns {option_names} do not match "
+            f"space order {space.names}"
+        )
+    rows: dict[tuple[int, ...], tuple[float, float]] = {}
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise TableFormatError(
+                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TableFormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[-2:] != ["target", "auxiliary"]:
+            values = tuple(int(c) for c in cells[: len(option_names)])
+            target = float(cells[-2])
+            auxiliary = float(cells[-1])
+        except ValueError as exc:
+            raise TableFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+        if not (math.isfinite(target) and math.isfinite(auxiliary)):
+            raise TableFormatError(f"{path}:{lineno}: non-finite measurement")
+        try:
+            space.validate(values)
+        except InvalidConfigurationError as exc:
+            raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
+        if values in rows:
             raise TableFormatError(
-                f"{path}: header must end with 'target','auxiliary', got {header}"
+                f"{path}:{lineno}: duplicate configuration row {values}"
             )
-        option_names = tuple(header[:-2])
-        for name in option_names:
-            if name not in space.names:
-                raise TableFormatError(f"{path}: unknown option column {name!r}")
-        if option_names != space.names:
-            raise TableFormatError(
-                f"{path}: option columns {option_names} do not match "
-                f"space order {space.names}"
-            )
-        rows: dict[tuple[int, ...], tuple[float, float]] = {}
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise TableFormatError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            try:
-                values = tuple(int(c) for c in cells[: len(option_names)])
-                target = float(cells[-2])
-                auxiliary = float(cells[-1])
-            except ValueError as exc:
-                raise TableFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-            if not (math.isfinite(target) and math.isfinite(auxiliary)):
-                raise TableFormatError(f"{path}:{lineno}: non-finite measurement")
-            try:
-                space.validate(values)
-            except InvalidConfigurationError as exc:
-                raise TableFormatError(f"{path}:{lineno}: {exc}") from exc
-            if values in rows:
-                raise TableFormatError(
-                    f"{path}:{lineno}: duplicate configuration row {values}"
-                )
-            rows[values] = (target, auxiliary)
+        rows[values] = (target, auxiliary)
+    if not rows:
+        raise TableFormatError(f"{path}: table holds no configuration rows")
     return rows
-
-
-def _lower_median(values: Iterable[float]) -> float:
-    # Lower median: never fabricates a value that was not measured.
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
 
 
 class CommandOracle:
     """Measures by running an external command; option values go in as OPT_<name>.
 
     The command's final stdout line must be ``{"target": <num>, "auxiliary": <num>}``.
-    Each measurement runs the command ``samples`` times and keeps per-objective medians.
+    Each measurement runs the command ``samples`` times and keeps per-objective
+    lower medians: values it measured.
     """
 
     def __init__(
@@ -252,7 +261,7 @@ class CommandOracle:
             env[f"OPT_{opt.name}"] = str(value)
         samples = [self._run_once(env) for _ in range(self.samples)]
         targets, auxiliaries = zip(*samples)
-        return MeasurementRecord(_lower_median(targets), _lower_median(auxiliaries))
+        return MeasurementRecord(median_low(targets), median_low(auxiliaries))
 
     def _run_once(self, env: dict[str, str]) -> tuple[float, float]:
         # A session of its own makes the command lead a process group, so a

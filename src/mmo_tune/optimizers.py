@@ -18,6 +18,7 @@ import contextlib
 import math
 import random
 import statistics
+from itertools import islice
 from typing import Callable
 
 from .measurement import BudgetExhausted, Oracle
@@ -81,27 +82,20 @@ class _Run:
         self._space_size = space.size()
         # Budget or space spent: no distinct measurement is left to make.
         self.stop = min(budget, self._space_size)
-        # Handed each individual when it is first measured, if set.
-        self.observe: Callable[[Individual], object] | None = None
 
     def measure(self, config: Configuration) -> Individual:
         """Return (configuration, target, auxiliary), both values converted
         for minimization.
 
-        A configuration's first proposal is measured, recorded in the trace
-        and handed to ``observe``; a later one is served from the trace's
-        rows. A first proposal once the budget is spent raises
-        BudgetExhausted."""
+        A configuration's first proposal is measured and recorded in the
+        trace; a later one is served from the trace's rows. A first proposal
+        once the budget is spent raises BudgetExhausted."""
         measured = self.trace.rows.get(config)
-        if measured is None:
-            if len(self.trace.rows) >= self.stop:
-                raise BudgetExhausted(
-                    f"distinct-measurement budget of {self.stop} is exhausted"
-                )
-            measured = self.trace.record(config, self.oracle.measure(config))
-            if self.observe is not None:
-                self.observe(measured)
-        return measured
+        if measured is not None:
+            return measured
+        if len(self.trace.rows) >= self.stop:
+            raise BudgetExhausted(f"distinct-measurement budget of {self.stop} is exhausted")
+        return self.trace.record(config, self.oracle.measure(config))
 
     def random_start(self) -> Individual:
         return self.measure(self.space.random_config(self.rng))
@@ -435,20 +429,16 @@ def _nsga2(run: _Run, model: MmoInstance | str) -> RunTrace:
 
     Normalization bounds widen dynamically with every measurement, and all
     retained individuals' objective points follow the current bounds before
-    each selection step: a point is kept per configuration until a
-    measurement moves a bound. The reported result of the run is the best
-    measured target over the whole trace, not a survivor of selection.
+    each ranking or selection, which first widens the bounds over the rows
+    measured since the last: a point is kept per configuration until a
+    bound moves. The reported result of the run is the best measured
+    target over the whole trace, not a survivor of selection.
     """
     plain = model == PMO
+    rows = run.trace.rows
     bounds = NormalizationBounds()
+    seen = 0  # rows the bounds cover
     points: dict[Configuration, ObjectivePoint] = {}  # under the current bounds
-
-    def observe(measured: Individual) -> None:
-        # Only a configuration's first measurement can move a bound.
-        if bounds.observe(measured[1:]):
-            points.clear()
-
-    run.observe = observe
 
     def objective_point(individual: Individual) -> ObjectivePoint:
         config, ft, fa = individual
@@ -462,6 +452,11 @@ def _nsga2(run: _Run, model: MmoInstance | str) -> RunTrace:
         return point
 
     def objective_points(individuals: list[Individual]) -> list[ObjectivePoint]:
+        nonlocal seen
+        new = islice(reversed(rows.values()), len(rows) - seen)
+        seen = len(rows)
+        if any([bounds.observe(ind[1:]) for ind in new]):  # a list: observe all
+            points.clear()
         # A point is a pair, never false: only a missing one is computed.
         return [points.get(ind[0]) or objective_point(ind) for ind in individuals]
 

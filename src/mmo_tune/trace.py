@@ -24,12 +24,12 @@ option value outside the space, a non-finite target, auxiliary or
 best-so-far, a step or consumed count other than the row's number (a run
 consumes one unit of budget per distinct measurement), or a configuration that
 an earlier row holds. A byte that is not UTF-8 raises ValueError starting
-with ``path:``. The file is read as one string and split into one flat list
-of cells, and each rule is checked on a whole column of that list (a stride
-slice), with no list per row. Only a file that fails a rule, or one spelled
-as no writer spells it (a quote, a CR, no final newline, another header),
-is read again through the csv module and the row-by-row loop that words
-each error.
+with ``path:``. The file is read once by ``measurement.read_csv``: its text
+is split into one flat list of cells, and each rule is checked on a whole
+column of that list (a stride slice), with no list per row. Only a text that
+fails a rule, or one spelled as no writer spells it (a quote, a CR, no final
+newline, another header), goes through the csv module to the row-by-row
+loop that words each error.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite
+from typing import Iterator
 
-from .measurement import MeasurementRecord, _csv_columns
+from .measurement import MeasurementRecord, read_csv
 from .models import Direction, to_minimization
 from .space import Configuration, OptionSpace
 
@@ -147,27 +148,12 @@ def load_summary(path: str, space: OptionSpace) -> RunSummary:
     count are its row number; a malformed row raises ValueError starting with
     ``path:line:``, and a byte that is not UTF-8 one starting with ``path:``.
 
-    The file is read as one string and its rows are checked on whole columns
-    of its cells. A file that check refuses goes to ``_row_column`` through
-    the csv module, which words the error of its first malformed row, or
-    returns the column of a valid file spelled as no writer spells it (``01``
-    for ``1``, a quoted cell, CRLF line ends)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    try:
-        column = _flat_column(text, space)
-    except ValueError:  # a cell that does not parse
-        column = None
-    if column is None:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _header(space):
-                raise ValueError(f"{path}: unexpected trace header {header}")
-            column = _row_column(path, list(reader), space)
+    The file is read once by ``read_csv``, and its rows are checked on whole
+    columns of its cells. A text that check refuses goes to ``_row_column``
+    through the csv module, which words the error of its first malformed
+    row, or returns the column of a valid file spelled as no writer spells
+    it (``01`` for ``1``, a quoted cell, CRLF line ends)."""
+    column = read_csv(path, _header(space), space, 1, _flat_column, _row_column)
     try:
         return RunSummary.of(column)
     except ValueError as exc:
@@ -182,15 +168,11 @@ def _row_numbers(k: int) -> tuple[list[str], list[str]]:
     return numbers, ["\n" + number for number in numbers]
 
 
-def _flat_column(text: str, space: OptionSpace) -> array | None:
-    """The best-so-far column of a trace's text, every rule checked on whole
-    columns of its cells (see ``_csv_columns``); None if a rule fails,
-    ValueError if a cell does not parse."""
-    split = _csv_columns(text, _header(space), space, 1)
-    if split is None:
-        return None
-    cells = split[0]
-    n = len(space.options)
+def _flat_column(cells: list[str], spellings: list[dict[str, int]]) -> array | None:
+    """The best-so-far column of a trace's cells (see
+    ``measurement._csv_columns``), every rule checked on whole columns; None
+    if a rule fails, ValueError if a cell does not parse."""
+    n = len(spellings)
     w = n + 5
     numbers, starts = _row_numbers(len(cells) // w - 1)
     if cells[w : -1 : w] != starts or cells[w + n + 3 : -1 : w] != numbers:
@@ -206,13 +188,19 @@ def _flat_column(text: str, space: OptionSpace) -> array | None:
     return best if isfinite(sum(measured) + sum(best)) else None
 
 
-def _row_column(path: str, rows: list[list[str]], space: OptionSpace) -> array:
-    """The best-so-far column of a trace's rows, checked row by row; the
-    first malformed row raises ValueError starting with ``path:line:``."""
+def _row_column(path: str, reader: Iterator[list[str]], space: OptionSpace) -> array:
+    """The best-so-far column of a trace, read from a csv reader over its
+    file and checked row by row; a header other than the writer's raises
+    ValueError starting with ``path:``, the first malformed row one starting
+    with ``path:line:``."""
+    header = next(reader, None)
+    if header != _header(space):
+        raise ValueError(f"{path}: unexpected trace header {header}")
     column = array("d")
     n = len(space.names)
     seen: set[Configuration] = set()
-    for row, cells in enumerate(rows, start=1):
+    # A csv error anywhere in the file comes before a malformed row.
+    for row, cells in enumerate(list(reader), start=1):
         try:
             if len(cells) != n + 5:
                 raise ValueError(f"expected {n + 5} cells, got {len(cells)}")

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import mmo_tune
+import mmo_tune.measurement
 from mmo_tune.space import OptionSpace, OptionSpec
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mmo_tune.__file__)))
@@ -139,3 +140,17 @@ def binary3() -> OptionSpace:
 @pytest.fixture
 def binary8() -> OptionSpace:
     return make_binary_space(8)
+
+
+@pytest.fixture
+def opened(monkeypatch) -> list:
+    """The files ``mmo_tune.measurement``, the one CSV file reader, opens
+    during the test, in order."""
+    paths = []
+
+    def counted(file, *args, **kwargs):
+        paths.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(mmo_tune.measurement, "open", counted, raising=False)
+    return paths

@@ -81,6 +81,18 @@ class TestExitCodes:
             f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte\n"))
 
+    @pytest.mark.parametrize("command", ["tune", "campaign"])
+    def test_table_with_no_row_is_named(self, space_file, tmp_path, capsys, command):
+        table = tmp_path / "empty.csv"
+        table.write_text("o0,o1,o2,o3,o4,o5,target,auxiliary\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--space", space_file, "--table", str(table),
+                       "--model" if command == "tune" else "--models", "single:rs",
+                       "--budget", "5", "--out", str(out))
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: {table}: table holds no configuration rows\n")
+        assert sorted(os.listdir(tmp_path)) == ["empty.csv", "space.json"]
+
     @pytest.mark.parametrize(
         "oracle",
         [(), ("--synthetic", "--table", "t.csv"), ("--table", "t.csv", "--command", "x")],

@@ -296,8 +296,7 @@ class TestTraceFiles:
     def _row_loop(path, space):
         """The reference reader: every data row through the row loop."""
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        return RunSummary.of(mmo_tune.trace._row_column(path, rows, space))
+            return RunSummary.of(mmo_tune.trace._row_column(path, csv.reader(fh), space))
 
     def test_reads_every_cell_edit_as_the_row_loop(self, tmp_path, monkeypatch):
         space = OptionSpace((
@@ -383,6 +382,22 @@ class TestTraceFiles:
         message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 40: "
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_summary(path, binary3)
+
+    @pytest.mark.parametrize("spelling", ["as-written", "crlf", "bad-cell"])
+    def test_file_is_opened_once(self, binary3, tmp_path, opened, spelling):
+        # The row loop reads the text the flat check refused, not the file again.
+        lines = (2,) if spelling == "bad-cell" else ()
+        path = self._edited_trace(
+            binary3, tmp_path, lambda cells: [*cells[:4], "x", *cells[5:]], *lines)
+        if spelling == "crlf":
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b"\n", b"\r\n"))
+        expected = self._outcome(self._row_loop, path, binary3)
+        assert self._outcome(load_summary, path, binary3) == expected
+        assert opened == [path]
+        assert isinstance(expected, str) == (spelling == "bad-cell")
 
     def test_header_only_trace_has_no_best_target(self, binary8, tmp_path):
         path = tmp_path / "empty.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -165,6 +166,30 @@ class TestTabularOracle:
         with pytest.raises(TableFormatError, match=f"^{re.escape(message)}"):
             load_table(str(path), space=binary3)
 
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines"])
+    def test_table_with_no_row_is_refused(self, tmp_path, binary3, body):
+        path = tmp_path / "t.csv"
+        path.write_text("o0,o1,o2,target,auxiliary\n" + body)
+        message = f"{path}: table holds no configuration rows"
+        with pytest.raises(TableFormatError, match=f"^{re.escape(message)}$"):
+            load_table(str(path), space=binary3)
+
+    @pytest.mark.parametrize("spelling", ["as-written", "crlf", "bad-cell"])
+    def test_file_is_opened_once(self, tmp_path, binary3, opened, spelling):
+        # The row loop reads the text the flat check refused, not the file again.
+        rows = {(0, 0, 0): (1.25, 7.0), (1, 0, 1): (3.5, 2.0)}
+        path = write_table(tmp_path / "t.csv", binary3, rows)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        edits = {"as-written": data, "crlf": data.replace(b"\n", b"\r\n"),
+                 "bad-cell": data.replace(b"7.00", b"x")}
+        with open(path, "wb") as fh:
+            fh.write(edits[spelling])
+        expected = self._outcome(self._row_loop, path, binary3)
+        assert self._outcome(self._load_rows, path, binary3) == expected
+        assert opened == [path]
+        assert isinstance(expected, str) == (spelling == "bad-cell")
+
     @staticmethod
     def _outcome(read, path, space):
         """What reading the table at ``path`` gives: its rows in order, or
@@ -177,6 +202,12 @@ class TestTabularOracle:
     @staticmethod
     def _load_rows(path, space):
         return load_table(path, space).rows
+
+    @staticmethod
+    def _row_loop(path, space):
+        """The reference reader: the whole file through the row loop."""
+        with open(path, encoding="utf-8", newline="") as fh:
+            return mmo_tune.measurement._row_table(path, csv.reader(fh), space)
 
     def test_reads_every_cell_edit_as_the_row_loop(self, tmp_path, monkeypatch, capsys):
         space = OptionSpace((
@@ -210,7 +241,7 @@ class TestTabularOracle:
         outcomes = set()
         for name, text in edits:
             path.write_text("\n".join(text) + "\n")
-            expected = self._outcome(mmo_tune.measurement._row_table, str(path), space)
+            expected = self._outcome(self._row_loop, str(path), space)
             assert self._outcome(self._load_rows, str(path), space) == expected, name
             outcomes.add(type(expected))
         assert outcomes == {list, str}
@@ -232,7 +263,7 @@ class TestTabularOracle:
             path = tmp_path / f"{name}.csv"
             path.write_bytes(spelled.encode())
             outcome = self._outcome(self._load_rows, str(path), binary3)
-            assert outcome == self._outcome(mmo_tune.measurement._row_table, str(path), binary3)
+            assert outcome == self._outcome(self._row_loop, str(path), binary3)
             paths.append(str(path))
             expected.append(outcome if isinstance(outcome, str) else
                             [[list(config), list(values)] for config, values in outcome])
