@@ -403,14 +403,25 @@ def build_report(
     plan: ExperimentPlan, runs: dict[tuple[str, float | None, int], RunSummary]
 ) -> dict:
     """Assemble the campaign report; a pure function of the plan and the
-    summaries of its runs."""
+    summaries of its runs.
+
+    It reads each run once, through ``runs[key]``, group by group in plan
+    order, and reduces each group as it reads it to its best targets, its
+    measurements-to-best and, if the plan mixes single models with others,
+    its mean best-so-far curve, so it keeps no summary past its group."""
     group_keys = plan.group_keys()
-    group_runs = {
-        key: [runs[(*key, run)] for run in range(plan.repeats)] for key in group_keys
-    }
-    best_targets = {
-        key: [run.best_target for run in group] for key, group in group_runs.items()
-    }
+    # A curve is read only to compare a model that is not single with the
+    # single-model counterpart.
+    is_single = [model in SINGLE_MODELS for model in plan.models]
+    with_curves = any(is_single) and not all(is_single)
+    best_targets, to_best, curves = {}, {}, {}
+    for key in group_keys:
+        group = [runs[(*key, run)] for run in range(plan.repeats)]
+        best_targets[key] = [run.best_target for run in group]
+        to_best[key] = [run.measurements_to_best for run in group]
+        if with_curves:
+            curves[key] = mean_best_curve(group)
+        del group  # before the next group is read
 
     singles = {
         model: best_targets[(model, None)]
@@ -419,9 +430,7 @@ def build_report(
     }
     counterpart = pick_best_counterpart(singles) if singles else None
     counterpart_results = singles.get(counterpart) if counterpart else None
-    counterpart_curve = (
-        mean_best_curve(group_runs[(counterpart, None)]) if counterpart else None
-    )
+    counterpart_curve = curves.get((counterpart, None))
 
     all_results = [v for results in best_targets.values() for v in results]
     try:
@@ -447,10 +456,12 @@ def build_report(
                 {
                     "run": run_index,
                     "seed": plan.run_seed(model, weight, run_index),
-                    "best_target": run.best_target,
-                    "measurements_to_best": run.measurements_to_best,
+                    "best_target": best_target,
+                    "measurements_to_best": measurements,
                 }
-                for run_index, run in enumerate(group_runs[key])
+                for run_index, (best_target, measurements) in enumerate(
+                    zip(results, to_best[key])
+                )
             ],
             "mean": fmean(results),
             "stddev": stdev(results) if len(results) > 1 else 0.0,
@@ -473,8 +484,7 @@ def build_report(
             entry["a12"] = stat.a12
             entry["a12_magnitude"] = stat.magnitude
             entry["significant"] = stat.significant
-            curve = mean_best_curve(group_runs[key])
-            ratio = efficiency_ratio(curve, counterpart_curve)
+            ratio = efficiency_ratio(curves[key], counterpart_curve)
             entry["efficiency_pct"] = ratio
             entry["converged"] = ratio is not None
         groups.append(entry)
@@ -628,9 +638,11 @@ def _write_summary(report: dict, path: str) -> None:
 
 
 def recompute_report(out_dir: str) -> dict:
-    """Rebuild the report purely from the stored plan and traces, each trace
-    reduced to its summary as it is read. The stored oracle spec must be one
-    that ``campaign`` would run; the oracle itself is not built."""
+    """Rebuild the report purely from the stored plan and traces. A trace is
+    read, and reduced to its summary, only when the report asks for it, and
+    no summary is stored, so the rebuild holds one group's at a time. The
+    stored oracle spec must be one that ``campaign`` would run; the oracle
+    itself is not built."""
     path = os.path.join(out_dir, "plan.json")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -639,11 +651,18 @@ def recompute_report(out_dir: str) -> dict:
             raise ValueError(f"{path}: {exc}") from None
     plan = plan_from_doc(doc)
     _bind_oracle_spec(plan)
-    runs = {
-        key: load_summary(_trace_path(out_dir, key), plan.space)
-        for key in plan.run_keys()
-    }
-    return build_report(plan, runs)
+    return build_report(plan, _StoredRuns(out_dir, plan.space))
+
+
+class _StoredRuns(dict):
+    """The summary of each run of a campaign directory, loaded from its trace
+    each time it is looked up and never stored."""
+
+    def __init__(self, out_dir: str, space: OptionSpace):
+        self.out_dir, self.space = out_dir, space
+
+    def __missing__(self, key: tuple[str, float | None, int]) -> RunSummary:
+        return load_summary(_trace_path(self.out_dir, key), self.space)
 
 
 def _trace_path(out_dir: str, key: tuple[str, float | None, int]) -> str:

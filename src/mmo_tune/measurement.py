@@ -3,6 +3,7 @@ which reads a table or trace file once."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,8 +11,7 @@ import json
 import math
 import os
 import random
-import signal
-import subprocess
+import time
 from dataclasses import dataclass
 from statistics import median_low
 from typing import Callable, Iterable, Iterator, Protocol
@@ -77,10 +77,10 @@ def load_table(path: str, space: OptionSpace) -> TabularOracle:
     of no row.
 
     The file is read once, by ``read_csv``. A text its column check refuses,
-    or one spelled as no writer spells it (a quote, a CR, a blank line), goes
-    to ``_row_table``, which words the error of its first malformed row, or
-    returns the rows of a valid file. A byte that is not UTF-8 raises
-    TableFormatError naming the file.
+    or one spelled as no writer spells it (a quote, a CR, a blank line, text
+    after the last newline), goes to ``_row_table``, which words the error of
+    its first malformed row, or returns the rows of a valid file. A byte that
+    is not UTF-8 raises TableFormatError naming the file.
     """
     return TabularOracle(read_csv(path, [*space.names, "target", "auxiliary"], space, 0,
                                   _flat_table, _row_table, TableFormatError))
@@ -127,7 +127,8 @@ def _csv_columns(
     the option's bounds, so configurations differ exactly when their
     spellings do."""
     end = text.find("\n")
-    if end < 0 or '"' in text or "\r" in text or text[:end].split(",") != header:
+    if (end < 0 or not text.endswith("\n") or '"' in text or "\r" in text
+            or text[:end].split(",") != header):
         return None
     cells = text.replace("\n", ",\n").split(",")
     w = len(header)
@@ -264,28 +265,36 @@ class CommandOracle:
         return MeasurementRecord(median_low(targets), median_low(auxiliaries))
 
     def _run_once(self, env: dict[str, str]) -> tuple[float, float]:
-        # A session of its own makes the command lead a process group, so a
-        # timeout can kill everything it started, not just the shell. A byte
-        # that is not UTF-8 reads as U+FFFD, which no result line can hold.
-        with subprocess.Popen(
-            self.command,
-            shell=True,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            encoding="utf-8",
-            errors="replace",
-            start_new_session=True,
-        ) as proc:
+        # Imported here: only a command oracle starts a process, and no
+        # other command needs these modules.
+        import signal
+        import subprocess
+        import tempfile
+
+        # A session of its own makes the command lead a process group, and
+        # its output goes to files, so the wait is for the command alone, not
+        # for a child it left holding a pipe. Whether it exited, timed out or
+        # the tuner was interrupted, the whole group is killed while the
+        # unreaped command keeps the group's id from being reused; a child
+        # left running after a success is killed silently. A byte that is not
+        # UTF-8 reads as U+FFFD, which no result line can hold.
+        with (tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace") as out,
+              tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace") as err):
+            proc = subprocess.Popen(self.command, shell=True, env=env, stdout=out,
+                                    stderr=err, start_new_session=True)
             try:
-                stdout, stderr = proc.communicate(timeout=self.timeout)
-            except subprocess.TimeoutExpired as exc:
-                # The unreaped shell keeps its group alive until the wait.
-                os.killpg(proc.pid, signal.SIGKILL)
+                exited = _exits_within(proc.pid, self.timeout)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
+            if not exited:
                 raise CommandOracleError(
                     f"command timed out after {self.timeout}s: {self.command}"
-                ) from exc
+                )
+            out.seek(0)
+            err.seek(0)
+            stdout, stderr = out.read(), err.read()
         if proc.returncode != 0:
             raise CommandOracleError(
                 f"command exited {proc.returncode}: {self.command}"
@@ -314,6 +323,20 @@ class CommandOracle:
                 + _transcript(stdout, stderr)
             )
         return target, auxiliary
+
+
+def _exits_within(pid: int, timeout: float) -> bool:
+    """Whether the child ``pid`` exits within ``timeout`` seconds, polled as
+    ``Popen.wait`` polls with a timeout; it is left unreaped either way."""
+    deadline = time.monotonic() + timeout
+    delay = 0.0005
+    while not os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        time.sleep(min(delay, remaining))
+        delay = min(2 * delay, 0.05)
+    return True
 
 
 def _transcript(stdout: str, stderr: str) -> str:

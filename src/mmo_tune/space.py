@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
-
-log = logging.getLogger(__name__)
 
 OPTION_KINDS = ("binary", "integer")
 
@@ -170,7 +167,11 @@ class OptionSpace:
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
         if radius > len(self.options):
-            log.warning(
+            # Imported here: no optimizer asks for a radius this large, and
+            # no command needs logging otherwise.
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "neighborhood radius %d exceeds option count %d; clamped",
                 radius,
                 len(self.options),

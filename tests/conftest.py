@@ -34,7 +34,8 @@ def unwritten_spellings(text: str) -> dict[str, str]:
     newline, and the second-to-last cell of the first data row quoted. It
     reads as a line break a trailing blank line (one more row, of no cells),
     a CR before the last cell of the first data row, and a newline in place
-    of the comma before it."""
+    of the comma before it. It reads a comma-free tail after the last
+    newline, a number or a word, as one more row of one cell."""
     lines = text.split("\n")
     cells = lines[1].split(",")
 
@@ -48,6 +49,8 @@ def unwritten_spellings(text: str) -> dict[str, str]:
         "trailing-blank-line": text + "\n",
         "cr-in-a-row": first_row(cells[-2], "\r" + cells[-1]),
         "comma-made-newline": first_row(cells[-2] + "\n" + cells[-1]),
+        "number-after-last-newline": text + "7",
+        "word-after-last-newline": text + "x",
     }
 
 

@@ -19,7 +19,7 @@ from mmo_tune.cli import _build_parser, main
 from mmo_tune.measurement import CommandOracle, SyntheticOracle
 from mmo_tune.trace import trace_filename
 
-from conftest import SRC_DIR, make_binary_space, write_table
+from conftest import SRC_DIR, make_binary_space, run_optimized, write_table
 
 
 @pytest.fixture
@@ -320,6 +320,24 @@ class TestCampaignCli:
         (out / "report.json").unlink()
         assert run_cli("stats", "--dir", str(out)) == 0
         assert (out / "report.json").read_bytes() == original
+
+    def test_stats_loads_no_process_machinery(self, space_file, table_file, tmp_path, capsys):
+        out = tmp_path / "camp"
+        assert run_cli(
+            "campaign", "--space", space_file, "--table", table_file,
+            "--budget", "20", "--pop", "4", "--repeats", "2",
+            "--models", "single:rs,mmo:linear", "--weights", "0.1", "--out", str(out),
+        ) == 0
+        proc = run_optimized(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from mmo_tune.cli import main\n"
+            f"code = main(['stats', '--dir', {str(out)!r}])\n"
+            "loaded = {'subprocess', 'signal', 'logging'} & (set(sys.modules) - before)\n"
+            "print(code, sorted(loaded))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_jobs_two_writes_the_same_directory_as_jobs_one(
         self, space_file, table_file, tmp_path, capsys

@@ -11,6 +11,7 @@ import pickle
 import random
 import re
 import tracemalloc
+import weakref
 from multiprocessing.reduction import ForkingPickler
 from statistics import fmean
 
@@ -339,7 +340,9 @@ class TestTraceFiles:
             expected.append(outcome if isinstance(outcome, str) else list(outcome.best_so_far))
         assert expected[3:] == [f"{paths[3]}:7: expected 8 cells, got 0",
                                 f"{paths[4]}:2: could not convert string to float: ''",
-                                f"{paths[5]}:2: expected 8 cells, got 7"]
+                                f"{paths[5]}:2: expected 8 cells, got 7",
+                                f"{paths[6]}:7: expected 8 cells, got 1",
+                                f"{paths[7]}:7: expected 8 cells, got 1"]
         assert all(isinstance(e, list) for e in expected[:3])
         proc = run_optimized(
             "import json\n"
@@ -479,6 +482,28 @@ class TestCampaign:
         write_campaign(plan, str(out))
         original = (out / "report.json").read_bytes()
         assert report_bytes(recompute_report(str(out))) == original
+
+    def test_stats_holds_one_group_of_summaries_at_a_time(self, binary8, tmp_path, monkeypatch):
+        plan = synthetic_plan(binary8, ("single:rs", "pmo", "mmo:linear"), repeats=3)
+        out = tmp_path / "out"
+        write_campaign(plan, str(out))
+        loaded, alive, live = [], [], set()
+
+        def tracked(path, space):
+            summary = load_summary(path, space)
+            loaded.append(path)
+            live.add(path)
+            weakref.finalize(summary, live.discard, path)
+            alive.append(len(live))
+            return summary
+
+        monkeypatch.setattr(mmo_tune.harness, "load_summary", tracked)
+        report = recompute_report(str(out))
+        assert report_bytes(report) == (out / "report.json").read_bytes()
+        assert len(report["groups"]) == 4
+        assert loaded == [os.path.join(str(out), "traces", trace_filename(*key))
+                          for key in plan.run_keys()]
+        assert max(alive) <= plan.repeats
 
     def test_budget_fidelity_of_emitted_traces(self, binary8, tmp_path):
         plan = synthetic_plan(binary8, ("single:sa", "mmo:square"), repeats=2, budget=15)

@@ -8,8 +8,10 @@ import math
 import os
 import random
 import re
+import signal
 import stat
 import subprocess
+import sys
 import textwrap
 import time
 
@@ -30,7 +32,7 @@ from mmo_tune.cli import main
 from mmo_tune.optimizers import _Run
 from mmo_tune.space import OptionSpace, OptionSpec, space_to_doc
 
-from conftest import make_binary_space, run_optimized, unwritten_spellings, write_table
+from conftest import SRC_DIR, make_binary_space, run_optimized, unwritten_spellings, write_table
 
 
 class TestMeasurementRecord:
@@ -270,7 +272,9 @@ class TestTabularOracle:
         rows_json = [[list(config), list(values)] for config, values in rows.items()]
         assert expected == [rows_json] * 4 + [
             f"{paths[4]}:2: non-numeric cell (could not convert string to float: '')",
-            f"{paths[5]}:2: expected 5 cells, got 4"]
+            f"{paths[5]}:2: expected 5 cells, got 4",
+            f"{paths[6]}:5: expected 5 cells, got 1",
+            f"{paths[7]}:5: expected 5 cells, got 1"]
         proc = run_optimized(
             "import json\n"
             "from mmo_tune.measurement import TableFormatError, load_table\n"
@@ -459,6 +463,58 @@ class TestCommandOracle:
         while _process_running(child) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not _process_running(child)
+
+    @pytest.mark.parametrize("status", [0, 3])
+    def test_a_child_left_running_is_killed_with_the_command(self, tmp_path, tiny_space, status):
+        pid_file = tmp_path / "child.pid"
+        # The child keeps the command's output open; the measurement waits
+        # for the command alone.
+        oracle = CommandOracle(
+            f"sleep 30 & echo $! > {pid_file};"
+            f" echo '{{\"target\": 1, \"auxiliary\": 2}}'; exit {status}",
+            tiny_space, samples=1, timeout=10,
+        )
+        if status:
+            with pytest.raises(CommandOracleError, match="exited 3"):
+                oracle.measure(tiny_space.config([0]))
+        else:
+            record = oracle.measure(tiny_space.config([0]))
+            assert (record.target_raw, record.auxiliary_raw) == (1.0, 2.0)
+        assert _gone(int(pid_file.read_text()))
+
+    def test_an_interrupted_tuner_leaves_no_command_running(self, tmp_path, tiny_space):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(space_to_doc(tiny_space)))
+        pids = tmp_path / "pids"
+        command = (f"sleep 30 >/dev/null 2>&1 & echo $$ $! > {pids}.tmp;"
+                   f" mv {pids}.tmp {pids}; wait")
+        # A tuner started in the background may inherit SIGINT ignored.
+        script = ("import signal, sys\n"
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "from mmo_tune.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        tuner = subprocess.Popen(
+            [sys.executable, "-c", script, "tune", "--space", str(space_path),
+             "--command", command, "--samples", "1", "--budget", "2",
+             "--model", "single:rs", "--out", str(tmp_path / "trace.csv")],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        deadline = time.monotonic() + 30.0
+        while not pids.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        tuner.send_signal(signal.SIGINT)
+        _, stderr = tuner.communicate(timeout=30)
+        assert "KeyboardInterrupt" in stderr
+        assert all(_gone(int(pid)) for pid in pids.read_text().split())
+
+
+def _gone(pid: int, within: float = 3.0) -> bool:
+    """True once ``pid`` has stopped running, waiting at most ``within`` s."""
+    deadline = time.monotonic() + within
+    while _process_running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not _process_running(pid)
 
 
 def _process_running(pid: int) -> bool:
