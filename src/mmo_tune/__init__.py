@@ -35,7 +35,7 @@ from .models import (
     pmo_objectives,
     to_minimization,
 )
-from .optimizers import boundary_mutation, crowding_distance, uniform_crossover
+from .optimizers import crowding_distance
 from .space import Configuration, OptionSpace, OptionSpec, load_space, parse_space
 from .stats import (
     StatResult,

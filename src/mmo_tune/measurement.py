@@ -343,15 +343,6 @@ def _transcript(stdout: str, stderr: str) -> str:
     return f"\nstdout: {stdout!r}\nstderr: {stderr!r}"
 
 
-def _unit_hash(seed: int, tag: bytes, values: tuple[int, ...]) -> float:
-    """Stable pseudo-random uniform in [0, 1) from (seed, tag, values)."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(seed).encode())
-    h.update(tag)
-    h.update(repr(values).encode())
-    return int.from_bytes(h.digest(), "big") / 2.0**64
-
-
 class SyntheticOracle:
     """Deterministic planted-optimum landscape.
 
@@ -387,30 +378,38 @@ class SyntheticOracle:
         self.planted = space.config(planted)
         spans = sum(opt.upper - opt.lower for opt in space.options)
         self._distance_scale = float(spans) if spans else 1.0
+        # Each of a configuration's three uniform draws hashes the seed, its
+        # tag and the configuration's repr.
+        prefix = str(seed).encode()
+        self._seed_tags = tuple(prefix + tag for tag in (b"noise", b"pit", b"aux"))
 
     def target(self, config: Configuration) -> float:
-        if config == self.planted:
-            return -2.0 * self.ruggedness - 0.5
-        base = (
-            sum(abs(v - pv) for v, pv in zip(config, self.planted))
-            / self._distance_scale
-        )
-        noise = self.ruggedness * _unit_hash(self.seed, b"noise", config)
-        pit = 0.0
-        if _unit_hash(self.seed, b"pit", config) < self.density:
-            pit = -2.0 * self.ruggedness
-        return base + noise + pit
+        return self._values(config)[0]
 
     def auxiliary(self, config: Configuration) -> float:
-        return self._auxiliary(config, self.target(config))
-
-    def _auxiliary(self, config: Configuration, target: float) -> float:
-        """The auxiliary value of ``config``, whose target is ``target``."""
-        rho = self.correlation
-        noise = _unit_hash(self.seed, b"aux", config)
-        return rho * target + (1.0 - abs(rho)) * noise
+        return self._values(config)[1]
 
     def measure(self, config: Configuration) -> MeasurementRecord:
+        return MeasurementRecord(*self._values(config))
+
+    def _values(self, config: Configuration) -> tuple[float, float]:
+        """(target, auxiliary) of ``config``; InvalidConfigurationError if it
+        is not a configuration of the space."""
         self.space.validate(config)
-        target = self.target(config)
-        return MeasurementRecord(target, self._auxiliary(config, target))
+        key = repr(config).encode()
+        noise, pit, aux = [
+            int.from_bytes(hashlib.blake2b(seed_tag + key, digest_size=8).digest(), "big")
+            / 2.0**64
+            for seed_tag in self._seed_tags
+        ]
+        if config == self.planted:
+            target = -2.0 * self.ruggedness - 0.5
+        else:
+            base = (
+                sum(abs(v - pv) for v, pv in zip(config, self.planted))
+                / self._distance_scale
+            )
+            carved = -2.0 * self.ruggedness if pit < self.density else 0.0
+            target = base + self.ruggedness * noise + carved
+        rho = self.correlation
+        return target, rho * target + (1.0 - abs(rho)) * aux

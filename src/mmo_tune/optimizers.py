@@ -124,43 +124,6 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# Variation operators
-
-
-def boundary_mutation(
-    space: OptionSpace, config: Configuration, rate: float, rng: random.Random
-) -> Configuration:
-    """Independently reset each option to its lower or upper bound with probability ``rate``."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    draw = rng.random
-    values = None  # copied at the first mutation
-    for i, (lower, upper) in enumerate(space.bounds):
-        if draw() < rate:
-            if values is None:
-                values = list(config)
-            values[i] = lower if draw() < 0.5 else upper
-    return config if values is None else tuple(values)
-
-
-def uniform_crossover(
-    a: Configuration, b: Configuration, rate: float, rng: random.Random
-) -> tuple[Configuration, Configuration]:
-    """Swap each position between the children via a fair coin, with probability ``rate``."""
-    if len(a) != len(b):
-        raise ValueError("parents come from different spaces")
-    draw = rng.random
-    if draw() >= rate:
-        return a, b
-    left = list(a)
-    right = list(b)
-    for i in range(len(left)):
-        if draw() < 0.5:
-            left[i], right[i] = right[i], left[i]
-    return tuple(left), tuple(right)
-
-
-# ---------------------------------------------------------------------------
 # NSGA-II kernels
 
 
@@ -345,18 +308,40 @@ def _sample_distinct(
     return population
 
 
-def _tournament(keys: list, rng: random.Random) -> int:
-    """Binary tournament over the population: the lower key wins, ties fall to
-    a fair coin."""
-    getrandbits, size = rng.getrandbits, len(keys)
+def _offspring(
+    space: OptionSpace, parents: list[Configuration], keys: list, rng: random.Random
+) -> list[Configuration]:
+    """One child per parent, made a pair at a time: two binary tournaments
+    (the lower key wins, a tie falls to a fair coin), then with probability
+    ``CROSSOVER_RATE`` a uniform crossover (a fair coin per position swaps
+    it), then boundary mutation of each child (each option is reset with
+    probability ``MUTATION_RATE`` to its lower or upper bound by a fair
+    coin). With an odd population the last pair's second child is dropped
+    unmutated."""
+    draw, getrandbits, bounds = rng.random, rng.getrandbits, space.bounds
+    size = len(parents)
     bits = size.bit_length()
-    i = randbelow(getrandbits, size, bits)
-    j = randbelow(getrandbits, size, bits)
-    if keys[i] < keys[j]:
-        return i
-    if keys[j] < keys[i]:
-        return j
-    return i if rng.random() < 0.5 else j
+    children: list[Configuration] = []
+    while len(children) < size:
+        pair = []
+        for _ in range(2):
+            i = randbelow(getrandbits, size, bits)
+            j = randbelow(getrandbits, size, bits)
+            if keys[i] < keys[j] or (not keys[j] < keys[i] and draw() < 0.5):
+                pair.append(list(parents[i]))
+            else:
+                pair.append(list(parents[j]))
+        left, right = pair
+        if draw() < CROSSOVER_RATE:
+            for p in range(len(left)):
+                if draw() < 0.5:
+                    left[p], right[p] = right[p], left[p]
+        for child in pair[: size - len(children)]:
+            for p, (lower, upper) in enumerate(bounds):
+                if draw() < MUTATION_RATE:
+                    child[p] = lower if draw() < 0.5 else upper
+            children.append(tuple(child))
+    return children
 
 
 def _generational(
@@ -364,11 +349,11 @@ def _generational(
     rank: Callable[[list[Individual]], list],
     survivors: Callable[[list[Individual], list[Individual]], list[Individual]],
 ) -> RunTrace:
-    """Evolve a population of measured individuals: binary tournaments on the
-    ``rank`` keys of each generation, uniform crossover, boundary mutation,
-    then the ``survivors`` of parents and offspring. After a few generations
-    without a new distinct measurement one offspring is replaced by a uniform
-    draw over the unmeasured space."""
+    """Evolve a population of measured individuals: the ``_offspring`` of each
+    generation, drawn on its ``rank`` keys, then the ``survivors`` of parents
+    and offspring. After a few generations without a new distinct
+    measurement one offspring is replaced by a uniform draw over the
+    unmeasured space."""
     if run.population_size < 2:
         raise ValueError("population_size must be >= 2 for the GA")
     space, cache, rng, measure = run.space, run.trace.rows, run.rng, run.measure
@@ -381,16 +366,10 @@ def _generational(
         size_bits = size.bit_length()
         stalled_generations = 0
         while len(cache) < run.stop:
+            parents = [individual[0] for individual in population]
             keys = rank(population)
-            offspring: list[Individual] = []
             before = len(cache)
-            while len(offspring) < size:
-                p1 = population[_tournament(keys, rng)][0]
-                p2 = population[_tournament(keys, rng)][0]
-                for child in uniform_crossover(p1, p2, CROSSOVER_RATE, rng):
-                    if len(offspring) < size:
-                        mutated = boundary_mutation(space, child, MUTATION_RATE, rng)
-                        offspring.append(measure(mutated))
+            offspring = [measure(c) for c in _offspring(space, parents, keys, rng)]
             if len(cache) == before:
                 stalled_generations += 1
                 if stalled_generations >= STALL_GENERATIONS:

@@ -135,6 +135,61 @@ def reference_uniform_crossover(a, b, rate, rng):
     return tuple(left), tuple(right)
 
 
+def reference_random_config(space, rng):
+    return tuple(rng.randint(lower, upper) for lower, upper in space.bounds)
+
+
+def reference_neighbor(space, config, radius, rng):
+    """One neighbor drawn by ``random.Random``'s own methods: randint for the
+    number of changes, sample for the positions, randint for each new value
+    over the range less the current one."""
+    mutable = [i for i, (lower, upper) in enumerate(space.bounds) if upper > lower]
+    k = rng.randint(1, min(radius, len(mutable)))
+    values = list(config)
+    for i in rng.sample(mutable, k):
+        lower, upper = space.bounds[i]
+        value = rng.randint(lower, upper - 1)
+        values[i] = value + 1 if value >= values[i] else value
+    return tuple(values)
+
+
+def reference_tournament(keys, rng):
+    """Reference binary tournament: the lower key wins, a tie falls to a fair
+    coin."""
+    i = rng.randrange(len(keys))
+    j = rng.randrange(len(keys))
+    if keys[i] < keys[j]:
+        return i
+    if keys[j] < keys[i]:
+        return j
+    return i if rng.random() < 0.5 else j
+
+
+def reference_fresh_uniform(space, measured, rng):
+    """(configuration, whether the fallback drew it), by ``randint`` and
+    ``randrange``."""
+    for _ in range(64):
+        config = reference_random_config(space, rng)
+        if config not in measured:
+            return config, False
+    unmeasured = [c for c in space.enumerate_all() if c not in measured]
+    return unmeasured[rng.randrange(len(unmeasured))], True
+
+
+def reference_offspring(space, parents, keys, rng, crossover_rate=0.9, mutation_rate=0.1):
+    """Reference generation: per pair of children, two tournaments, a
+    crossover, then the mutation of each child kept; with an odd population
+    the last pair's second child is dropped before its mutation draws."""
+    children = []
+    while len(children) < len(parents):
+        a = parents[reference_tournament(keys, rng)]
+        b = parents[reference_tournament(keys, rng)]
+        for child in reference_uniform_crossover(a, b, crossover_rate, rng):
+            if len(children) < len(parents):
+                children.append(reference_boundary_mutation(space, child, mutation_rate, rng))
+    return children
+
+
 @pytest.fixture
 def binary3() -> OptionSpace:
     return make_binary_space(3)

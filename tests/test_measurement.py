@@ -30,7 +30,7 @@ from mmo_tune.measurement import (
 import mmo_tune.measurement
 from mmo_tune.cli import main
 from mmo_tune.optimizers import _Run
-from mmo_tune.space import OptionSpace, OptionSpec, space_to_doc
+from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec, space_to_doc
 
 from conftest import SRC_DIR, make_binary_space, run_optimized, unwritten_spellings, write_table
 
@@ -590,6 +590,14 @@ class TestSyntheticOracle:
         assert oracle.planted == (1, 0, 1)
         assert oracle.measure((1, 0, 1)).target_raw == -2.0 * 0.3 - 0.5
         assert oracle.measure((0, 0, 1)).target_raw > oracle.measure((1, 0, 1)).target_raw
+
+    # Two values for four options, and a value outside an option's range.
+    @pytest.mark.parametrize("config", [(0, 1), (0, 1, 0, 1, 0), (7, 7, 7, 7), (0, 2, 0, 0)])
+    @pytest.mark.parametrize("method", ("target", "auxiliary", "measure"))
+    def test_every_method_refuses_a_configuration_outside_the_space(self, method, config):
+        oracle = SyntheticOracle(make_binary_space(4), seed=3)
+        with pytest.raises(InvalidConfigurationError):
+            getattr(oracle, method)(config)
 
     def test_referentially_transparent(self, binary8):
         a = SyntheticOracle(binary8, seed=13, ruggedness=0.4)

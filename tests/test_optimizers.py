@@ -20,20 +20,17 @@ from mmo_tune.measurement import (
 )
 from mmo_tune.optimizers import (
     _Run,
-    boundary_mutation,
     crowding_distance,
     environmental_selection,
     fast_nondominated_sort,
     metropolis_probability,
-    uniform_crossover,
 )
 from mmo_tune.space import InvalidConfigurationError, OptionSpace, OptionSpec
 
 from conftest import (
     dominance,
     make_binary_space,
-    reference_boundary_mutation,
-    reference_uniform_crossover,
+    reference_offspring,
     sort_by_domination_counts,
     write_table,
 )
@@ -65,33 +62,10 @@ def run_model(name, space, budget, oracle, population_size, seed):
 ALL_RUNNER_NAMES = tuple(RUNNERS)
 
 
-class TestBoundaryMutation:
-    def test_zero_rate_is_identity(self, binary8):
-        rng = random.Random(0)
-        config = binary8.random_config(rng)
-        assert boundary_mutation(binary8, config, 0.0, rng) == config
-
-    def test_full_rate_sets_bounds(self):
-        space = OptionSpace(tuple(OptionSpec(f"i{k}", "integer", 2, 9) for k in range(6)))
-        rng = random.Random(1)
-        config = space.config([5, 5, 5, 5, 5, 5])
-        for _ in range(50):
-            mutated = boundary_mutation(space, config, 1.0, rng)
-            assert all(v in (2, 9) for v in mutated)
-
-    def test_gene_mutation_frequency_near_rate(self, binary8):
-        rng = random.Random(2)
-        trials = 10_000
-        rate = 0.1
-        # Count mutations on a mid-range option so every boundary pick is visible.
-        space = OptionSpace((OptionSpec("x", "integer", 0, 10),))
-        config = space.config([5])
-        flipped = sum(
-            boundary_mutation(space, config, rate, rng)[0] != 5
-            for _ in range(trials)
-        )
-        sigma = math.sqrt(trials * rate * (1 - rate))
-        assert abs(flipped - trials * rate) <= 3 * sigma
+def set_rates(monkeypatch, crossover, mutation):
+    """Patch the module's variation rates, which ``_offspring`` reads per call."""
+    monkeypatch.setattr(optimizers, "CROSSOVER_RATE", crossover)
+    monkeypatch.setattr(optimizers, "MUTATION_RATE", mutation)
 
 
 # Spaces for the draw-for-draw checks: binary options, integer options, and
@@ -116,59 +90,101 @@ VARIATION_SPACES = {
 }
 
 
+def assert_offspring_as_reference(space, size, crossover_rate=0.9, mutation_rate=0.1):
+    """Three generations of ``_offspring`` per seed, on keys drawn from a few
+    values so that many tournaments tie, equal ``reference_offspring``'s and
+    leave the generator where it leaves it."""
+    for seed in range(40):
+        setup = random.Random(seed + 1000)
+        parents = [space.random_config(setup) for _ in range(size)]
+        keys = [(setup.randrange(3), setup.randrange(2)) for _ in range(size)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got = optimizers._offspring(space, parents, keys, rng)
+            want = reference_offspring(space, parents, keys, ref, crossover_rate, mutation_rate)
+            assert got == want
+            assert rng.getstate() == ref.getstate()
+            parents = got
+
+
+@pytest.mark.parametrize("size", (2, 3, 20, 33, 50))
+@pytest.mark.parametrize("kind", sorted(VARIATION_SPACES))
+def test_offspring_draw_for_draw(kind, size):
+    assert (optimizers.CROSSOVER_RATE, optimizers.MUTATION_RATE) == (0.9, 0.1)
+    assert_offspring_as_reference(VARIATION_SPACES[kind], size)
+
+
 @pytest.mark.parametrize("rate", (0.0, 0.1, 1.0))
 @pytest.mark.parametrize("kind", sorted(VARIATION_SPACES))
 class TestVariationDrawForDraw:
-    """The operators return what the reference operators return and leave
-    the generator where they leave it, so every later draw is the same."""
+    """With one rate moved to 0, 0.1 or 1, ``_offspring`` still draws as the
+    reference does: the rule holds at every rate, not only the fixed one."""
 
-    def test_boundary_mutation(self, kind, rate):
-        space = VARIATION_SPACES[kind]
-        for seed in range(40):
-            config = space.random_config(random.Random(seed + 1000))
-            rng, ref = random.Random(seed), random.Random(seed)
-            for _ in range(5):
-                got = boundary_mutation(space, config, rate, rng)
-                want = reference_boundary_mutation(space, config, rate, ref)
-                assert got == want
-                assert rng.getstate() == ref.getstate()
-                config = got
+    def test_boundary_mutation(self, kind, rate, monkeypatch):
+        set_rates(monkeypatch, 0.9, rate)
+        assert_offspring_as_reference(VARIATION_SPACES[kind], 7, 0.9, rate)
 
-    def test_uniform_crossover(self, kind, rate):
-        space = VARIATION_SPACES[kind]
-        for seed in range(40):
-            setup = random.Random(seed + 2000)
-            a, b = space.random_config(setup), space.random_config(setup)
-            rng, ref = random.Random(seed), random.Random(seed)
-            for _ in range(5):
-                got = uniform_crossover(a, b, rate, rng)
-                assert got == reference_uniform_crossover(a, b, rate, ref)
-                assert rng.getstate() == ref.getstate()
-                a, b = got
+    def test_uniform_crossover(self, kind, rate, monkeypatch):
+        set_rates(monkeypatch, rate, 0.1)
+        assert_offspring_as_reference(VARIATION_SPACES[kind], 7, rate, 0.1)
+
+
+class TestBoundaryMutation:
+    def test_zero_rate_is_identity(self, binary8, monkeypatch):
+        # Crossover of equal parents changes nothing.
+        set_rates(monkeypatch, 0.9, 0.0)
+        rng = random.Random(0)
+        parents = [binary8.random_config(rng)] * 10
+        assert optimizers._offspring(binary8, parents, [0.0] * 10, rng) == parents
+
+    def test_full_rate_sets_bounds(self, monkeypatch):
+        set_rates(monkeypatch, 0.9, 1.0)
+        space = OptionSpace(tuple(OptionSpec(f"i{k}", "integer", 2, 9) for k in range(6)))
+        rng = random.Random(1)
+        parents = [space.config([5, 5, 5, 5, 5, 5])] * 4
+        for _ in range(50):
+            for child in optimizers._offspring(space, parents, [0.0] * 4, rng):
+                assert all(v in (2, 9) for v in child)
+
+    def test_gene_mutation_frequency_near_rate(self):
+        # Equal parents on a mid-range option: every mutation is visible and
+        # crossover changes nothing.
+        rng = random.Random(2)
+        trials = 10_000
+        rate = optimizers.MUTATION_RATE
+        space = OptionSpace((OptionSpec("x", "integer", 0, 10),))
+        parents = [space.config([5])] * 10
+        flipped = sum(
+            child[0] != 5
+            for _ in range(trials // 10)
+            for child in optimizers._offspring(space, parents, [0.0] * 10, rng)
+        )
+        sigma = math.sqrt(trials * rate * (1 - rate))
+        assert abs(flipped - trials * rate) <= 3 * sigma
 
 
 class TestUniformCrossover:
-    def test_zero_rate_copies_parents(self, binary8):
+    def test_zero_rate_copies_parents(self, binary8, monkeypatch):
+        set_rates(monkeypatch, 0.0, 0.0)
         rng = random.Random(3)
-        a, b = binary8.random_config(rng), binary8.random_config(rng)
-        assert uniform_crossover(a, b, 0.0, rng) == (a, b)
+        parents = [binary8.random_config(rng) for _ in range(10)]
+        for _ in range(20):
+            assert set(optimizers._offspring(binary8, parents, [0.0] * 10, rng)) <= set(parents)
 
-    def test_positionwise_multiset_preserved(self, binary8):
+    def test_positionwise_multiset_preserved(self, binary8, monkeypatch):
+        # Parents all zeros and all ones: a pair of children crossed from two
+        # winners holds, at every position, the winners' two values, so the
+        # pair's sum is one number over all positions.
+        set_rates(monkeypatch, 1.0, 0.0)
         rng = random.Random(4)
+        parents = [(0,) * 8, (1,) * 8] * 5
+        crossed = 0
         for _ in range(200):
-            a, b = binary8.random_config(rng), binary8.random_config(rng)
-            c1, c2 = uniform_crossover(a, b, 1.0, rng)
-            for i in range(8):
-                assert sorted((c1[i], c2[i])) == sorted(
-                    (a[i], b[i])
-                )
-
-    def test_space_mismatch(self, binary8, binary3):
-        rng = random.Random(5)
-        with pytest.raises(ValueError):
-            uniform_crossover(
-                binary8.random_config(rng), binary3.random_config(rng), 1.0, rng
-            )
+            children = optimizers._offspring(binary8, parents, [0.0] * 10, rng)
+            for c1, c2 in zip(children[::2], children[1::2]):
+                assert len({x + y for x, y in zip(c1, c2)}) == 1
+            crossed += any(c not in parents for c in children)
+        assert crossed > 150
 
 
 def peel_fronts(points):

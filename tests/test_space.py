@@ -12,7 +12,8 @@ import re
 import pytest
 
 from mmo_tune.measurement import MeasurementRecord
-from mmo_tune.optimizers import _Run, _sample_distinct, _tournament
+from mmo_tune import optimizers
+from mmo_tune.optimizers import _Run, _sample_distinct
 from mmo_tune.space import (
     Configuration,
     InvalidConfigurationError,
@@ -25,7 +26,13 @@ from mmo_tune.space import (
     space_to_doc,
 )
 
-from conftest import make_binary_space
+from conftest import (
+    make_binary_space,
+    reference_fresh_uniform,
+    reference_neighbor,
+    reference_offspring,
+    reference_random_config,
+)
 
 
 def doc(options) -> str:
@@ -301,45 +308,6 @@ DRAW_SPACE = OptionSpace(
 )
 
 
-def reference_random_config(space, rng):
-    return tuple(rng.randint(lower, upper) for lower, upper in space.bounds)
-
-
-def reference_neighbor(space, config, radius, rng):
-    """One neighbor drawn by ``random.Random``'s own methods: randint for the
-    number of changes, sample for the positions, randint for each new value
-    over the range less the current one."""
-    mutable = [i for i, (lower, upper) in enumerate(space.bounds) if upper > lower]
-    k = rng.randint(1, min(radius, len(mutable)))
-    values = list(config)
-    for i in rng.sample(mutable, k):
-        lower, upper = space.bounds[i]
-        value = rng.randint(lower, upper - 1)
-        values[i] = value + 1 if value >= values[i] else value
-    return tuple(values)
-
-
-def reference_tournament(keys, rng):
-    i = rng.randrange(len(keys))
-    j = rng.randrange(len(keys))
-    if keys[i] < keys[j]:
-        return i
-    if keys[j] < keys[i]:
-        return j
-    return i if rng.random() < 0.5 else j
-
-
-def reference_fresh_uniform(space, measured, rng):
-    """(configuration, whether the fallback drew it), by ``randint`` and
-    ``randrange``."""
-    for _ in range(64):
-        config = reference_random_config(space, rng)
-        if config not in measured:
-            return config, False
-    unmeasured = [c for c in space.enumerate_all() if c not in measured]
-    return unmeasured[rng.randrange(len(unmeasured))], True
-
-
 class TestDrawsMatchRandom:
     """Each integer draw made from ``getrandbits`` returns what the
     ``random.Random`` method it replaces returns, and leaves the generator
@@ -405,13 +373,20 @@ class TestDrawsMatchRandom:
                 assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("size", (2, 20, 33, 50))
-    def test_tournament(self, size):
+    def test_tournament(self, size, monkeypatch):
+        # With both variation rates at 0 each child is its tournament's
+        # winner, here the one-option configuration that is its index.
+        monkeypatch.setattr(optimizers, "CROSSOVER_RATE", 0.0)
+        monkeypatch.setattr(optimizers, "MUTATION_RATE", 0.0)
+        space = OptionSpace((OptionSpec("index", "integer", 0, size - 1),))
+        parents = list(space.enumerate_all())
         for seed in range(20):
             setup = random.Random(seed + 3000)
             keys = [(setup.randrange(3), setup.randrange(2)) for _ in range(size)]
             rng, ref = random.Random(seed), random.Random(seed)
-            for _ in range(25):
-                assert _tournament(keys, rng) == reference_tournament(keys, ref)
+            for _ in range(5):
+                got = optimizers._offspring(space, parents, keys, rng)
+                assert got == reference_offspring(space, parents, keys, ref, 0.0, 0.0)
                 assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("options", (1, 3, 5))
