@@ -16,6 +16,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from statistics import fmean, stdev
@@ -135,6 +136,9 @@ class ExperimentPlan:
         object.__setattr__(
             self, "models", tuple(canonical_model(m) for m in self.models)
         )
+        # NaN fails the range, and so does an int too large for a float.
+        if not all(0 < w <= sys.float_info.max for w in self.weights):
+            raise ValueError("weights must be finite and positive")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         for name in ("models", "weights"):
             values = getattr(self, name)
@@ -142,13 +146,12 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must not repeat, got {values}")
         if any(m in MMO_MODELS for m in self.models) and not self.weights:
             raise ValueError("weights must be nonempty when a meta model is selected")
-        if not all(math.isfinite(w) and w > 0 for w in self.weights):
-            raise ValueError("weights must be finite and positive")
         if (
             any(m in POPULATION_MODELS for m in self.models)
             and self.budget < self.population_size
         ):
             raise ValueError("budget must cover at least one population")
+        _bind_oracle_spec(self)
 
     @property
     def directions(self) -> tuple[Direction, Direction]:
@@ -228,20 +231,26 @@ _ORACLE_SIGNATURES = {
 
 def _bind_oracle_spec(plan: ExperimentPlan) -> tuple[str, dict]:
     """The kind and the constructor arguments of a plan's oracle spec,
-    checked against that kind's constructor without calling it (a table spec
-    does not read its table). The spec holds ``kind`` plus the arguments of
-    the constructor other than the space; a missing or unknown field raises
-    ValueError naming it."""
+    checked as a campaign checks them but reading no file; every plan checks
+    its spec so when it is built. The spec holds ``kind`` plus the arguments
+    of the constructor other than the space; a missing or unknown field
+    raises ValueError naming it. A synthetic or command spec is built once
+    and dropped; a table spec's path must be a string, its table not read."""
     if not isinstance(plan.oracle_spec, dict):
         raise ValueError(f"oracle spec must be a JSON object, got {plan.oracle_spec!r}")
     fields = dict(plan.oracle_spec)
     kind = fields.pop("kind", None)
-    if kind not in _ORACLE_SIGNATURES:
+    if not isinstance(kind, str) or kind not in _ORACLE_SIGNATURES:
         raise ValueError(f"unknown oracle kind {kind!r}")
     try:
         _ORACLE_SIGNATURES[kind].bind(space=plan.space, **fields)
     except TypeError as exc:
         raise ValueError(f"{kind} oracle spec: {exc}") from None
+    if kind != "table":
+        _oracle_constructors()[kind](space=plan.space, **fields)
+    elif not isinstance(fields["path"], str):
+        raise ValueError(f"table oracle spec: path must be a string, got "
+                         f"{fields['path']!r}")
     return kind, fields
 
 
@@ -641,8 +650,8 @@ def recompute_report(out_dir: str) -> dict:
     """Rebuild the report purely from the stored plan and traces. A trace is
     read, and reduced to its summary, only when the report asks for it, and
     no summary is stored, so the rebuild holds one group's at a time. The
-    stored oracle spec must be one that ``campaign`` would run; the oracle
-    itself is not built."""
+    stored plan is checked as any plan is (see ``_bind_oracle_spec``); its
+    table, if any, is not read."""
     path = os.path.join(out_dir, "plan.json")
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -650,7 +659,6 @@ def recompute_report(out_dir: str) -> dict:
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{path}: {exc}") from None
     plan = plan_from_doc(doc)
-    _bind_oracle_spec(plan)
     return build_report(plan, _StoredRuns(out_dir, plan.space))
 
 

@@ -11,10 +11,11 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from statistics import median_low
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol
 
 from .space import Configuration, InvalidConfigurationError, OptionSpace
 
@@ -92,7 +93,11 @@ def read_csv(path: str, header: list[str], space: OptionSpace, first: int,
     onward, holds, read and decoded once: ``flat(cells, spellings)`` (see
     ``_csv_columns``) or, if either refuses the text (None or ValueError),
     ``rows(path, reader, space)`` on a csv reader over that same text. A
-    byte that is not UTF-8 raises ``error`` naming the file."""
+    byte that is not UTF-8 raises ``error`` naming the file; a path that is
+    not a string or path-like raises ValueError, as ``open`` would read an
+    integer as a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a string or path-like, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -240,8 +245,9 @@ class CommandOracle:
         # after the command has exited, so a hanging one would never be killed.
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+        # NaN fails the range, and so does an int too large for a float.
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
-            math.isfinite(timeout) and timeout > 0
+            0 < timeout <= sys.float_info.max
         ):
             raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
         if not isinstance(command, str) or not command.strip():
@@ -360,11 +366,23 @@ class SyntheticOracle:
     def __init__(
         self, space: OptionSpace, seed: int, density: float = 0.05,
         ruggedness: float = 0.3, correlation: float = 0.0,
-        planted: Iterable[int] | None = None,
+        planted: list[int] | tuple[int, ...] | None = None,
     ):
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        for name, value in (("density", density), ("ruggedness", ruggedness),
+                            ("correlation", correlation)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if planted is not None and (not isinstance(planted, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in planted
+        )):
+            raise ValueError(f"planted must be a list of integers, got {planted!r}")
         if not 0.0 < density <= 1.0:
             raise ValueError("density must be in (0, 1]")
-        if not 0.0 <= ruggedness < math.inf:  # NaN fails both comparisons
+        # NaN, infinity and an int too large for a float (which the landscape
+        # could not multiply) fail this.
+        if not 0.0 <= ruggedness <= sys.float_info.max:
             raise ValueError(f"ruggedness must be finite and >= 0, got {ruggedness}")
         if not -1.0 <= correlation <= 1.0:
             raise ValueError("correlation must be in [-1, 1]")

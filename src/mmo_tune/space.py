@@ -159,24 +159,13 @@ class OptionSpace:
 
         Each neighbor changes between 1 and ``radius`` positions; a changed value
         is drawn uniformly from the option range excluding the current value.
-        The radius is checked here, once per sampler: below 1 it raises, above
-        the option count it is clamped (reported, not fatal). ``config`` must
-        be a configuration of this space, as with ``index``: it is not
-        validated.
+        The radius is checked here, once per sampler: below 1 it raises; one
+        above the count of options that can change draws as that count does.
+        ``config`` must be a configuration of this space, as with ``index``:
+        it is not validated.
         """
         if radius < 1:
             raise ValueError(f"radius must be >= 1, got {radius}")
-        if radius > len(self.options):
-            # Imported here: no optimizer asks for a radius this large, and
-            # no command needs logging otherwise.
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "neighborhood radius %d exceeds option count %d; clamped",
-                radius,
-                len(self.options),
-            )
-            radius = len(self.options)
         # The positions a neighbor can change: options of more than one value.
         bounds = self.bounds
         mutable = tuple(i for i, (lower, upper) in enumerate(bounds) if upper > lower)

@@ -481,21 +481,10 @@ class TestPlanFileChecked:
         assert run_cli("stats", "--dir", str(out)) == 2
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize(
-        "edit, field",
-        [
-            (lambda oracle: oracle.update(densty=0.5), "densty"),
-            (lambda oracle: oracle.pop("seed"), "seed"),
-        ],
-        ids=["unknown", "missing"],
-    )
-    def test_stats_names_a_bad_oracle_field(self, space_file, tmp_path, capsys, edit, field):
-        out = tmp_path / "camp"
-        code = run_cli(
-            "campaign", "--space", space_file, "--synthetic", "--budget", "8",
-            "--repeats", "1", "--models", "single:rs", "--out", str(out),
-        )
-        assert code == 0
+    @staticmethod
+    def refuses_the_edited_oracle(out, edit, named, capsys):
+        """``stats`` on ``out`` with its oracle spec edited exits 2 with the
+        text that building the edited spec raises, which names ``named``."""
         plan = json.loads((out / "plan.json").read_text())
         edit(plan["oracle"])
         (out / "plan.json").write_text(json.dumps(plan))
@@ -504,10 +493,54 @@ class TestPlanFileChecked:
         assert run_cli("stats", "--dir", str(out)) == 2
         err = capsys.readouterr().err
         # The text a campaign on the same spec refuses it with.
-        with pytest.raises(ValueError, match=f"'{field}'") as refused:
+        with pytest.raises(ValueError, match=named) as refused:
             mmo_tune.harness.build_oracle(mmo_tune.harness.plan_from_doc(plan))
         assert err == f"error: {refused.value}\n"
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda oracle: oracle.update(densty=0.5), "'densty'"),
+            (lambda oracle: oracle.pop("seed"), "'seed'"),
+            (lambda oracle: oracle.update(density="0.05"),
+             r"^density must be a number, got '0\.05'$"),
+            (lambda oracle: oracle.update(kind=["synthetic"]),
+             r"^unknown oracle kind \['synthetic'\]$"),
+        ],
+        ids=["unknown", "missing", "string-density", "list-kind"],
+    )
+    def test_stats_names_a_bad_oracle_field(self, space_file, tmp_path, capsys, edit, named):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, "--synthetic", "--budget", "8",
+            "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 0
+        self.refuses_the_edited_oracle(out, edit, named, capsys)
+
+    @pytest.mark.parametrize(
+        "flags, edit, named",
+        [
+            (lambda table: ("--command", """echo '{"target": 1, "auxiliary": 2}'""",
+                            "--samples", "1"),
+             lambda oracle: oracle.update(samples="5"),
+             r"^samples must be an integer >= 1, got '5'$"),
+            (lambda table: ("--table", table), lambda oracle: oracle.update(path=3),
+             r"^table oracle spec: path must be a string, got 3$"),
+        ],
+        ids=["string-samples", "int-path"],
+    )
+    def test_stats_names_a_bad_command_or_table_field(
+        self, space_file, table_file, tmp_path, capsys, flags, edit, named
+    ):
+        out = tmp_path / "camp"
+        code = run_cli(
+            "campaign", "--space", space_file, *flags(table_file), "--budget", "8",
+            "--repeats", "1", "--models", "single:rs", "--out", str(out),
+        )
+        assert code == 0
+        self.refuses_the_edited_oracle(out, edit, named, capsys)
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -1,5 +1,6 @@
 """Generated differential tests: each fast path against the reference it must
-match, on inputs drawn by ``hypothesis``.
+match, and each plan or space document against its refusals, on inputs drawn
+by ``hypothesis``.
 
 The search is derandomized and keeps no example database, so equal code
 gives an equal result. It has no deadline, so that a loaded machine cannot
@@ -9,6 +10,8 @@ fail an example for its time. Without ``hypothesis`` the module is skipped.
 from __future__ import annotations
 
 import csv
+import json
+import math
 import random
 from unittest import mock
 
@@ -18,11 +21,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import mmo_tune.measurement  # noqa: E402
-from mmo_tune.harness import execute_run  # noqa: E402
+from mmo_tune.harness import ExperimentPlan, build_oracle, execute_run, plan_from_doc  # noqa: E402
 from mmo_tune.measurement import MeasurementRecord, SyntheticOracle, load_table  # noqa: E402
 from mmo_tune.models import fast_nondominated_sort  # noqa: E402
 from mmo_tune.optimizers import _offspring, _Run  # noqa: E402
-from mmo_tune.space import OptionSpace, OptionSpec  # noqa: E402
+from mmo_tune.space import (  # noqa: E402
+    OptionSpace,
+    OptionSpec,
+    SpaceError,
+    space_from_doc,
+    space_to_doc,
+)
 from mmo_tune.trace import emit_trace, load_summary  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -168,7 +177,8 @@ def test_random_config_matches_randint(space, seed):
 @DETERMINISTIC
 @given(SPACES.filter(lambda space: space.size() > 1), st.integers(1, 26), SEEDS)
 def test_neighbor_matches_the_reference(space, radius, seed):
-    # A radius above the option count is clamped, with one logged warning.
+    # A radius above the option count draws as the count of options that
+    # can change does.
     neighbor = space.neighbor_sampler(radius)
     config = space.random_config(random.Random(seed + 1))
     rng, ref = random.Random(seed), random.Random(seed)
@@ -193,3 +203,93 @@ def test_fresh_uniform_matches_the_reference(space, left, seed):
     ref = random.Random(seed)
     assert run.fresh_uniform() == reference_fresh_uniform(space, measured, ref)[0]
     assert run.rng.getstate() == ref.getstate()
+
+
+# What an edit puts in a field of a document: every JSON type, huge integers,
+# both zeros, numbers spelled as strings, the names a plan uses, and lists
+# and objects of these. Each edge value is one a check turns on; a sweep puts
+# every one of them in every field of a plan.
+EDGE_SCALARS = (
+    None, True, False, 0, 1, -1, 2**63, 2**1024, -(10**400), 0.0, -0.0, 0.5, 1e-320,
+    1e308, math.inf, -math.inf, math.nan, "", "0", "5", "0.05", "-0.0", "1e999", "nan",
+    "true", "synthetic", "table", "command", "single:rs", "minimize", "binary", "integer",
+)
+JSON_SCALARS = st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(), st.floats(),
+                         st.text(max_size=6))
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=4),
+    st.recursive(JSON_SCALARS, lambda children: st.lists(children, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), children, max_size=3),
+                 max_leaves=6),
+)
+
+# A written plan.json of each oracle kind.
+PLANS = {
+    kind: json.loads(ExperimentPlan(
+        space=SPACE, oracle_spec=spec, budget=8, population_size=4, repeats=2,
+        models=("single:rs", "mmo:linear"), weights=(0.1, 0.9), master_seed=3,
+    ).canonical_json())
+    for kind, spec in (
+        ("synthetic", {"kind": "synthetic", "seed": 1, "density": 0.1, "ruggedness": 0.4,
+                       "correlation": 0.3, "planted": [1, 5, 0]}),
+        ("command", {"kind": "command", "command": "true", "samples": 1, "timeout": 5.0}),
+        ("table", {"kind": "table", "path": "table.csv"}),
+    )
+}
+# (kind, where, name) of each field of those plans: top-level (the same in
+# each), or in the oracle spec, ``kind`` included.
+PLAN_FIELDS = [("synthetic", "plan", name) for name in sorted(PLANS["synthetic"])] + [
+    (kind, "oracle", name) for kind, written in sorted(PLANS.items())
+    for name in sorted(written["oracle"])
+]
+
+
+def check_plan_edit(kind: str, where: str, name: str, value) -> None:
+    """The plan of kind ``kind`` with one field holding ``value`` is refused
+    with ValueError, or is a plan whose oracle builds (a table's is not read)."""
+    doc = json.loads(json.dumps(PLANS[kind]))
+    (doc if where == "plan" else doc["oracle"])[name] = value
+    try:
+        plan = plan_from_doc(doc)
+    except ValueError:
+        return
+    if plan.oracle_spec["kind"] != "table":
+        build_oracle(plan)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(PLAN_FIELDS), JSON_VALUES)
+def test_plan_document_edit_is_a_plan_or_a_value_error(field, value):
+    check_plan_edit(*field, value)
+
+
+@pytest.mark.parametrize("field", PLAN_FIELDS, ids=".".join)
+def test_plan_field_holding_each_edge_value_is_a_plan_or_a_value_error(field):
+    for value in (*EDGE_SCALARS, *([v] for v in EDGE_SCALARS), {}):
+        check_plan_edit(*field, value)
+
+
+SPACE_DOC = space_to_doc(SPACE)
+
+
+@DETERMINISTIC
+@given(st.one_of(
+    st.tuples(st.just(()), st.just("options")),
+    st.tuples(st.just(("options",)), st.integers(0, 2)),
+    st.tuples(st.tuples(st.just("options"), st.integers(0, 2)),
+              st.sampled_from(("name", "kind", "lower", "upper"))),
+), JSON_VALUES)
+def test_space_document_edit_is_a_space_or_a_space_error(field, value):
+    # One field of a written space document, at any depth, holds the value.
+    path, name = field
+    doc = json.loads(json.dumps(SPACE_DOC))
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[name] = value
+    try:
+        space = space_from_doc(doc)
+    except SpaceError:
+        return
+    assert space_from_doc(space_to_doc(space)) == space

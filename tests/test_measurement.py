@@ -129,6 +129,16 @@ class TestTabularOracle:
         with pytest.raises(UnmeasuredConfigError, match="unmeasured"):
             oracle.measure(binary3.config([1, 1, 1]))
 
+    def test_a_path_that_is_not_one_is_named(self, tmp_path, binary3):
+        # An integer would open, read and close that file descriptor.
+        with open(tmp_path / "other.txt", "w", encoding="utf-8") as fh:
+            fd = fh.fileno()
+            with pytest.raises(ValueError, match=f"^path must be a string or path-like, got {fd}$"):
+                load_table(fd, binary3)
+            fh.write("still open")
+        path = write_table(tmp_path / "t.csv", binary3, {(0, 0, 0): (1.0, 2.0)})
+        assert load_table(tmp_path / "t.csv", binary3).rows == load_table(path, binary3).rows
+
     def test_duplicate_row_fatal(self, tmp_path, binary3):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -622,6 +632,37 @@ class TestSyntheticOracle:
             SyntheticOracle(binary8, seed=0, ruggedness=-0.1)
         with pytest.raises(ValueError):
             SyntheticOracle(binary8, seed=0, correlation=2.0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": [1]}, "seed must be an integer, got [1]"),
+            ({"density": "0.05"}, "density must be a number, got '0.05'"),
+            ({"density": True}, "density must be a number, got True"),
+            ({"ruggedness": None}, "ruggedness must be a number, got None"),
+            ({"correlation": [1]}, "correlation must be a number, got [1]"),
+            ({"planted": [0.9, 1, 0]}, "planted must be a list of integers, got [0.9, 1, 0]"),
+            ({"planted": ["1", True, 0]},
+             "planted must be a list of integers, got ['1', True, 0]"),
+            ({"planted": [True, 1, 0]}, "planted must be a list of integers, got [True, 1, 0]"),
+            ({"planted": 5}, "planted must be a list of integers, got 5"),
+            ({"planted": "101"}, "planted must be a list of integers, got '101'"),
+            ({"ruggedness": 2**1024}, f"ruggedness must be finite and >= 0, got {2**1024}"),
+        ],
+        ids=[
+            "string-seed", "bool-seed", "float-seed", "list-seed", "string-density",
+            "bool-density", "none-ruggedness", "list-correlation", "float-planted",
+            "string-planted-value", "bool-planted-value", "int-planted", "string-planted",
+            "huge-ruggedness",
+        ],
+    )
+    def test_an_argument_of_the_wrong_type_is_named(self, binary3, settings, message):
+        with pytest.raises(ValueError) as refused:
+            SyntheticOracle(**{"space": binary3, "seed": 1, **settings})
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("ruggedness", [math.nan, math.inf, -math.inf])
     def test_ruggedness_must_be_finite_and_non_negative(self, binary8, ruggedness):

@@ -221,16 +221,15 @@ class TestNeighbors:
         distances = {hamming(config, neighbor(config, rng)) for _ in range(400)}
         assert distances == {1, 2}
 
-    def test_radius_clamped_with_warning(self, binary3, caplog):
-        rng = random.Random(4)
+    def test_radius_clamped_with_warning(self, binary3):
+        # A radius above the option count draws as the option count does,
+        # draw for draw.
         config = binary3.config([0, 0, 0])
-        with caplog.at_level("WARNING"):
-            neighbor = binary3.neighbor_sampler(99)
-            neighbors = [neighbor(config, rng) for _ in range(50)]
-        # Checked once, when the sampler is built: one warning for 50 draws.
-        assert [r.getMessage() for r in caplog.records] == [
-            "neighborhood radius 99 exceeds option count 3; clamped"
-        ]
+        wide, exact = binary3.neighbor_sampler(99), binary3.neighbor_sampler(3)
+        rng, ref = random.Random(4), random.Random(4)
+        neighbors = [wide(config, rng) for _ in range(50)]
+        assert neighbors == [exact(config, ref) for _ in range(50)]
+        assert rng.getstate() == ref.getstate()
         assert all(1 <= hamming(config, n) <= 3 for n in neighbors)
 
     def test_changed_value_excludes_current(self):
